@@ -51,6 +51,7 @@ from .probability import (
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
+    _chain_length,
     langevin_gaussian_run,
     langevin_mh_run,
     random_stream,
@@ -155,11 +156,8 @@ def _cmd_sample(args) -> int:
         flats = [sample_uniform(args.k, args.n, rng) for _ in range(args.count)]
     elif args.dist == "langevin":
         params = _load_params(args)
-        n_steps = config.burn_in + 1 + (args.count - 1) * config.thin
-        flats, _ = langevin_mh_run(
-            params, n_steps, config.step_size, rng, burn_in=config.burn_in, thin=config.thin
-        )
-        flats = flats[: args.count]
+        flats, _ = langevin_mh_run(params, _chain_length(config, args.count), config.step_size,
+                                   rng, burn_in=config.burn_in, thin=config.thin)
     else:
         flats = langevin_gaussian_run(_load_params(args), args.count, config, rng)
     for flat in flats:

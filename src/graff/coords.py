@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import get_default_tol
 from .errors import DimensionError, NotAFlat, RankDeficient
@@ -64,6 +63,16 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
+    """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked."""
+    Q, R = np.linalg.qr(M)
+    diag = np.diag(R)
+    size = np.abs(diag)
+    if size.max() == 0.0 or np.any(size < get_default_tol() * size.max()):
+        raise RankDeficient(f"{what} has numerical rank below {M.shape[1]}")
+    return Q * np.sign(diag)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -254,13 +263,15 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
     Returns
     -------
     AffineFlat
-        The flat span(A_raw) + b_raw in orthogonal affine coordinates.
+        The flat span(A_raw) + b_raw in orthogonal affine coordinates.  Its
+        basis A is Gram-Schmidt in the caller's column order: A[:, 0] is a
+        positive multiple of A_raw[:, 0], and an orthonormal A_raw is kept.
 
     Raises
     ------
     RankDeficient
-        If A_raw has column rank below k (judged on the triangular factor of
-        a pivoted QR, relative to its largest diagonal entry).
+        If A_raw has column rank below k, judged on the diagonal of a
+        Householder QR's triangular factor, relative to its largest entry.
     DimensionError
         If k >= n.
     """
@@ -271,15 +282,7 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
         raise DimensionError(f"flat dimension k={k} must be smaller than ambient n={n}")
     if k == 0:
         return AffineFlat(np.zeros((n, 0)), b0)
-    Q, R, _ = scipy.linalg.qr(A_raw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0 or np.any(diag < get_default_tol() * diag[0]):
-        raise RankDeficient(f"basis has numerical rank below k={k}")
-    # Pivoted QR may permute and flip columns; fix signs so the factor is
-    # a deterministic orthonormal basis of the same span.
-    signs = np.sign(np.diag(R))
-    signs[signs == 0.0] = 1.0
-    A = Q * signs
+    A = _orthonormalize(A_raw, "basis")
     b0 = b0 - A @ (A.T @ b0)
     return AffineFlat(A, b0)
 
@@ -372,17 +375,16 @@ def unembed(Y_raw) -> AffineFlat:
         hyperplane x_{n+1} = 0 and corresponds to a linear k+1 subspace of
         R^n, not to a flat.
     RankDeficient
-        If Y_raw does not have full column rank.
+        If Y_raw does not have full column rank, judged on the diagonal of a
+        Householder QR's triangular factor, relative to its largest entry.
+        The basis of span(Y_raw) is Gram-Schmidt in the caller's column order.
     """
     Y_raw = _as_matrix(Y_raw, "Y_raw")
     rows, cols = Y_raw.shape
     if cols < 1 or rows < cols + 1:
         raise DimensionError(f"expected an (n+1) x (k+1) matrix with k < n, got {Y_raw.shape}")
     n, k = rows - 1, cols - 1
-    Q, R, _ = scipy.linalg.qr(Y_raw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0 or np.any(diag < get_default_tol() * diag[0]):
-        raise RankDeficient(f"spanning matrix has numerical rank below {cols}")
+    Q = _orthonormalize(Y_raw, "spanning matrix")
     v = Q[-1, :].copy()
     r = float(np.linalg.norm(v))
     if r < 1e-10:

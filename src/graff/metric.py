@@ -120,12 +120,7 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    _check_same_ambient(flat1, flat2)
-    Y1 = stiefel_coords(flat1).Y
-    Y2 = stiefel_coords(flat2).Y
-    M = Y1.T @ Y2
-    sigmas = _clip_sigmas(np.linalg.svd(M, compute_uv=False))
-    return _corrected_thetas(Y1, Y2, M, sigmas)
+    return _angles_and_sigmas(flat1, flat2)[0]
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
@@ -247,14 +242,12 @@ class GeodesicCurve:
     """Data defining the minimizing geodesic between two equidimensional flats.
 
     The curve is gamma(t) = span(Y_start U cos(t Theta) + Q sin(t Theta)),
-    where U and Theta come from the principal SVD of the endpoints and Q is
-    the orthonormal factor of the thin SVD
+    where Q, tan(Theta) and U are the factors of the thin SVD
 
-        (I - Y Y^T) Y' (Y^T Y')^{-1} = Q tan(Theta) U^T.
+        (Y' - Y Y^T Y') (Y^T Y')^{-1} = Q tan(Theta) U^T
 
-    Columns of Q attached to zero angles never influence the curve; they are
-    filled by deterministic completion orthogonal to Y_start (zero columns
-    if the ambient space has no room left).
+    with Theta nondecreasing.  Columns of Q whose angle is at rounding level
+    (tangent at most 1e-12) are zero; sin(t Theta) removes them anyway.
     """
 
     Y_start: StiefelMatrix
@@ -281,43 +274,18 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     Y1 = stiefel_coords(flat1).Y
     Y2 = stiefel_coords(flat2).Y
     M = Y1.T @ Y2
-    U, sigmas, Vt = np.linalg.svd(M)
-    if sigmas[-1] < 1e-10:
+    if np.linalg.svd(M, compute_uv=False)[-1] < 1e-10:
         raise SingularPair("Stiefel overlap matrix is numerically singular")
-    thetas = _corrected_thetas(Y1, Y2, M, _clip_sigmas(sigmas))
-    H = (Y2 - Y1 @ M) @ np.linalg.inv(M)
-    HU = H @ U
-    Q = np.zeros((n + 1, k + 1))
-    taken = [Y1[:, j] for j in range(k + 1)]
-    for i in range(k + 1):
-        col = HU[:, i]
-        nrm = float(np.linalg.norm(col))
-        if nrm > 1e-12:
-            Q[:, i] = col / nrm
-            taken.append(Q[:, i])
-    # Zero-angle columns: complete orthonormally against Y_start and the
-    # columns already placed, scanning basis vectors in ascending index.
-    next_axis = 0
-    for i in range(k + 1):
-        if np.any(Q[:, i]):
-            continue
-        while next_axis <= n:
-            cand = np.zeros(n + 1)
-            cand[next_axis] = 1.0
-            next_axis += 1
-            for w in taken:
-                cand -= (w @ cand) * w
-            nrm = float(np.linalg.norm(cand))
-            if nrm > 1e-6:
-                Q[:, i] = cand / nrm
-                taken.append(Q[:, i])
-                break
-        # No room left: leave the column zero; sin(t * 0) kills it anyway.
+    # H = (Y2 - Y1 M) M^{-1} = Q tan(Theta) U^T.  Unlike the SVD of M, the SVD
+    # of H keeps its directions accurate when every cosine rounds to 1.
+    H = np.linalg.solve(M.T, (Y2 - Y1 @ M).T).T
+    Q, tangents, Ut = np.linalg.svd(H, full_matrices=False)
+    Q = np.where(tangents > 1e-12, Q, 0.0)
     return GeodesicCurve(
         Y_start=stiefel_coords(flat1),
-        U=U,
-        Theta=np.diag(thetas),
-        Q=Q,
+        U=Ut[::-1].T,
+        Theta=np.diag(np.arctan(tangents[::-1])),
+        Q=Q[:, ::-1],
         n=n,
         k=k,
     )

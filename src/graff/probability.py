@@ -123,6 +123,11 @@ class MHConfig:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
 
 
+def _chain_length(config: MHConfig, count: int) -> int:
+    """Steps of a chain that keeps ``count`` states after burn-in and thinning."""
+    return config.burn_in + 1 + (count - 1) * config.thin
+
+
 def _uniform_frame(rows: int, cols: int, rng: RandomStream) -> np.ndarray:
     """Orthonormal basis of a uniformly distributed cols-plane in R^rows."""
     if cols == 0:
@@ -135,17 +140,16 @@ def _uniform_frame(rows: int, cols: int, rng: RandomStream) -> np.ndarray:
 def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
-    A Gaussian (n+1) x (k+1) matrix is orthonormalized and unembedded; the
-    resulting distribution is invariant under the orthogonal group of
-    R^(n+1).  The measure-zero event that the span is not a flat is retried,
-    at most 100 times.
+    A Gaussian (n+1) x (k+1) matrix is unembedded; the law of its span is
+    invariant under the orthogonal group of R^(n+1).  The measure-zero event
+    that the span is not a flat is retried, at most 100 times.
     """
     k, n = int(k), int(n)
     if not 0 <= k < n:
         raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
     for _ in range(100):
         try:
-            return unembed(_uniform_frame(n + 1, k + 1, rng))
+            return unembed(rng.standard_normal((n + 1, k + 1)))
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
@@ -165,6 +169,15 @@ def langevin_log_density_unnormalized(flat: AffineFlat, params: LangevinParams) 
     return float(np.sum(params.S * projection_coords(flat).P))
 
 
+def _monte_carlo_mean(log_value, n_samples: int) -> tuple[float, float]:
+    """Mean of exp(log_value()) over ``n_samples`` draws, and its standard error."""
+    n_samples = int(n_samples)
+    if n_samples < 100:
+        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    values = np.array([math.exp(log_value()) for _ in range(n_samples)])
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
+
+
 def langevin_normalizer(
     params: LangevinParams, n_samples: int, rng: RandomStream
 ) -> tuple[float, float]:
@@ -174,16 +187,11 @@ def langevin_normalizer(
     sample mean over ``n_samples`` uniform draws and its standard error.
     Exact (zero variance) whenever tr(S P) is constant, e.g. S = c I.
     """
-    n_samples = int(n_samples)
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    values = np.empty(n_samples)
-    for i in range(n_samples):
+    def log_value():
         flat = sample_uniform(params.k, params.n, rng)
-        values[i] = math.exp(float(np.sum(params.S * projection_coords(flat).P)))
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_samples))
-    return estimate, std_error
+        return float(np.sum(params.S * projection_coords(flat).P))
+
+    return _monte_carlo_mean(log_value, n_samples)
 
 
 def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
@@ -196,17 +204,13 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     k, n = int(k), int(n)
     if not 0 <= k <= n:
         raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
-    n_samples = int(n_samples)
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     S = _symmetric_matrix(S, n, "S")
-    values = np.empty(n_samples)
-    for i in range(n_samples):
+
+    def log_value():
         A = _uniform_frame(n, k, rng)
-        values[i] = math.exp(float(np.sum(S * (A @ A.T))))
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_samples))
-    return estimate, std_error
+        return float(np.sum(S * (A @ A.T)))
+
+    return _monte_carlo_mean(log_value, n_samples)
 
 
 def _geodesic_step(Y: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -360,14 +364,12 @@ def langevin_gaussian_run(
         return float(np.sum(params.S * (Y @ Y.T)))
 
     Y0 = _uniform_frame(n, k, rng)
-    n_steps = config.burn_in + 1 + (count - 1) * config.thin
+    n_steps = _chain_length(config, count)
     for step, (Y, _) in enumerate(
         _frame_mh_states(log_density, Y0, n_steps, config.step_size, rng, require_flat=False)
     ):
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
             flats.append(AffineFlat(Y, _conditional_displacement(Y, params.sigma2, rng)))
-            if len(flats) == count:
-                break
     return flats
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graff
 from graff import (
     AffineFlat,
     DimensionError,
@@ -60,6 +64,28 @@ class TestMakeFlat:
         flat = x_axis()
         with pytest.raises(ValueError):
             flat.A[0, 0] = 2.0
+
+    @pytest.mark.parametrize("build", [lambda A: make_flat(A, np.zeros(4)), unembed])
+    def test_near_dependent_pair_rejected_in_either_order(self, build):
+        # QR without pivoting: the verdict must not depend on column order.
+        a = np.array([1.0, -2.0, 0.5, 3.0])
+        e = np.array([0.0, 1.0, 0.0, 0.0])
+        for A in (np.column_stack([a, a + 1e-12 * e]), np.column_stack([a + 1e-12 * e, a])):
+            with pytest.raises(RankDeficient):
+                build(A)
+
+    def test_orthonormal_basis_is_kept(self, rng):
+        for k in (1, 2, 4):
+            A_raw = np.linalg.qr(rng.standard_normal((6, k)))[0]
+            flat = make_flat(A_raw, rng.standard_normal(6))
+            np.testing.assert_allclose(flat.A, A_raw, rtol=0.0, atol=1e-15)
+
+    def test_first_column_keeps_its_direction(self, rng):
+        for _ in range(10):
+            A_raw = rng.standard_normal((5, 3))
+            A = make_flat(A_raw, np.zeros(5)).A
+            direction = A_raw[:, 0] / np.linalg.norm(A_raw[:, 0])
+            np.testing.assert_allclose(A[:, 0], direction, rtol=0.0, atol=1e-15)
 
 
 class TestStiefelCoords:
@@ -221,3 +247,9 @@ def test_flat_from_projection_round_trip(rng):
         k = int(rng.integers(0, n))
         flat = random_flat(rng, n, k)
         assert equal_flats(flat_from_projection(projection_coords(flat)), flat, 1e-9)
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graff.__file__)))
+    code = "import sys, graff; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

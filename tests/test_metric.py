@@ -298,6 +298,18 @@ class TestGeodesic:
             assert np.abs(H - lhs).max() < 1e-8
             assert np.abs(Y1.T @ curve.Q).max() < 1e-10
 
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 5), (6, 12), (8, 64)])
+    def test_near_equal_twins_end_at_flat2(self, rng, k, n):
+        # A rotated basis, a displacement shifted along A and a 1e-8
+        # perturbation: every cosine of Y1^T Y2 rounds to 1.
+        for _ in range(5):
+            flat1 = random_flat(rng, n, k)
+            rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            A = flat1.A @ rotation + 1e-8 * rng.standard_normal((n, k))
+            b = flat1.b0 + flat1.A @ rng.standard_normal(k) + 1e-8 * rng.standard_normal(n)
+            flat2 = make_flat(A, b)
+            assert equal_flats(evaluate_geodesic(geodesic(flat1, flat2), 1.0), flat2, 1e-8)
+
     def test_singular_pair_rejected(self):
         # Vertical line: its direction is orthogonal to the x-axis and the
         # overlap matrix is singular.
