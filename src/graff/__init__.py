@@ -29,6 +29,7 @@ from .errors import (
     GraffError,
     InternalError,
     InvalidFlag,
+    NormalizerOverflow,
     NotAFlat,
     NotSeparable,
     RankDeficient,

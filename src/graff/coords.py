@@ -20,6 +20,7 @@ at all, and ``unembed`` reports them as ``NotAFlat``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,13 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
 
 
 def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
-    """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked."""
-    Q, R = np.linalg.qr(M)
+    """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked.
+
+    M is first scaled by a power of two that brings its largest entry into
+    [1/2, 1): exact, so Q is unchanged, and the QR cannot overflow.
+    """
+    _, exponent = math.frexp(float(np.abs(M).max()))
+    Q, R = np.linalg.qr(np.ldexp(M, -exponent))
     diag = np.diag(R)
     size = np.abs(diag)
     if size.max() == 0.0 or np.any(size < get_default_tol() * size.max()):
@@ -81,6 +87,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trusted(cls, **arrays):
+    """An instance of ``cls`` over arrays graff has just computed, frozen in place.
+
+    The public constructors validate in full.  graff's own builders
+    guarantee orthonormality, A^T b0 = 0, symmetry and idempotence by
+    construction, so they skip those re-checks; each keeps the cheap checks
+    whose outcome depends on its input (a finite b0, a positive corner).
+    The arrays must not be shared with the caller.
+    """
+    obj = object.__new__(cls)
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class AffineFlat:
     """A k-flat span(A) + b0 in orthogonal affine coordinates.
@@ -92,8 +114,11 @@ class AffineFlat:
     b0 : (n,) ndarray
         Displacement, orthogonal to the columns of A.
 
-    The constructor validates orthonormality; use :func:`make_flat` to build
-    a flat from a raw basis and an arbitrary displacement.
+    The public constructor validates its input in full: finite entries,
+    orthonormal A and b0 orthogonal to span(A).  Use :func:`make_flat` to
+    build a flat from a raw basis and an arbitrary displacement.  Flats that
+    graff builds itself (``make_flat``, ``unembed``, the samplers) hold
+    these invariants by construction and are not re-checked.
     """
 
     A: np.ndarray
@@ -284,7 +309,9 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
         return AffineFlat(np.zeros((n, 0)), b0)
     A = _orthonormalize(A_raw, "basis")
     b0 = b0 - A @ (A.T @ b0)
-    return AffineFlat(A, b0)
+    if not np.all(np.isfinite(b0)):
+        raise ValueError("b0 contains non-finite entries")
+    return _trusted(AffineFlat, A=A, b0=b0)
 
 
 def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
@@ -303,11 +330,13 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
         return cached
     n, k = flat.n, flat.k
     scale = 1.0 / np.sqrt(1.0 + float(flat.b0 @ flat.b0))
+    if not scale > 0.0:
+        raise ValueError("entry (n+1, k+1) must be strictly positive")
     Y = np.zeros((n + 1, k + 1))
     Y[:n, :k] = flat.A
     Y[:n, k] = flat.b0 * scale
     Y[n, k] = scale
-    result = StiefelMatrix(Y)
+    result = _trusted(StiefelMatrix, Y=Y)
     object.__setattr__(flat, "_stiefel", result)
     return result
 
@@ -329,12 +358,14 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
         return cached
     n = flat.n
     denom = 1.0 + float(flat.b0 @ flat.b0)
+    if not 1.0 / denom > 0.0:
+        raise ValueError("corner entry must be strictly positive for a flat")
     P = np.zeros((n + 1, n + 1))
     P[:n, :n] = flat.A @ flat.A.T + np.outer(flat.b0, flat.b0) / denom
     P[:n, n] = flat.b0 / denom
     P[n, :n] = flat.b0 / denom
     P[n, n] = 1.0 / denom
-    result = ProjectionMatrix(P)
+    result = _trusted(ProjectionMatrix, P=P)
     object.__setattr__(flat, "_projection", result)
     return result
 
@@ -396,9 +427,7 @@ def unembed(Y_raw) -> AffineFlat:
     Q = Q - np.outer(Q @ u, u) * (2.0 / float(u @ u))
     if Q[-1, -1] < 0.0:
         Q[:, -1] = -Q[:, -1]
-    A = Q[:n, :k]
-    b0 = Q[:n, k] / Q[n, k]
-    return AffineFlat(A, b0)
+    return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])
 
 
 def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:
@@ -428,12 +457,12 @@ def pad_ambient(flat: AffineFlat, m: int) -> AffineFlat:
     A[: flat.n] = flat.A
     b0 = np.zeros(m)
     b0[: flat.n] = flat.b0
-    return AffineFlat(A, b0)
+    return _trusted(AffineFlat, A=A, b0=b0)
 
 
 def deaffine(flat: AffineFlat) -> AffineFlat:
     """The linear part of a flat, as the flat span(A) + 0 through the origin."""
-    return AffineFlat(flat.A, np.zeros(flat.n))
+    return _trusted(AffineFlat, A=flat.A, b0=np.zeros(flat.n))
 
 
 def flat_from_projection(P) -> AffineFlat:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AffineFlat, projection_coords, stiefel_coords, unembed
-from .errors import DimensionError, InternalError, NotAFlat
+from .coords import AffineFlat, _trusted, projection_coords, stiefel_coords, unembed
+from .errors import DimensionError, InternalError, NormalizerOverflow, NotAFlat
 
 __all__ = [
     "RandomStream",
@@ -169,13 +169,51 @@ def langevin_log_density_unnormalized(flat: AffineFlat, params: LangevinParams) 
     return float(np.sum(params.S * projection_coords(flat).P))
 
 
-def _monte_carlo_mean(log_value, n_samples: int) -> tuple[float, float]:
-    """Mean of exp(log_value()) over ``n_samples`` draws, and its standard error."""
+def _log_grassmann_normalizer(S, k: int, n: int, n_samples: int,
+                              rng: RandomStream) -> tuple[float, float]:
+    """Log of the Monte Carlo estimate of E[exp(tr(S A A^T))] over uniform
+    k-planes span(A) of R^n, and the standard error relative to the estimate.
+
+    The exponentials are taken after subtracting the largest tr(S A A^T)
+    (shifted log-sum-exp), so no concentration overflows.
+    """
+    k, n = int(k), int(n)
+    if not 0 <= k <= n:
+        raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
+    S = _symmetric_matrix(S, n, "S")
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    values = np.array([math.exp(log_value()) for _ in range(n_samples)])
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
+    logs = np.empty(n_samples)
+    for i in range(n_samples):
+        A = _uniform_frame(n, k, rng)
+        logs[i] = np.sum(S * (A @ A.T))
+    shift = float(logs.max())
+    if not math.isfinite(shift):
+        raise NormalizerOverflow("tr(S P) does not fit in a float")
+    values = np.exp(logs - shift)
+    mean = float(values.mean())
+    return shift + math.log(mean), float(values.std(ddof=1)) / (mean * math.sqrt(n_samples))
+
+
+def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
+    """Normalizer of the Langevin density on k-planes in R^n (no affine part).
+
+    Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
+    returns the sample mean over ``n_samples`` draws and its standard error.
+    Raises ``NormalizerOverflow`` when either does not fit in a float.
+    Used for the linear factor of the Langevin-Gaussian density.
+    """
+    log_mean, relative_error = _log_grassmann_normalizer(S, k, n, n_samples, rng)
+    try:
+        mean = math.exp(log_mean)
+    except OverflowError:
+        raise NormalizerOverflow(
+            f"normalizer exp({log_mean:.6g}) does not fit in a float") from None
+    std_error = mean * relative_error
+    if not math.isfinite(std_error):
+        raise NormalizerOverflow("standard error of the normalizer does not fit in a float")
+    return mean, std_error
 
 
 def langevin_normalizer(
@@ -183,34 +221,14 @@ def langevin_normalizer(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Langevin normalizing constant.
 
-    The normalizer is the uniform expectation of exp(tr(S P)); returns the
+    The uniform measure on Graff(k, n) is the pushforward of the invariant
+    measure on Gr(k+1, n+1), and tr(S P) depends only on the span of the
+    Stiefel coordinates.  So the normalizer is :func:`grassmann_normalizer`
+    on (k+1)-planes of R^(n+1): no flat is built per sample.  Returns the
     sample mean over ``n_samples`` uniform draws and its standard error.
     Exact (zero variance) whenever tr(S P) is constant, e.g. S = c I.
     """
-    def log_value():
-        flat = sample_uniform(params.k, params.n, rng)
-        return float(np.sum(params.S * projection_coords(flat).P))
-
-    return _monte_carlo_mean(log_value, n_samples)
-
-
-def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
-    """Normalizer of the Langevin density on k-planes in R^n (no affine part).
-
-    Same estimator as :func:`langevin_normalizer` but over the uniform
-    measure on linear k-planes; used for the linear factor of the
-    Langevin-Gaussian density.
-    """
-    k, n = int(k), int(n)
-    if not 0 <= k <= n:
-        raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
-    S = _symmetric_matrix(S, n, "S")
-
-    def log_value():
-        A = _uniform_frame(n, k, rng)
-        return float(np.sum(S * (A @ A.T)))
-
-    return _monte_carlo_mean(log_value, n_samples)
+    return grassmann_normalizer(params.S, params.k + 1, params.n + 1, n_samples, rng)
 
 
 def _geodesic_step(Y: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -323,8 +341,7 @@ def langevin_gaussian_log_density(
     if not unnormalized:
         if rng is None:
             raise ValueError("a random stream is required to estimate the normalizer")
-        normalizer, _ = grassmann_normalizer(params.S, k, n, n_samples, rng)
-        value -= math.log(normalizer)
+        value -= _log_grassmann_normalizer(params.S, k, n, n_samples, rng)[0]
     return value
 
 
@@ -357,7 +374,8 @@ def langevin_gaussian_run(
     if k == 0:
         A = np.zeros((n, 0))
         for _ in range(count):
-            flats.append(AffineFlat(A, _conditional_displacement(A, params.sigma2, rng)))
+            b0 = _conditional_displacement(A, params.sigma2, rng)
+            flats.append(_trusted(AffineFlat, A=A, b0=b0))
         return flats
 
     def log_density(Y):
@@ -369,7 +387,8 @@ def langevin_gaussian_run(
         _frame_mh_states(log_density, Y0, n_steps, config.step_size, rng, require_flat=False)
     ):
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            flats.append(AffineFlat(Y, _conditional_displacement(Y, params.sigma2, rng)))
+            b0 = _conditional_displacement(Y, params.sigma2, rng)
+            flats.append(_trusted(AffineFlat, A=Y, b0=b0))
     return flats
 
 

@@ -308,6 +308,15 @@ class TestToleranceControls:
         assert code == 2
         assert "RankDeficient" in err
 
+    def test_tight_tol_accepts_own_samples(self, capsys):
+        # graff does not re-check the orthonormality of bases its QR built.
+        args = ("sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "2",
+                "--seed", "1")
+        code, expected, _ = run_cli(capsys, *args)
+        tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
+        assert code == tight_code == 0, err
+        assert out == expected
+
     def test_bad_usage_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "distance")
         assert code == 2

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ class TestMakeFlat:
             A_raw = np.linalg.qr(rng.standard_normal((6, k)))[0]
             flat = make_flat(A_raw, rng.standard_normal(6))
             np.testing.assert_allclose(flat.A, A_raw, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("exponent", [-1000, -500, 500, 1000])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        A_raw, b_raw = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        flat = make_flat(np.ldexp(A_raw, exponent), b_raw)
+        np.testing.assert_array_equal(flat.A, make_flat(A_raw, b_raw).A)
+
+    def test_huge_basis_neither_warns_nor_blames_b0(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = make_flat([[1e308], [1e308]], [0.0, 0.0])
+        np.testing.assert_allclose(flat.A, [[INV_SQRT2], [INV_SQRT2]], rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(flat.b0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_caller_arrays_stay_writable(self, k):
+        A_raw, b_raw = np.eye(4)[:, :k].copy(), np.arange(4.0)
+        make_flat(A_raw, b_raw)
+        assert A_raw.flags.writeable and b_raw.flags.writeable
 
     def test_first_column_keeps_its_direction(self, rng):
         for _ in range(10):
@@ -174,6 +194,12 @@ class TestEmbedUnembed:
     def test_last_row_zero_is_not_a_flat(self):
         with pytest.raises(NotAFlat):
             unembed(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+
+    def test_huge_spanning_matrix_gives_finite_flat(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = unembed([[1e308, 0.0], [0.0, 1e308], [0.0, 1e308]])
+        assert equal_flats(flat, horizontal_line(1.0), 1e-12)
 
     def test_rank_deficient_rejected(self):
         Y = np.ones((4, 2))

@@ -9,6 +9,7 @@ from graff import (
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
+    NormalizerOverflow,
     affine_principal_angles,
     equal_flats,
     grassmann_normalizer,
@@ -152,6 +153,28 @@ class TestLangevinNormalizer:
         with pytest.raises(ValueError):
             langevin_normalizer(params, 50, rng)
 
+    @pytest.mark.parametrize("k, n", [(0, 2), (1, 3), (2, 5), (3, 4)])
+    def test_matches_flat_by_flat_estimator(self, k, n):
+        # The estimator on Gr(k+1, n+1) frames against the mean of exp(tr(S P))
+        # over uniformly drawn flats: same draws, same numbers up to rounding.
+        G = random_stream(k + 10 * n).standard_normal((n + 1, n + 1))
+        for S in ((G + G.T) / 2.0, 0.7 * np.eye(n + 1)):
+            params = LangevinParams(S=S, k=k, n=n)
+            estimate, se = langevin_normalizer(params, 300, random_stream(11))
+            rng = random_stream(11)
+            values = np.array([
+                math.exp(float(np.sum(params.S * projection_coords(sample_uniform(k, n, rng)).P)))
+                for _ in range(300)
+            ])
+            assert estimate == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+            assert abs(se - values.std(ddof=1) / math.sqrt(300)) <= 1e-12 * estimate
+
+    def test_concentrated_parameter_is_a_typed_refusal(self, rng):
+        S = np.zeros((4, 4))
+        S[0, 0] = 800.0
+        with pytest.raises(NormalizerOverflow):
+            langevin_normalizer(LangevinParams(S=S, k=1, n=3), 200, rng)
+
 
 class TestLangevinSampler:
     def test_flat_target_accepts_everything(self):
@@ -248,6 +271,23 @@ class TestLangevinGaussian:
         a = langevin_gaussian_log_density(flat, params, unnormalized=True)
         b = langevin_gaussian_log_density(rotated, params, unnormalized=True)
         assert a == pytest.approx(b, abs=1e-10)
+
+    def test_log_density_is_invariant_under_shifts_of_s(self, rng):
+        # tr((S + c I) A A^T) = tr(S A A^T) + c k, and the log normalizer moves
+        # by c k too.  Here exp(tr(S A A^T)) overflows at c = 0 and underflows
+        # at c = -1600; the log normalizer must do neither.
+        n, k = 3, 1
+        flat = random_flat(rng, n, k)
+        values = [
+            langevin_gaussian_log_density(
+                flat, LangevinGaussianParams(S=np.diag([800.0, 0.0, 0.0]) + c * np.eye(n),
+                                             sigma2=1.0, k=k, n=n),
+                rng=random_stream(61))
+            for c in (0.0, -800.0, -1600.0)
+        ]
+        assert math.isfinite(values[0])
+        assert values[1] == pytest.approx(values[0], abs=1e-9)
+        assert values[2] == pytest.approx(values[0], abs=1e-9)
 
     def test_normalizer_requires_rng(self, rng):
         params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1.0, k=1, n=3)
