@@ -29,7 +29,6 @@ from .errors import (
     GraffError,
     InternalError,
     InvalidFlag,
-    NormalizerOverflow,
     NotAFlat,
     NotSeparable,
     RankDeficient,

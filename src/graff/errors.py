@@ -33,10 +33,6 @@ class NotSeparable(GraffError):
     """The two classes admit no separating hyperplane with positive margin."""
 
 
-class NormalizerOverflow(GraffError):
-    """A Monte Carlo normalizer or its standard error does not fit in a float."""
-
-
 class InternalError(GraffError):
     """An internal consistency check failed; indicates a bug or bad input."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import AffineFlat, _trusted, projection_coords, stiefel_coords, unembed
-from .errors import DimensionError, InternalError, NormalizerOverflow, NotAFlat
+from .errors import DimensionError, InternalError, NotAFlat
 
 __all__ = [
     "RandomStream",
@@ -169,13 +169,12 @@ def langevin_log_density_unnormalized(flat: AffineFlat, params: LangevinParams) 
     return float(np.sum(params.S * projection_coords(flat).P))
 
 
-def _log_grassmann_normalizer(S, k: int, n: int, n_samples: int,
-                              rng: RandomStream) -> tuple[float, float]:
-    """Log of the Monte Carlo estimate of E[exp(tr(S A A^T))] over uniform
-    k-planes span(A) of R^n, and the standard error relative to the estimate.
+def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
+    """Normalizer of the Langevin density on k-planes in R^n (no affine part).
 
-    The exponentials are taken after subtracting the largest tr(S A A^T)
-    (shifted log-sum-exp), so no concentration overflows.
+    Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
+    returns the sample mean over ``n_samples`` draws and its standard error.
+    Used for the linear factor of the Langevin-Gaussian density.
     """
     k, n = int(k), int(n)
     if not 0 <= k <= n:
@@ -184,36 +183,13 @@ def _log_grassmann_normalizer(S, k: int, n: int, n_samples: int,
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    logs = np.empty(n_samples)
-    for i in range(n_samples):
+
+    def value():
         A = _uniform_frame(n, k, rng)
-        logs[i] = np.sum(S * (A @ A.T))
-    shift = float(logs.max())
-    if not math.isfinite(shift):
-        raise NormalizerOverflow("tr(S P) does not fit in a float")
-    values = np.exp(logs - shift)
-    mean = float(values.mean())
-    return shift + math.log(mean), float(values.std(ddof=1)) / (mean * math.sqrt(n_samples))
+        return math.exp(float(np.sum(S * (A @ A.T))))
 
-
-def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
-    """Normalizer of the Langevin density on k-planes in R^n (no affine part).
-
-    Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
-    returns the sample mean over ``n_samples`` draws and its standard error.
-    Raises ``NormalizerOverflow`` when either does not fit in a float.
-    Used for the linear factor of the Langevin-Gaussian density.
-    """
-    log_mean, relative_error = _log_grassmann_normalizer(S, k, n, n_samples, rng)
-    try:
-        mean = math.exp(log_mean)
-    except OverflowError:
-        raise NormalizerOverflow(
-            f"normalizer exp({log_mean:.6g}) does not fit in a float") from None
-    std_error = mean * relative_error
-    if not math.isfinite(std_error):
-        raise NormalizerOverflow("standard error of the normalizer does not fit in a float")
-    return mean, std_error
+    values = np.array([value() for _ in range(n_samples)])
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
 
 
 def langevin_normalizer(
@@ -341,7 +317,8 @@ def langevin_gaussian_log_density(
     if not unnormalized:
         if rng is None:
             raise ValueError("a random stream is required to estimate the normalizer")
-        value -= _log_grassmann_normalizer(params.S, k, n, n_samples, rng)[0]
+        normalizer, _ = grassmann_normalizer(params.S, k, n, n_samples, rng)
+        value -= math.log(normalizer)
     return value
 
 

@@ -9,7 +9,6 @@ from graff import (
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
-    NormalizerOverflow,
     affine_principal_angles,
     equal_flats,
     grassmann_normalizer,
@@ -169,12 +168,6 @@ class TestLangevinNormalizer:
             assert estimate == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
             assert abs(se - values.std(ddof=1) / math.sqrt(300)) <= 1e-12 * estimate
 
-    def test_concentrated_parameter_is_a_typed_refusal(self, rng):
-        S = np.zeros((4, 4))
-        S[0, 0] = 800.0
-        with pytest.raises(NormalizerOverflow):
-            langevin_normalizer(LangevinParams(S=S, k=1, n=3), 200, rng)
-
 
 class TestLangevinSampler:
     def test_flat_target_accepts_everything(self):
@@ -271,23 +264,6 @@ class TestLangevinGaussian:
         a = langevin_gaussian_log_density(flat, params, unnormalized=True)
         b = langevin_gaussian_log_density(rotated, params, unnormalized=True)
         assert a == pytest.approx(b, abs=1e-10)
-
-    def test_log_density_is_invariant_under_shifts_of_s(self, rng):
-        # tr((S + c I) A A^T) = tr(S A A^T) + c k, and the log normalizer moves
-        # by c k too.  Here exp(tr(S A A^T)) overflows at c = 0 and underflows
-        # at c = -1600; the log normalizer must do neither.
-        n, k = 3, 1
-        flat = random_flat(rng, n, k)
-        values = [
-            langevin_gaussian_log_density(
-                flat, LangevinGaussianParams(S=np.diag([800.0, 0.0, 0.0]) + c * np.eye(n),
-                                             sigma2=1.0, k=k, n=n),
-                rng=random_stream(61))
-            for c in (0.0, -800.0, -1600.0)
-        ]
-        assert math.isfinite(values[0])
-        assert values[1] == pytest.approx(values[0], abs=1e-9)
-        assert values[2] == pytest.approx(values[0], abs=1e-9)
 
     def test_normalizer_requires_rng(self, rng):
         params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1.0, k=1, n=3)
