@@ -10,8 +10,9 @@ per line) and CSV point clouds:
     graff sample --dist {uniform|langevin|langevin-gaussian} --seed S [--count N] ...
     graff fit --method {flat|regression|eiv|svm} [--k K] CLOUD.csv
 
-Exit codes: 0 on success, 2 on input or usage errors, 3 on domain errors
-(NotSeparable, SingularPair, NotAFlat).  Output is deterministic given the
+Exit codes: 0 on success, 2 on input or usage errors and on results that do
+not fit in a float (ArithmeticError), 3 on domain errors (NotSeparable,
+SingularPair, NotAFlat).  Output is deterministic given the
 flags and ``--seed``.  The default tolerance may be overridden with the
 ``--tol`` flag or the ``GRAFF_TOL`` environment variable.
 """
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (GraffError, ValueError, TypeError, KeyError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+            ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -52,7 +52,7 @@ def _as_matrix(M, name: str) -> np.ndarray:
         M = M[:, None]
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -61,7 +61,7 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (length,):
         raise DimensionError(f"{name} must have length {length}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -74,11 +74,25 @@ def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     """
     _, exponent = math.frexp(float(np.abs(M).max()))
     Q, R = np.linalg.qr(np.ldexp(M, -exponent))
-    diag = np.diag(R)
+    diag = R.diagonal()
     size = np.abs(diag)
-    if size.max() == 0.0 or np.any(size < get_default_tol() * size.max()):
+    largest = size.max()
+    if largest == 0.0 or size.min() < get_default_tol() * largest:
         raise RankDeficient(f"{what} has numerical rank below {M.shape[1]}")
     return Q * np.sign(diag)
+
+
+def _split_scale(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(u, e) with b = u * 2**e exactly and u @ u free of overflow.
+
+    An ordinary vector comes back as it is, with e = 0, so its results keep
+    their bits; one of norm 2**500 or more is scaled to bring its largest
+    entry into [1/2, 1).
+    """
+    if math.hypot(*b.tolist()) < 2.0**500:
+        return b, 0
+    _, exponent = math.frexp(float(np.abs(b).max()))
+    return np.ldexp(b, -exponent), exponent
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -141,7 +155,9 @@ class AffineFlat:
                 raise ValueError(
                     f"A is not orthonormal (max deviation {ortho_err:.3e}); use make_flat"
                 )
-            disp_err = np.abs(A.T @ b0).max() / max(1.0, float(np.linalg.norm(b0)))
+            u, e = _split_scale(b0)
+            size = max(math.ldexp(1.0, -e), float(np.linalg.norm(u)))
+            disp_err = np.abs(A.T @ u).max() / size
             if disp_err > 1e3 * tol:
                 raise ValueError(
                     f"b0 is not orthogonal to span(A) (relative error {disp_err:.3e}); use make_flat"
@@ -299,6 +315,8 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
         Householder QR's triangular factor, relative to its largest entry.
     DimensionError
         If k >= n.
+    ValueError
+        If the displacement orthogonal to the basis does not fit in a float.
     """
     A_raw = _as_matrix(A_raw, "A_raw")
     n, k = A_raw.shape
@@ -308,9 +326,13 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
     if k == 0:
         return AffineFlat(np.zeros((n, 0)), b0)
     A = _orthonormalize(A_raw, "basis")
-    b0 = b0 - A @ (A.T @ b0)
-    if not np.all(np.isfinite(b0)):
-        raise ValueError("b0 contains non-finite entries")
+    u, e = _split_scale(b0)
+    b0 = u - A @ (A.T @ u)
+    if e:
+        with np.errstate(over="ignore"):
+            b0 = np.ldexp(b0, e)
+        if not np.isfinite(b0).all():
+            raise ValueError("b0 orthogonal to the basis is too large to represent")
     return _trusted(AffineFlat, A=A, b0=b0)
 
 
@@ -329,13 +351,15 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
     if cached is not None:
         return cached
     n, k = flat.n, flat.k
-    scale = 1.0 / np.sqrt(1.0 + float(flat.b0 @ flat.b0))
-    if not scale > 0.0:
+    u, e = _split_scale(flat.b0)
+    scale = 1.0 / math.sqrt(math.ldexp(1.0, -2 * e) + float(u @ u))
+    corner = math.ldexp(scale, -e)
+    if not corner > 0.0:
         raise ValueError("entry (n+1, k+1) must be strictly positive")
     Y = np.zeros((n + 1, k + 1))
     Y[:n, :k] = flat.A
-    Y[:n, k] = flat.b0 * scale
-    Y[n, k] = scale
+    Y[:n, k] = u * scale
+    Y[n, k] = corner
     result = _trusted(StiefelMatrix, Y=Y)
     object.__setattr__(flat, "_stiefel", result)
     return result
@@ -357,14 +381,17 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
     if cached is not None:
         return cached
     n = flat.n
-    denom = 1.0 + float(flat.b0 @ flat.b0)
-    if not 1.0 / denom > 0.0:
+    u, e = _split_scale(flat.b0)
+    denom = math.ldexp(1.0, -2 * e) + float(u @ u)
+    corner = math.ldexp(1.0 / denom, -2 * e)
+    if not corner > 0.0:
         raise ValueError("corner entry must be strictly positive for a flat")
+    column = u / denom * math.ldexp(1.0, -e)
     P = np.zeros((n + 1, n + 1))
-    P[:n, :n] = flat.A @ flat.A.T + np.outer(flat.b0, flat.b0) / denom
-    P[:n, n] = flat.b0 / denom
-    P[n, :n] = flat.b0 / denom
-    P[n, n] = 1.0 / denom
+    P[:n, :n] = flat.A @ flat.A.T + np.outer(u, u) / denom
+    P[:n, n] = column
+    P[n, :n] = column
+    P[n, n] = corner
     result = _trusted(ProjectionMatrix, P=P)
     object.__setattr__(flat, "_projection", result)
     return result

@@ -84,32 +84,37 @@ class PrincipalDecomposition:
     Q_vecs: np.ndarray
 
 
-def _check_same_ambient(flat1: AffineFlat, flat2: AffineFlat) -> None:
+def _overlap(flat1: AffineFlat, flat2: AffineFlat) -> tuple[np.ndarray, np.ndarray]:
+    """M = Y1^T Y2 and W = Y2 - Y1 M for the Stiefel coordinates of two flats."""
     if flat1.n != flat2.n:
         raise DimensionError(
             f"ambient dimensions differ ({flat1.n} vs {flat2.n}); pad_ambient first"
         )
+    Y1 = stiefel_coords(flat1).Y
+    Y2 = stiefel_coords(flat2).Y
+    M = Y1.T @ Y2
+    return M, Y2 - Y1 @ M
 
 
-def _clip_sigmas(sigmas: np.ndarray) -> np.ndarray:
-    if sigmas.size and float(sigmas.max()) > 1.0 + 1e-8:
-        raise InternalError(f"singular value {sigmas.max()} exceeds 1 beyond rounding")
-    return np.clip(sigmas, 0.0, 1.0)
+def _angles(M: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (nondecreasing) and their cosines from M = Y1^T Y2, W = Y2 - Y1 M.
 
-
-def _corrected_thetas(Y1: np.ndarray, Y2: np.ndarray, M: np.ndarray,
-                      sigmas: np.ndarray) -> np.ndarray:
-    """Angles from cosines and sines, whichever is numerically accurate.
-
-    ``sigmas`` are the (clipped, descending) singular values of M = Y1^T Y2,
-    the cosines of the angles.  arccos near sigma = 1 loses half the digits,
-    so angles below pi/4 are recovered from the sines instead: the smallest
-    singular values of Y2 - Y1 M.  Returned nondecreasing.
+    The cosines are the singular values of M, the sines the smallest of W;
+    one batched SVD of M padded with zero rows (same singular values) and W
+    gives both.  arccos near a cosine of 1 loses half the digits, so angles
+    below pi/4 are recovered from the sines instead.
     """
-    count = sigmas.size
-    sines_desc = np.linalg.svd(Y2 - Y1 @ M, compute_uv=False)
-    sines = np.clip(sines_desc[::-1][:count], 0.0, 1.0)
-    return np.where(sigmas**2 >= 0.5, np.arcsin(sines), np.arccos(sigmas))
+    count = min(M.shape)
+    stack = np.zeros((2,) + W.shape)
+    stack[0, : M.shape[0]] = M
+    stack[1] = W
+    values = np.linalg.svd(stack, compute_uv=False)
+    sigmas = values[0, :count]
+    if sigmas[0] > 1.0 + 1e-8:
+        raise InternalError(f"singular value {sigmas[0]} exceeds 1 beyond rounding")
+    sigmas = np.minimum(sigmas, 1.0)
+    sines = np.minimum(values[1, ::-1][:count], 1.0)
+    return np.where(sigmas**2 >= 0.5, np.arcsin(sines), np.arccos(sigmas)), sigmas
 
 
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
@@ -120,24 +125,21 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    return _angles_and_sigmas(flat1, flat2)[0]
+    return _angles(*_overlap(flat1, flat2))[0]
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
     """Full SVD of Y_F^T Y_G with angles, rotations, and principal vectors."""
-    _check_same_ambient(flat1, flat2)
-    Y1 = stiefel_coords(flat1).Y
-    Y2 = stiefel_coords(flat2).Y
-    M = Y1.T @ Y2
-    U, sigmas, Vt = np.linalg.svd(M, full_matrices=True)
-    sigmas = _clip_sigmas(sigmas)
+    M, W = _overlap(flat1, flat2)
+    thetas, sigmas = _angles(M, W)
+    U, _, Vt = np.linalg.svd(M, full_matrices=True)
     return PrincipalDecomposition(
-        thetas=_corrected_thetas(Y1, Y2, M, sigmas),
+        thetas=thetas,
         sigmas=sigmas,
         U=U,
         V=Vt.T,
-        P_vecs=Y1 @ U,
-        Q_vecs=Y2 @ Vt.T,
+        P_vecs=stiefel_coords(flat1).Y @ U,
+        Q_vecs=stiefel_coords(flat2).Y @ Vt.T,
     )
 
 
@@ -145,35 +147,26 @@ def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind) -> floa
     """Evaluate one row of the distance table on angles and their cosines."""
     largest = float(thetas[-1])
     if kind is DistanceKind.GRASSMANN:
-        return float(np.sqrt(np.sum(thetas**2)))
+        return math.sqrt((thetas**2).sum())
     if kind is DistanceKind.ASIMOV:
         return largest
     if kind is DistanceKind.BINET_CAUCHY:
-        return math.sqrt(max(0.0, 1.0 - float(np.prod(sigmas**2))))
+        return math.sqrt(max(0.0, 1.0 - float((sigmas**2).prod())))
     if kind is DistanceKind.CHORDAL:
-        return float(np.sqrt(np.sum(np.sin(thetas) ** 2)))
+        return math.sqrt((np.sin(thetas) ** 2).sum())
     if kind is DistanceKind.FUBINI_STUDY:
-        return math.acos(min(1.0, float(np.prod(sigmas))))
+        return math.acos(min(1.0, float(sigmas.prod())))
     if kind is DistanceKind.MARTIN:
-        if np.any(sigmas == 0.0):
+        if sigmas[-1] == 0.0:
             return math.inf
-        return float(np.sqrt(-2.0 * np.sum(np.log(sigmas))))
+        return math.sqrt(-2.0 * np.log(sigmas).sum())
     if kind is DistanceKind.PROCRUSTES:
-        return 2.0 * float(np.sqrt(np.sum(np.sin(thetas / 2.0) ** 2)))
+        return 2.0 * math.sqrt((np.sin(thetas / 2.0) ** 2).sum())
     if kind is DistanceKind.PROJECTION:
         return math.sin(largest)
     if kind is DistanceKind.SPECTRAL:
         return 2.0 * math.sin(largest / 2.0)
     raise UnsupportedKind(f"unknown distance kind {kind!r}")  # pragma: no cover
-
-
-def _angles_and_sigmas(flat1: AffineFlat, flat2: AffineFlat) -> tuple[np.ndarray, np.ndarray]:
-    _check_same_ambient(flat1, flat2)
-    Y1 = stiefel_coords(flat1).Y
-    Y2 = stiefel_coords(flat2).Y
-    M = Y1.T @ Y2
-    sigmas = _clip_sigmas(np.linalg.svd(M, compute_uv=False))
-    return _corrected_thetas(Y1, Y2, M, sigmas), sigmas
 
 
 def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASSMANN) -> float:
@@ -187,7 +180,7 @@ def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASS
     arguments, and identical to :func:`distance` when k = l.
     """
     kind = _as_kind(kind)
-    thetas, sigmas = _angles_and_sigmas(flat1, flat2)
+    thetas, sigmas = _angles(*_overlap(flat1, flat2))
     return _formula(thetas, sigmas, kind)
 
 
@@ -228,13 +221,13 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
             f"no cross-dimension metric for kind {kind.value!r};"
             " choose grassmann, chordal, or procrustes"
         )
-    thetas, _ = _angles_and_sigmas(flat1, flat2)
+    thetas, _ = _angles(*_overlap(flat1, flat2))
     gap = abs(flat1.k - flat2.k)
     if kind is DistanceKind.GRASSMANN:
-        return math.sqrt(gap * math.pi**2 / 4.0 + float(np.sum(thetas**2)))
+        return math.sqrt(gap * math.pi**2 / 4.0 + (thetas**2).sum())
     if kind is DistanceKind.CHORDAL:
-        return math.sqrt(gap + float(np.sum(np.sin(thetas) ** 2)))
-    return 2.0 * math.sqrt(gap / 2.0 + float(np.sum(np.sin(thetas / 2.0) ** 2)))
+        return math.sqrt(gap + (np.sin(thetas) ** 2).sum())
+    return 2.0 * math.sqrt(gap / 2.0 + (np.sin(thetas / 2.0) ** 2).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,18 +260,14 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     leaves the space of flats (``evaluate_geodesic`` raises ``NotAFlat``
     there).
     """
-    _check_same_ambient(flat1, flat2)
+    M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
-    n, k = flat1.n, flat1.k
-    Y1 = stiefel_coords(flat1).Y
-    Y2 = stiefel_coords(flat2).Y
-    M = Y1.T @ Y2
     if np.linalg.svd(M, compute_uv=False)[-1] < 1e-10:
         raise SingularPair("Stiefel overlap matrix is numerically singular")
-    # H = (Y2 - Y1 M) M^{-1} = Q tan(Theta) U^T.  Unlike the SVD of M, the SVD
-    # of H keeps its directions accurate when every cosine rounds to 1.
-    H = np.linalg.solve(M.T, (Y2 - Y1 @ M).T).T
+    # H = W M^{-1} = Q tan(Theta) U^T.  Unlike the SVD of M, the SVD of H keeps
+    # its directions accurate when every cosine rounds to 1.
+    H = np.linalg.solve(M.T, W.T).T
     Q, tangents, Ut = np.linalg.svd(H, full_matrices=False)
     Q = np.where(tangents > 1e-12, Q, 0.0)
     return GeodesicCurve(
@@ -286,8 +275,8 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
         U=Ut[::-1].T,
         Theta=np.diag(np.arctan(tangents[::-1])),
         Q=Q[:, ::-1],
-        n=n,
-        k=k,
+        n=flat1.n,
+        k=flat1.k,
     )
 
 
@@ -298,8 +287,5 @@ def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     exits the embedded image of Graff(k, n).
     """
     t = float(t)
-    angles = np.diag(curve.Theta)
-    Z = curve.Y_start.Y @ curve.U @ np.diag(np.cos(t * angles)) + curve.Q @ np.diag(
-        np.sin(t * angles)
-    )
-    return unembed(Z)
+    angles = t * curve.Theta.diagonal()
+    return unembed((curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles))

@@ -107,6 +107,15 @@ class TestDistance:
         angles = json.loads(lines[0])["angles"]
         np.testing.assert_allclose(angles, [0.0, math.pi / 4], atol=1e-12)
 
+    def test_huge_displacement_exits_cleanly(self, write_doc):
+        huge = write_doc({"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1e200]})
+        result = subprocess.run(
+            [sys.executable, "-m", "graff", "distance", huge, write_doc(LINE_Y1_DOC), "--verbose"],
+            capture_output=True, text=True, check=False,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "0.78539816339744839"
+
     def test_infinite_flag(self, capsys, write_doc):
         code, out, _ = run_cli(
             capsys, "distance", write_doc(POINT_DOC), write_doc(X_AXIS_DOC), "--infinite"
@@ -177,6 +186,12 @@ class TestInvariant:
         code, out, _ = run_cli(capsys, "invariant", "--what", "relative-volume", "1", "2", "3")
         assert code == 0
         assert float(out) == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+    def test_overflow_exits_2_with_one_line(self, capsys):
+        args = ("invariant", "--what", "relative-volume", "200", "200", "300")
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err == "OverflowError: math range error\n"
 
     def test_bad_arguments_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariant", "--what", "dim", "3", "3")

@@ -94,6 +94,25 @@ class TestMakeFlat:
         np.testing.assert_allclose(flat.A, [[INV_SQRT2], [INV_SQRT2]], rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(flat.b0, [0.0, 0.0])
 
+    def test_huge_displacement_inside_the_span_is_removed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = make_flat([[1.0], [1.0]], [1.7e308, 1.7e308])
+        np.testing.assert_allclose(flat.A, [[INV_SQRT2], [INV_SQRT2]], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(flat.b0, [0.0, 0.0], rtol=0.0, atol=1e-15 * 1.7e308)
+
+    @pytest.mark.parametrize("exponent", [-500, 600, 1000])
+    def test_displacement_scaling_is_exact(self, rng, exponent):
+        A_raw, b_raw = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        flat = make_flat(A_raw, np.ldexp(b_raw, exponent))
+        np.testing.assert_array_equal(flat.b0, np.ldexp(make_flat(A_raw, b_raw).b0, exponent))
+
+    def test_unrepresentable_displacement_is_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large to represent"):
+                make_flat([[1.0], [1.0], [1.0]], [1.7e308, -1.7e308, -1.7e308])
+
     @pytest.mark.parametrize("k", [0, 2])
     def test_caller_arrays_stay_writable(self, k):
         A_raw, b_raw = np.eye(4)[:, :k].copy(), np.arange(4.0)
@@ -106,6 +125,40 @@ class TestMakeFlat:
             A = make_flat(A_raw, np.zeros(5)).A
             direction = A_raw[:, 0] / np.linalg.norm(A_raw[:, 0])
             np.testing.assert_allclose(A[:, 0], direction, rtol=0.0, atol=1e-15)
+
+
+class TestHugeDisplacement:
+    """|b0| beyond 1.3e154, where |b0|^2 overflows but the coordinates do not."""
+
+    def test_constructor_accepts_and_still_checks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            AffineFlat([[1.0], [0.0]], [0.0, 1e200])
+            with pytest.raises(ValueError, match="not orthogonal"):
+                AffineFlat([[1.0], [0.0]], [1e200, 1e200])
+
+    def test_stiefel_coords(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y = stiefel_coords(AffineFlat([[1.0], [0.0]], [0.0, 1e200])).Y
+        np.testing.assert_allclose(Y, [[1.0, 0.0], [0.0, 1.0], [0.0, 1e-200]], rtol=1e-15)
+        graff.StiefelMatrix(Y)
+
+    def test_projection_coords(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = projection_coords(AffineFlat([[1.0], [0.0]], [0.0, 1e155])).P
+            with pytest.raises(ValueError, match="corner"):
+                projection_coords(AffineFlat([[1.0], [0.0]], [0.0, 1e200]))
+        expected = [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-155], [0.0, 1e-155, 1e-310]]
+        np.testing.assert_allclose(P, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("b0", [[0.0, 3.0, 4.0], [0.0, 3e-200, 4e-200], [0.0, 3e100, 4e100]])
+    def test_ordinary_displacements_keep_the_plain_formula(self, b0):
+        flat = AffineFlat([[1.0], [0.0], [0.0]], b0)
+        scale = 1.0 / math.sqrt(1.0 + float(flat.b0 @ flat.b0))
+        np.testing.assert_array_equal(stiefel_coords(flat).Y[:3, 1], flat.b0 * scale)
+        assert projection_coords(flat).P[3, 3] == 1.0 / (1.0 + float(flat.b0 @ flat.b0))
 
 
 class TestStiefelCoords:
