@@ -328,6 +328,9 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
     A = _orthonormalize(A_raw, "basis")
     u, e = _split_scale(b0)
     b0 = u - A @ (A.T @ u)
+    if math.hypot(*b0.tolist()) < 1e-4 * math.hypot(*u.tolist()):
+        # u lay nearly inside span(A); project out the cancellation's eps |u| residue.
+        b0 = b0 - A @ (A.T @ b0)
     if e:
         with np.errstate(over="ignore"):
             b0 = np.ldexp(b0, e)
@@ -423,7 +426,8 @@ def unembed(Y_raw) -> AffineFlat:
     Returns
     -------
     AffineFlat
-        The unique flat F with span(embed(F)) = span(Y_raw).
+        The unique flat F with span(embed(F)) = span(Y_raw), read off the
+        orthonormalized spanning matrix by ``_flat_from_frame``.
 
     Raises
     ------
@@ -441,17 +445,24 @@ def unembed(Y_raw) -> AffineFlat:
     rows, cols = Y_raw.shape
     if cols < 1 or rows < cols + 1:
         raise DimensionError(f"expected an (n+1) x (k+1) matrix with k < n, got {Y_raw.shape}")
-    n, k = rows - 1, cols - 1
-    Q = _orthonormalize(Y_raw, "spanning matrix")
-    v = Q[-1, :].copy()
-    r = float(np.linalg.norm(v))
+    return _flat_from_frame(_orthonormalize(Y_raw, "spanning matrix"))
+
+
+def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
+    """The flat whose image is span(Q), for Q with orthonormal columns.
+
+    :func:`unembed` after its QR, for frames orthonormal already (chain
+    states); Q is left unchanged.  Raises ``NotAFlat`` as ``unembed`` does.
+    """
+    n, k = Q.shape[0] - 1, Q.shape[1] - 1
+    u = Q[-1].copy()
+    r = math.sqrt(float(u @ u))
     if r < 1e-10:
         raise NotAFlat("span lies in the hyperplane x_{n+1} = 0 (a linear subspace, not a flat)")
     # Reflect within the column space so the last row becomes (0, ..., 0, -+r);
     # the reflector adds |v_last| + r to the pivot entry, so it never cancels.
-    u = v.copy()
-    u[-1] += r if v[-1] >= 0.0 else -r
-    Q = Q - np.outer(Q @ u, u) * (2.0 / float(u @ u))
+    u[-1] += r if u[-1] >= 0.0 else -r
+    Q = Q - (Q @ u)[:, None] * u * (2.0 / float(u @ u))
     if Q[-1, -1] < 0.0:
         Q[:, -1] = -Q[:, -1]
     return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])

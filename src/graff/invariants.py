@@ -115,15 +115,12 @@ def unit_ball_volume(m: int) -> float:
 
 def _log_volume_gr(k: int, n: int) -> float:
     # log of binom(n, k) * prod_{j<=n} w_j / (prod_{j<=k} w_j * prod_{j<=n-k} w_j),
-    # accumulated in log scale so large n stays finite.
-    log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    total = log_binom
-    for j in range(1, n + 1):
-        total += _log_unit_ball_volume(j)
-    for j in range(1, k + 1):
-        total -= _log_unit_ball_volume(j)
-    for j in range(1, n - k + 1):
-        total -= _log_unit_ball_volume(j)
+    # accumulated in log scale so large n stays finite.  The products cancel
+    # down to prod_{n-m<j<=n} w_j / prod_{j<=m} w_j with m = min(k, n-k).
+    m = min(k, n - k)
+    total = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    for j in range(1, m + 1):
+        total += _log_unit_ball_volume(n - m + j) - _log_unit_ball_volume(j)
     return total
 
 

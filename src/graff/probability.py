@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AffineFlat, _trusted, projection_coords, stiefel_coords, unembed
+from .coords import (AffineFlat, _flat_from_frame, _trusted, projection_coords, stiefel_coords,
+                     unembed)
 from .errors import DimensionError, InternalError, NotAFlat
 
 __all__ = [
@@ -128,15 +129,6 @@ def _chain_length(config: MHConfig, count: int) -> int:
     return config.burn_in + 1 + (count - 1) * config.thin
 
 
-def _uniform_frame(rows: int, cols: int, rng: RandomStream) -> np.ndarray:
-    """Orthonormal basis of a uniformly distributed cols-plane in R^rows."""
-    if cols == 0:
-        return np.zeros((rows, 0))
-    G = rng.standard_normal((rows, cols))
-    Q, _ = np.linalg.qr(G)
-    return Q
-
-
 def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
@@ -174,7 +166,10 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
 
     Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
     returns the sample mean over ``n_samples`` draws and its standard error.
-    Used for the linear factor of the Langevin-Gaussian density.
+    Used for the linear factor of the Langevin-Gaussian density.  The frames
+    come from one (m, n, k) Gaussian draw and one stacked QR per block of at
+    most 2**17 entries (1 MiB), in the stream order of n_samples (n, k)
+    draws; ``math.exp`` raises ``OverflowError`` for a concentrated S.
     """
     k, n = int(k), int(n)
     if not 0 <= k <= n:
@@ -183,12 +178,14 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-
-    def value():
-        A = _uniform_frame(n, k, rng)
-        return math.exp(float(np.sum(S * (A @ A.T))))
-
-    values = np.array([value() for _ in range(n_samples)])
+    if k == 0:
+        return 1.0, 0.0
+    block = max(1, 2**17 // (n * k))
+    values = []
+    for start in range(0, n_samples, block):
+        Q, _ = np.linalg.qr(rng.standard_normal((min(block, n_samples - start), n, k)))
+        values += [math.exp(x) for x in ((S @ Q) * Q).sum(axis=(1, 2)).tolist()]
+    values = np.array(values)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
 
 
@@ -200,9 +197,10 @@ def langevin_normalizer(
     The uniform measure on Graff(k, n) is the pushforward of the invariant
     measure on Gr(k+1, n+1), and tr(S P) depends only on the span of the
     Stiefel coordinates.  So the normalizer is :func:`grassmann_normalizer`
-    on (k+1)-planes of R^(n+1): no flat is built per sample.  Returns the
-    sample mean over ``n_samples`` uniform draws and its standard error.
-    Exact (zero variance) whenever tr(S P) is constant, e.g. S = c I.
+    on (k+1)-planes of R^(n+1): no flat is built per sample, and the frames
+    are drawn in stacked blocks of bounded memory.  Returns the sample mean
+    over ``n_samples`` uniform draws and its standard error.  Exact (zero
+    variance) whenever tr(S P) is constant, e.g. S = c I.
     """
     return grassmann_normalizer(params.S, params.k + 1, params.n + 1, n_samples, rng)
 
@@ -210,7 +208,7 @@ def langevin_normalizer(
 def _geodesic_step(Y: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Move from span(Y) along a horizontal tangent, distance ||tangent||_F."""
     Qh, d, Wt = np.linalg.svd(tangent, full_matrices=False)
-    Z = Y @ Wt.T @ np.diag(np.cos(d)) + Qh @ np.diag(np.sin(d))
+    Z = (Y @ Wt.T) * np.cos(d) + Qh * np.sin(d)
     # Re-orthonormalize to stop drift over long chains.
     Q, _ = np.linalg.qr(Z)
     return Q
@@ -233,7 +231,7 @@ def _frame_mh_states(log_density, Y0: np.ndarray, n_steps: int, step_size: float
         tangent = step_size * (G - Y @ (Y.T @ G))
         proposal = _geodesic_step(Y, tangent)
         accepted = False
-        if not (require_flat and np.linalg.norm(proposal[-1]) < 1e-10):
+        if not (require_flat and proposal[-1] @ proposal[-1] < 1e-20):
             new = log_density(proposal)
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
                 Y, current, accepted = proposal, new, True
@@ -276,7 +274,7 @@ def langevin_mh_run(
     ):
         accepted_count += accepted
         if step >= burn_in and (step - burn_in) % thin == 0:
-            samples.append(unembed(Y))
+            samples.append(_flat_from_frame(Y))
     return samples, accepted_count / n_steps
 
 
@@ -358,7 +356,7 @@ def langevin_gaussian_run(
     def log_density(Y):
         return float(np.sum(params.S * (Y @ Y.T)))
 
-    Y0 = _uniform_frame(n, k, rng)
+    Y0, _ = np.linalg.qr(rng.standard_normal((n, k)))  # a uniform k-plane
     n_steps = _chain_length(config, count)
     for step, (Y, _) in enumerate(
         _frame_mh_states(log_density, Y0, n_steps, config.step_size, rng, require_flat=False)

@@ -177,6 +177,15 @@ class TestInvariant:
         assert float(out) == pytest.approx(math.pi, abs=1e-12)
         assert out.strip() == fmt_float(graff.volume_gr(1, 2))
 
+    def test_volume_of_a_huge_grassmannian_sums_min_k_terms(self, capsys, monkeypatch):
+        calls = []
+        log_w = graff.invariants._log_unit_ball_volume
+        monkeypatch.setattr(graff.invariants, "_log_unit_ball_volume",
+                            lambda m: calls.append(m) or log_w(m))
+        code, out, _ = run_cli(capsys, "invariant", "--what", "volume", "gr", "3", str(10**21))
+        assert (code, out.strip()) == (0, fmt_float(0.0))
+        assert len(calls) == 2 * 3
+
     def test_volume_graff(self, capsys):
         code, out, _ = run_cli(capsys, "invariant", "--what", "volume", "graff", "0", "1")
         assert code == 0

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from graff import (
     stiefel_coords,
     unembed,
 )
+from graff.io import dumps_document, flat_from_document, flat_to_document
 from graff.metric import distance
 
 from conftest import horizontal_line, point_flat, random_flat, x_axis
@@ -100,6 +102,22 @@ class TestMakeFlat:
             flat = make_flat([[1.0], [1.0]], [1.7e308, 1.7e308])
         np.testing.assert_allclose(flat.A, [[INV_SQRT2], [INV_SQRT2]], rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(flat.b0, [0.0, 0.0], rtol=0.0, atol=1e-15 * 1.7e308)
+
+    def test_large_displacement_inside_the_span_reads_back(self):
+        # The cancellation leaves a residue of order eps |b_raw|; projected
+        # out once more, the flat's own document passes the public check.
+        flat = make_flat([[1.0], [1.0]], [1.7e10, 1.7e10])
+        assert abs(float(flat.A[:, 0] @ flat.b0)) <= 1e-12 * np.linalg.norm(flat.b0)
+        back = flat_from_document(json.loads(dumps_document(flat_to_document(flat))))
+        assert equal_flats(back, flat, 1e-12)
+
+    def test_ordinary_displacements_keep_one_projection(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            A_raw, b_raw = rng.standard_normal((n, k)), rng.standard_normal(n)
+            flat = make_flat(A_raw, b_raw)
+            np.testing.assert_array_equal(flat.b0, b_raw - flat.A @ (flat.A.T @ b_raw))
 
     @pytest.mark.parametrize("exponent", [-500, 600, 1000])
     def test_displacement_scaling_is_exact(self, rng, exponent):

@@ -132,6 +132,17 @@ class TestVolumes:
         value = volume_gr(100, 400, log=True)
         assert math.isfinite(value)
 
+    def test_log_volume_matches_the_full_sums(self):
+        # The three products of unit-ball volumes, summed exactly, against the
+        # k-term form the library evaluates.
+        logs = [0.5 * j * math.log(math.pi) - math.lgamma(1 + 0.5 * j) for j in range(301)]
+        for n in [*range(1, 41), 64, 151, 299, 300]:
+            for k in range(n + 1):
+                terms = [math.lgamma(n + 1), -math.lgamma(k + 1), -math.lgamma(n - k + 1)]
+                terms += logs[1:n + 1] + [-x for x in logs[1:k + 1] + logs[1:n - k + 1]]
+                assert volume_gr(k, n, log=True) == pytest.approx(
+                    math.fsum(terms), rel=1e-13, abs=0.0)
+
     def test_complement_symmetry(self):
         for n in range(1, 9):
             for k in range(n + 1):

@@ -22,6 +22,8 @@ from graff import (
     sample_langevin,
     sample_langevin_gaussian,
     sample_uniform,
+    stiefel_coords,
+    unembed,
 )
 
 from conftest import random_flat
@@ -169,7 +171,84 @@ class TestLangevinNormalizer:
             assert abs(se - values.std(ddof=1) / math.sqrt(300)) <= 1e-12 * estimate
 
 
+def _normalizer_one_by_one(S, k, n, n_samples, rng):
+    """The normalizer with one draw and one QR per sample, in stream order."""
+    S = 0.5 * (np.asarray(S, dtype=float) + np.asarray(S, dtype=float).T)
+    values = []
+    for _ in range(n_samples):
+        A = np.linalg.qr(rng.standard_normal((n, k)))[0] if k else np.zeros((n, 0))
+        values.append(math.exp(float(np.sum(S * (A @ A.T)))))
+    values = np.array(values)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
+
+
+class TestStackedNormalizer:
+    @pytest.mark.parametrize("k, n, n_samples", [(2, 5, 300), (4, 4, 200), (2, 6, 11_000)])
+    def test_matches_one_draw_at_a_time(self, k, n, n_samples):
+        # (2, 6, 11_000) spans two blocks of 2**17 Gaussian entries.
+        G = random_stream(k + 10 * n).standard_normal((n, n))
+        for S in ((G + G.T) / 2.0, 0.3 * G):
+            rng, reference = random_stream(5), random_stream(5)
+            estimate, se = grassmann_normalizer(S, k, n, n_samples, rng)
+            expected, expected_se = _normalizer_one_by_one(S, k, n, n_samples, reference)
+            assert estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert se == pytest.approx(expected_se, rel=1e-9, abs=1e-14 * expected)
+            assert rng.standard_normal() == reference.standard_normal()
+
+    def test_one_draw_and_one_qr_per_block(self, monkeypatch):
+        shapes, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M: shapes.append(M.shape) or qr(M))
+        grassmann_normalizer(np.eye(6), 2, 6, 11_000, random_stream(5))
+        assert shapes == [(10_922, 6, 2), (78, 6, 2)]
+
+    def test_points_draw_nothing(self):
+        rng = random_stream(5)
+        assert grassmann_normalizer(np.eye(3), 0, 3, 200, rng) == (1.0, 0.0)
+        assert rng.standard_normal() == random_stream(5).standard_normal()
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (3, 3), (2, 6)])
+    def test_scaled_identity_is_exact(self, k, n):
+        rng = random_stream(5)
+        estimate, se = grassmann_normalizer(0.7 * np.eye(n), k, n, 11_000, rng)
+        assert estimate == pytest.approx(math.exp(0.7 * k), rel=1e-12, abs=0.0)
+        assert se <= 1e-12 * estimate
+
+
+def _chain_one_by_one(params, n_steps, step_size, rng, burn_in, thin):
+    """The Metropolis-Hastings chain with np.diag geodesic steps and kept
+    states rebuilt by unembed, in the library's stream order."""
+    Y = np.array(stiefel_coords(sample_uniform(params.k, params.n, rng)).Y)
+    current = float(np.sum(params.S * (Y @ Y.T)))
+    kept, accepted = [], 0
+    for step in range(n_steps):
+        G = rng.standard_normal(Y.shape)
+        Qh, d, Wt = np.linalg.svd(step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
+        proposal = np.linalg.qr(Y @ Wt.T @ np.diag(np.cos(d)) + Qh @ np.diag(np.sin(d)))[0]
+        if np.linalg.norm(proposal[-1]) >= 1e-10:
+            new = float(np.sum(params.S * (proposal @ proposal.T)))
+            if math.log(max(rng.uniform(), 1e-300)) <= new - current:
+                Y, current = proposal, new
+                accepted += 1
+        if step >= burn_in and (step - burn_in) % thin == 0:
+            kept.append(unembed(Y))
+    return kept, accepted / n_steps
+
+
 class TestLangevinSampler:
+    @pytest.mark.parametrize("k, n", [(0, 3), (1, 3), (2, 5)])
+    def test_matches_the_unembedding_chain(self, k, n):
+        G = random_stream(k + 10 * n).standard_normal((n + 1, n + 1))
+        params = LangevinParams(S=(G + G.T) / 2.0, k=k, n=n)
+        rng, reference = random_stream(13), random_stream(13)
+        samples, rate = langevin_mh_run(params, 1500, 0.35, rng, burn_in=100, thin=5)
+        expected, expected_rate = _chain_one_by_one(params, 1500, 0.35, reference, 100, 5)
+        assert rate == expected_rate
+        assert len(samples) == len(expected)
+        for flat, other in zip(samples, expected):
+            np.testing.assert_allclose(projection_coords(flat).P, projection_coords(other).P,
+                                       rtol=0.0, atol=1e-14)
+        assert rng.standard_normal() == reference.standard_normal()
+
     def test_flat_target_accepts_everything(self):
         params = LangevinParams(S=np.zeros((4, 4)), k=1, n=3)
         _, rate = langevin_mh_run(params, 500, 0.1, random_stream(3))

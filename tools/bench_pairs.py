@@ -1,0 +1,150 @@
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 tools/bench_pairs.py --out BENCH_5.json
+
+Run it from the repository root.  Both sides run ``perfbench/run.py``
+untraced from fresh copies in a temporary directory: the parent commit
+(``--parent``, default ``HEAD``) from ``git archive``, the change from the
+working tree's tracked and untracked, not ignored, files.  For each workload
+and seed the two sides form a pair; odd seeds run the parent first, even
+seeds the change.  Every run lasts ``run_seconds`` from ``BENCHMARK.json``;
+the default seeds 1-10 give the ten pairs a claimed gain needs.
+
+The output follows ``BENCH_4.json``: per workload the seeds, whether every
+run was correct, the most failures in one run, each run's ``# env`` record,
+and for every end-to-end metric declared in ``BENCHMARK.json`` both sides'
+median, quartiles and per-seed values, the change's relative difference and
+the pairs the change won (ties count for neither).  The output file is
+written afresh from this one run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def copy_parent(rev: str, dest: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev))) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def copy_working_tree(dest: Path) -> None:
+    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0"):
+        source = ROOT / name.decode()
+        if name and source.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name.decode())
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run; its result object plus its ``# env`` record."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree.name} {workload} seed {seed} exited {done.returncode}:\n"
+                         f"{done.stderr}")
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["env"] = next(json.loads(line[6:]) for line in lines if line.startswith("# env "))
+    return result
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize(parent: list[float], change: list[float], unit: str, better: str) -> dict:
+    """Medians, quartiles and pairs won for one metric; pairs share an index."""
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    return {
+        "unit": unit,
+        "parent_median": round(parent_median, 4),
+        "change_median": round(change_median, 4),
+        "change_vs_parent_pct": round(100.0 * (change_median - parent_median) / parent_median, 1)
+        if parent_median else None,
+        "parent_quartiles": [round(q, 4) for q in _quartiles(parent)],
+        "change_quartiles": [round(q, 4) for q in _quartiles(change)],
+        "parent_values": [round(v, 4) for v in parent],
+        "change_values": [round(v, 4) for v in change],
+        "pairs_change_better": f"{won}/{len(parent)}",
+    }
+
+
+def bench_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
+                   declared: list[dict]) -> dict:
+    runs = {"parent": [], "change": []}
+    for seed in seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
+    every = runs["parent"] + runs["change"]
+    return {
+        "seeds": seeds,
+        "correct": all(run["correct"] for run in every),
+        "failed": max(run["failed"] for run in every),
+        "env": {side: [run["env"] for run in side_runs] for side, side_runs in runs.items()},
+        "metrics": {
+            metric["name"]: summarize(
+                [run["metrics"][metric["name"]]["value"] for run in runs["parent"]],
+                [run["metrics"][metric["name"]]["value"] for run in runs["change"]],
+                metric["unit"], metric["better"])
+            for metric in declared
+        },
+    }
+
+
+def main(argv=None) -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against")
+    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in declared["workloads"]])
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
+    args = parser.parse_args(argv)
+
+    seconds = declared["run_seconds"]
+    parent = _git("rev-parse", "--short", args.parent).decode().strip()
+    doc = {
+        "command": COMMAND.format(seconds=seconds),
+        "method": (f"parent ({parent}) and change (working tree) run alternately from "
+                   "fresh copies of each tree (odd seeds parent first, even seeds change "
+                   f"first), untraced, {seconds:g} s per run; written by tools/bench_pairs.py"),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        copy_parent(args.parent, trees["parent"])
+        copy_working_tree(trees["change"])
+        for workload in args.workloads:
+            doc["workloads"][workload] = bench_workload(
+                trees, workload, args.seeds, seconds, declared["end_to_end"])
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
