@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import invariants
-from .config import set_default_tol
+from .config import get_default_tol, set_default_tol
 from .coords import projection_affine_coords, projection_coords, stiefel_coords
 from .errors import GraffError, NotAFlat, NotSeparable, SingularPair
 from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
@@ -41,6 +41,7 @@ from .io import (
     matrix_document,
 )
 from .metric import (
+    DistanceKind,
     affine_principal_angles,
     delta_distance,
     distance,
@@ -205,14 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance between two flats")
     p.add_argument("flat1")
     p.add_argument("flat2")
-    p.add_argument(
-        "--kind",
-        default="grassmann",
-        choices=[
-            "grassmann", "asimov", "binet_cauchy", "chordal", "fubini_study",
-            "martin", "procrustes", "projection", "spectral",
-        ],
-    )
+    p.add_argument("--kind", default="grassmann", choices=[kind.value for kind in DistanceKind])
     p.add_argument("--infinite", action="store_true", help="use the cross-dimension metric")
     p.add_argument("--verbose", action="store_true", help="also print the principal angles")
     p.set_defaults(func=_cmd_distance)
@@ -257,6 +251,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    saved_tol = get_default_tol()
     try:
         if args.tol is not None:
             set_default_tol(args.tol)
@@ -270,6 +265,8 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_default_tol(saved_tol)  # --tol and GRAFF_TOL last for one call only
 
 
 def entry_point() -> None:

@@ -158,19 +158,15 @@ def relative_volume(k: int, l: int, n: int, log: bool = False) -> float:
 
     with w_j the unit-ball volumes.  The same number is the volume ratio
     volume_gr(n-l, n-k) / volume_gr(l+1, n+1) and also
-    volume_gr(k+1, l+1) / volume_gr(k+1, n+1).
+    volume_gr(k+1, l+1) / volume_gr(k+1, n+1), which is what is computed, in
+    log scale, from at most min(k+1, l-k) + min(k+1, n-k) unit-ball terms.
     """
     k, l, n = _check_int(k, "k"), _check_int(l, "l"), _check_int(n, "n")
     if not 0 <= k <= l <= n:
         raise DimensionError(f"need 0 <= k <= l <= n, got ({k}, {l}, {n})")
     if k + l < n:
         raise DimensionError(f"need k + l >= n, got k={k}, l={l}, n={n}")
-    total = math.lgamma(l + 2) + math.lgamma(n - k + 1)
-    total -= math.lgamma(n + 2) + math.lgamma(l - k + 1)
-    for j in range(l - k + 1, l + 2):
-        total += _log_unit_ball_volume(j)
-    for j in range(n - k + 1, n + 2):
-        total -= _log_unit_ball_volume(j)
+    total = _log_volume_gr(k + 1, l + 1) - _log_volume_gr(k + 1, n + 1)
     return total if log else math.exp(total)
 
 

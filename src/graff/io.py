@@ -81,7 +81,9 @@ def flat_from_document(doc) -> AffineFlat:
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"flat document is missing or malforms field: {exc}") from exc
-    A = np.asarray(rows, dtype=float).reshape(k, n) if k else np.zeros((0, n))
+    A = np.asarray(rows, dtype=float)
+    if A.size == 0:  # a point's A is written []
+        A = A.reshape(0, n)
     if A.shape != (k, n):
         raise DimensionError(f"A must be {k} rows of {n} entries, got shape {A.shape}")
     if b.shape != (n,):

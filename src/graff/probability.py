@@ -58,6 +58,13 @@ def _symmetric_matrix(S, size: int, name: str) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _graff_dims(k, n) -> tuple[int, int]:
+    k, n = int(k), int(n)
+    if not 0 <= k < n:
+        raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+    return k, n
+
+
 @dataclass(frozen=True, eq=False)
 class LangevinParams:
     """Parameters of the Langevin (von Mises-Fisher) density on k-flats in R^n.
@@ -71,9 +78,7 @@ class LangevinParams:
     n: int
 
     def __post_init__(self):
-        k, n = int(self.k), int(self.n)
-        if not 0 <= k < n:
-            raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+        k, n = _graff_dims(self.k, self.n)
         S = _symmetric_matrix(self.S, n + 1, "S")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
@@ -95,9 +100,7 @@ class LangevinGaussianParams:
     n: int
 
     def __post_init__(self):
-        k, n = int(self.k), int(self.n)
-        if not 0 <= k < n:
-            raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+        k, n = _graff_dims(self.k, self.n)
         sigma2 = float(self.sigma2)
         if not sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -111,17 +114,20 @@ class LangevinGaussianParams:
 
 @dataclass(frozen=True)
 class MHConfig:
-    """Metropolis-Hastings settings: geodesic step scale, burn-in, thinning."""
+    """Metropolis-Hastings settings: geodesic step scale, integral burn-in and thinning."""
 
     step_size: float = 0.1
     burn_in: int = 1000
     thin: int = 10
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if self.burn_in < 0 or self.thin < 1:
-            raise ValueError("burn_in must be >= 0 and thin >= 1")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
+        for name, least in (("burn_in", 0), ("thin", 1)):
+            value = getattr(self, name)
+            if not (value % 1 == 0 and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def _chain_length(config: MHConfig, count: int) -> int:
@@ -136,9 +142,7 @@ def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     invariant under the orthogonal group of R^(n+1).  The measure-zero event
     that the span is not a flat is retried, at most 100 times.
     """
-    k, n = int(k), int(n)
-    if not 0 <= k < n:
-        raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+    k, n = _graff_dims(k, n)
     for _ in range(100):
         try:
             return unembed(rng.standard_normal((n + 1, k + 1)))
@@ -205,37 +209,38 @@ def langevin_normalizer(
     return grassmann_normalizer(params.S, params.k + 1, params.n + 1, n_samples, rng)
 
 
-def _geodesic_step(Y: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Move from span(Y) along a horizontal tangent, distance ||tangent||_F."""
-    Qh, d, Wt = np.linalg.svd(tangent, full_matrices=False)
-    Z = (Y @ Wt.T) * np.cos(d) + Qh * np.sin(d)
-    # Re-orthonormalize to stop drift over long chains.
-    Q, _ = np.linalg.qr(Z)
-    return Q
+def _trace_form(S: np.ndarray, Y: np.ndarray) -> float:
+    """tr(S Y Y^T), the log target of both Langevin chains."""
+    return float(np.sum(S * (Y @ Y.T)))
 
 
-def _frame_mh_states(log_density, Y0: np.ndarray, n_steps: int, step_size: float,
-                     rng: RandomStream, require_flat: bool):
-    """Metropolis-Hastings chain on spans of orthonormal frames.
+def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
+              rng: RandomStream, keep, require_flat: bool) -> float:
+    """Metropolis-Hastings chain on spans of orthonormal frames, target exp(tr(S Y Y^T)).
 
     Proposals are geodesic steps along isotropic Gaussian horizontal tangents
-    scaled by ``step_size``; the proposal law depends only on the principal
-    angles between current and proposed span, hence is symmetric.  With
-    ``require_flat`` the chain auto-rejects proposals whose last row is
-    numerically zero (spans that are not flats).  Yields (Y, accepted).
+    scaled by ``config.step_size``; their law depends only on the principal
+    angles between the spans, hence is symmetric.  ``require_flat`` rejects
+    spans that are not flats (last row numerically zero).  ``keep(Y)`` gets
+    the state after steps burn_in, burn_in + thin, ..., so its draws
+    interleave with the chain's.  Returns the acceptance rate.
     """
     Y = Y0
-    current = log_density(Y)
-    for _ in range(n_steps):
+    current = _trace_form(S, Y)
+    accepted = 0
+    for step in range(n_steps):
         G = rng.standard_normal(Y.shape)
-        tangent = step_size * (G - Y @ (Y.T @ G))
-        proposal = _geodesic_step(Y, tangent)
-        accepted = False
+        Qh, d, Wt = np.linalg.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
+        # Re-orthonormalize the geodesic end point to stop drift over long chains.
+        proposal, _ = np.linalg.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))
         if not (require_flat and proposal[-1] @ proposal[-1] < 1e-20):
-            new = log_density(proposal)
+            new = _trace_form(S, proposal)
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
-                Y, current, accepted = proposal, new, True
-        yield Y, accepted
+                Y, current = proposal, new
+                accepted += 1
+        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            keep(Y)
+    return accepted / n_steps
 
 
 def langevin_mh_run(
@@ -250,32 +255,22 @@ def langevin_mh_run(
     """Run a Metropolis-Hastings chain targeting the Langevin density.
 
     Returns the retained flats (after ``burn_in``, every ``thin``-th state)
-    and the overall acceptance rate.  The chain lives on spans of Stiefel
-    coordinates; tr(S P) is basis-free, so the density needs no
-    canonicalization per step.
+    and the overall acceptance rate; :class:`MHConfig` checks the settings.
+    The chain lives on spans of Stiefel coordinates; tr(S P) is basis-free,
+    so the density needs no canonicalization per step.
     """
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if not step_size > 0.0:
-        raise ValueError("step_size must be positive")
+    config = MHConfig(step_size, burn_in, thin)
     if init is None:
         init = sample_uniform(params.k, params.n, rng)
     _check_params(init, params)
     Y0 = np.array(stiefel_coords(init).Y)
-
-    def log_density(Y):
-        return float(np.sum(params.S * (Y @ Y.T)))
-
     samples: list[AffineFlat] = []
-    accepted_count = 0
-    for step, (Y, accepted) in enumerate(
-        _frame_mh_states(log_density, Y0, n_steps, step_size, rng, require_flat=True)
-    ):
-        accepted_count += accepted
-        if step >= burn_in and (step - burn_in) % thin == 0:
-            samples.append(_flat_from_frame(Y))
-    return samples, accepted_count / n_steps
+    rate = _mh_chain(params.S, Y0, n_steps, config, rng,
+                     lambda Y: samples.append(_flat_from_frame(Y)), require_flat=True)
+    return samples, rate
 
 
 def sample_langevin(
@@ -309,7 +304,7 @@ def langevin_gaussian_log_density(
     """
     _check_params(flat, params)
     n, k = params.n, params.k
-    value = float(np.sum(params.S * (flat.A @ flat.A.T)))
+    value = _trace_form(params.S, flat.A)
     value -= float(flat.b0 @ flat.b0) / (2.0 * params.sigma2)
     value -= 0.5 * (n - k) * math.log(2.0 * math.pi * params.sigma2)
     if not unnormalized:
@@ -346,24 +341,17 @@ def langevin_gaussian_run(
         raise ValueError("count must be at least 1")
     n, k = params.n, params.k
     flats: list[AffineFlat] = []
+
+    def keep(Y):
+        b0 = _conditional_displacement(Y, params.sigma2, rng)
+        flats.append(_trusted(AffineFlat, A=Y, b0=b0))
+
     if k == 0:
-        A = np.zeros((n, 0))
         for _ in range(count):
-            b0 = _conditional_displacement(A, params.sigma2, rng)
-            flats.append(_trusted(AffineFlat, A=A, b0=b0))
+            keep(np.zeros((n, 0)))
         return flats
-
-    def log_density(Y):
-        return float(np.sum(params.S * (Y @ Y.T)))
-
     Y0, _ = np.linalg.qr(rng.standard_normal((n, k)))  # a uniform k-plane
-    n_steps = _chain_length(config, count)
-    for step, (Y, _) in enumerate(
-        _frame_mh_states(log_density, Y0, n_steps, config.step_size, rng, require_flat=False)
-    ):
-        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            b0 = _conditional_displacement(Y, params.sigma2, rng)
-            flats.append(_trusted(AffineFlat, A=Y, b0=b0))
+    _mh_chain(params.S, Y0, _chain_length(config, count), config, rng, keep, require_flat=False)
     return flats
 
 

@@ -27,3 +27,13 @@ def test_a_single_pair_has_degenerate_quartiles():
     summary = bench_pairs.summarize([2.0], [1.0], "s", "lower")
     assert summary["parent_quartiles"] == [2.0, 2.0]
     assert summary["pairs_change_better"] == "1/1"
+
+
+def test_source_lines_count_newlines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "graff"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, as wc -l counts
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench_pairs.source_lines(tmp_path) == 2

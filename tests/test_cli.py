@@ -19,12 +19,6 @@ POINT_DOC = {"n": 2, "k": 0, "A": [], "b": [0.0, 1.0]}
 Y_AXIS_DOC = {"n": 2, "k": 1, "A": [[0.0, 1.0]], "b": [0.0, 0.0]}
 
 
-@pytest.fixture(autouse=True)
-def _reset_tolerance():
-    yield
-    graff.set_default_tol(1e-10)
-
-
 @pytest.fixture
 def write_doc(tmp_path):
     counter = iter(range(1000))
@@ -67,6 +61,18 @@ class TestConvert:
         assert doc["rows"] == 2 and doc["cols"] == 3
         np.testing.assert_allclose(doc["data"], [[0, 0, 0], [0, 0, 1]], atol=1e-15)
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "k": 1, "A": [[1], [0]], "b": [0.0, 0.0]},  # the basis as a column
+        {"n": 2, "k": 1, "A": [1, 0], "b": [0.0, 0.0]},  # a flat list
+        {"n": 2, "k": 0, "A": [[5, 5]], "b": [0.0, 0.0]},  # a point with a basis row
+    ])
+    def test_misshapen_basis_exits_2(self, capsys, write_doc, doc):
+        with pytest.raises(graff.DimensionError):
+            flat_from_document(doc)
+        code, out, err = run_cli(capsys, "convert", write_doc(doc), "--to", "stiefel")
+        assert (code, out) == (2, "")
+        assert err.startswith("DimensionError: A must be")
+
     def test_degenerate_basis_exits_2(self, capsys, write_doc):
         bad = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]}
         code, _, err = run_cli(capsys, "convert", write_doc(bad), "--to", "stiefel")
@@ -84,6 +90,13 @@ class TestDistance:
         assert code == 0
         assert out.strip() == "0.78539816339744839"
         assert float(out) == pytest.approx(math.pi / 4, abs=1e-12)
+
+    def test_kind_choices_are_the_distance_kinds_in_order(self, capsys):
+        code, _, err = run_cli(capsys, "distance", "a.json", "b.json", "--kind", "bogus")
+        assert code == 2
+        listed = err[err.index("choose from"):]
+        positions = [listed.index(kind.value) for kind in graff.DistanceKind]
+        assert positions == sorted(positions)
 
     def test_mixed_dimensions_use_delta(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "distance", write_doc(POINT_DOC), write_doc(X_AXIS_DOC))
@@ -190,6 +203,15 @@ class TestInvariant:
         code, out, _ = run_cli(capsys, "invariant", "--what", "volume", "graff", "0", "1")
         assert code == 0
         assert float(out) == pytest.approx(math.pi, abs=1e-12)
+
+    def test_relative_volume_of_huge_equal_sizes_sums_no_terms(self, capsys, monkeypatch):
+        calls = []
+        log_w = graff.invariants._log_unit_ball_volume
+        monkeypatch.setattr(graff.invariants, "_log_unit_ball_volume",
+                            lambda m: calls.append(m) or log_w(m))
+        size = str(10**21)
+        code, out, _ = run_cli(capsys, "invariant", "--what", "relative-volume", size, size, size)
+        assert (code, out.strip(), calls) == (0, "1", [])
 
     def test_relative_volume(self, capsys):
         code, out, _ = run_cli(capsys, "invariant", "--what", "relative-volume", "1", "2", "3")
@@ -340,6 +362,15 @@ class TestToleranceControls:
         tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
         assert code == tight_code == 0, err
         assert out == expected
+
+    def test_tol_flag_lasts_for_one_call(self, capsys, write_doc):
+        nearly = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "b": [0.0, 0.0, 0.0]}
+        path = write_doc(nearly)
+        code, _, _ = run_cli(capsys, "--tol", "1e-3", "convert", path, "--to", "stiefel")
+        assert code == 2
+        assert graff.get_default_tol() == 1e-10
+        code, _, err = run_cli(capsys, "convert", path, "--to", "stiefel")
+        assert code == 0, err
 
     def test_bad_usage_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "distance")

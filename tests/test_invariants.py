@@ -174,6 +174,27 @@ class TestRelativeVolume:
         relative_volume(1, 2, 3)  # 1 + 2 >= 3 is allowed
 
 
+def _log_relative_volume_by_terms(k, l, n):
+    """The product formula of the relative_volume docstring, one term per unit ball."""
+    def log_w(m):
+        return 0.5 * m * math.log(math.pi) - math.lgamma(1.0 + 0.5 * m)
+
+    total = math.lgamma(l + 2) + math.lgamma(n - k + 1)
+    total -= math.lgamma(n + 2) + math.lgamma(l - k + 1)
+    total += sum(log_w(j) for j in range(l - k + 1, l + 2))
+    total -= sum(log_w(j) for j in range(n - k + 1, n + 2))
+    return total
+
+
+def test_relative_volume_matches_the_product_formula():
+    for n in range(1, 61):
+        for l in range(n + 1):
+            for k in range(max(0, n - l), l + 1):
+                expected = _log_relative_volume_by_terms(k, l, n)
+                value = relative_volume(k, l, n, log=True)
+                assert math.expm1(value - expected) == pytest.approx(0.0, abs=1e-12), (k, l, n)
+
+
 def _brute_force_partitions(total: int, max_parts: int) -> int:
     if total == 0:
         return 1

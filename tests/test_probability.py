@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from graff import (
@@ -25,6 +27,8 @@ from graff import (
     stiefel_coords,
     unembed,
 )
+
+from graff.probability import _chain_length
 
 from conftest import random_flat
 
@@ -402,3 +406,77 @@ class TestLangevinGaussian:
         estimate, se = grassmann_normalizer(0.5 * np.eye(4), 2, 4, 200, rng)
         assert estimate == pytest.approx(math.exp(1.0), rel=1e-12)
         assert se <= 1e-12 * estimate
+
+
+def _gaussian_chain_one_by_one(params, count, config, rng):
+    """langevin_gaussian_run as one loop, each displacement drawn inside it."""
+    n, k = params.n, params.k
+
+    def displaced(A):
+        z = math.sqrt(params.sigma2) * rng.standard_normal(n)
+        return A, (z - A @ (A.T @ z) if k else z)
+
+    if k == 0:
+        return [displaced(np.zeros((n, 0))) for _ in range(count)]
+    Y = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    current = float(np.sum(params.S * (Y @ Y.T)))
+    kept = []
+    for step in range(config.burn_in + 1 + (count - 1) * config.thin):
+        G = rng.standard_normal(Y.shape)
+        Qh, d, Wt = np.linalg.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
+        proposal = np.linalg.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))[0]
+        new = float(np.sum(params.S * (proposal @ proposal.T)))
+        if math.log(max(rng.uniform(), 1e-300)) <= new - current:
+            Y, current = proposal, new
+        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            kept.append(displaced(Y))
+    return kept
+
+
+CHAIN_PROPERTY = settings(deadline=None, derandomize=True, max_examples=30)
+
+
+class TestSharedChain:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_gaussian_run_matches_the_interleaved_loop(self, k):
+        n = 4
+        G = random_stream(7 + k).standard_normal((n, n))
+        params = LangevinGaussianParams(S=(G + G.T) / 2.0, sigma2=0.6, k=k, n=n)
+        config = MHConfig(step_size=0.4, burn_in=30, thin=3)
+        rng, reference = random_stream(61), random_stream(61)
+        flats = langevin_gaussian_run(params, 25, config, rng)
+        expected = _gaussian_chain_one_by_one(params, 25, config, reference)
+        assert len(flats) == len(expected) == 25
+        for flat, (A, b0) in zip(flats, expected):
+            assert np.array_equal(flat.A, A) and np.array_equal(flat.b0, b0)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @CHAIN_PROPERTY
+    @given(n_steps=st.integers(1, 40), burn_in=st.integers(0, 45), thin=st.integers(1, 12),
+           k=st.integers(0, 2))
+    def test_both_runners_keep_the_scheduled_states(self, n_steps, burn_in, thin, k):
+        mh = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=k, n=3)
+        samples, _ = langevin_mh_run(mh, n_steps, 0.3, random_stream(5), burn_in=burn_in,
+                                     thin=thin)
+        assert len(samples) == len(range(burn_in, n_steps, thin))
+        gaussian = LangevinGaussianParams(S=np.diag([1.0, 0.5, 0.0]), sigma2=1.0, k=k, n=3)
+        config = MHConfig(step_size=0.3, burn_in=burn_in, thin=thin)
+        count = max(1, n_steps // thin)
+        flats = langevin_gaussian_run(gaussian, count, config, random_stream(5))
+        assert len(flats) == count == len(range(burn_in, _chain_length(config, count), thin))
+
+    @pytest.mark.parametrize("settings_", [{"thin": 0}, {"thin": -2}, {"burn_in": -5},
+                                           {"burn_in": 1.5}, {"thin": 2.5}, {"thin": math.inf},
+                                           {"step_size": 0.0}, {"step_size": math.inf},
+                                           {"step_size": math.nan}])
+    def test_invalid_chain_settings_raise(self, settings_):
+        with pytest.raises(ValueError):
+            MHConfig(**settings_)
+        params = LangevinParams(S=np.zeros((4, 4)), k=1, n=3)
+        with pytest.raises(ValueError):
+            langevin_mh_run(params, 20, rng=random_stream(1), **{"step_size": 0.1, **settings_})
+
+    def test_integral_float_settings_are_stored_as_int(self):
+        config = MHConfig(burn_in=4.0, thin=2.0)
+        assert (config.burn_in, config.thin) == (4, 2)
+        assert type(config.burn_in) is int and type(config.thin) is int

@@ -14,8 +14,9 @@ The output follows ``BENCH_4.json``: per workload the seeds, whether every
 run was correct, the most failures in one run, each run's ``# env`` record,
 and for every end-to-end metric declared in ``BENCHMARK.json`` both sides'
 median, quartiles and per-seed values, the change's relative difference and
-the pairs the change won (ties count for neither).  The output file is
-written afresh from this one run.
+the pairs the change won (ties count for neither).  It also records each
+tree's ``src/graff/*.py`` line count (newlines, as ``wc -l`` counts them).
+The output file is written afresh from this one run.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def copy_working_tree(dest: Path) -> None:
         if name and source.is_file():  # a tracked file deleted in the working tree is skipped
             (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name.decode())
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of ``src/graff/*.py`` in a tree, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "graff").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -139,6 +145,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         copy_parent(args.parent, trees["parent"])
         copy_working_tree(trees["change"])
+        doc["source_lines"] = {side: source_lines(tree) for side, tree in trees.items()}
         for workload in args.workloads:
             doc["workloads"][workload] = bench_workload(
                 trees, workload, args.seeds, seconds, declared["end_to_end"])
