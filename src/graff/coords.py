@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .config import get_default_tol
 from .errors import DimensionError, NotAFlat, RankDeficient
 
@@ -73,8 +74,7 @@ def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     [1/2, 1): exact, so Q is unchanged, and the QR cannot overflow.
     """
     _, exponent = math.frexp(float(np.abs(M).max()))
-    Q, R = np.linalg.qr(np.ldexp(M, -exponent))
-    diag = R.diagonal()
+    Q, diag = _lapack.qr(np.ldexp(M, -exponent))
     size = np.abs(diag)
     largest = size.max()
     if largest == 0.0 or size.min() < get_default_tol() * largest:

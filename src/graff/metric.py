@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _lapack
 from .coords import AffineFlat, StiefelMatrix, stiefel_coords, unembed
 from .errors import DimensionError, InternalError, SingularPair, UnsupportedKind
 
@@ -108,7 +109,7 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack = np.zeros((2,) + W.shape)
     stack[0, : M.shape[0]] = M
     stack[1] = W
-    values = np.linalg.svd(stack, compute_uv=False)
+    values = _lapack.svdvals(stack)
     sigmas = values[0, :count]
     if sigmas[0] > 1.0 + 1e-8:
         raise InternalError(f"singular value {sigmas[0]} exceeds 1 beyond rounding")
@@ -132,7 +133,7 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
     """Full SVD of Y_F^T Y_G with angles, rotations, and principal vectors."""
     M, W = _overlap(flat1, flat2)
     thetas, sigmas = _angles(M, W)
-    U, _, Vt = np.linalg.svd(M, full_matrices=True)
+    U, _, Vt = _lapack.svd(M, full_matrices=True)
     return PrincipalDecomposition(
         thetas=thetas,
         sigmas=sigmas,
@@ -150,16 +151,17 @@ def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind) -> floa
         return math.sqrt((thetas**2).sum())
     if kind is DistanceKind.ASIMOV:
         return largest
-    if kind is DistanceKind.BINET_CAUCHY:
-        return math.sqrt(max(0.0, 1.0 - float((sigmas**2).prod())))
+    if kind in (DistanceKind.BINET_CAUCHY, DistanceKind.FUBINI_STUDY, DistanceKind.MARTIN):
+        # L = sum log cos^2 theta_i, from the sines where sigma^2 >= 1/2 as in the kernel.
+        L = -math.inf if sigmas[-1] == 0.0 else sum(
+            math.log1p(-math.sin(t) ** 2) if s * s >= 0.5 else 2.0 * math.log(s)
+            for t, s in zip(thetas.tolist(), sigmas.tolist()))
+        if kind is DistanceKind.MARTIN:
+            return math.sqrt(0.0 - L)
+        sine, cosine = math.sqrt(0.0 - math.expm1(L)), math.exp(L / 2.0)
+        return sine if kind is DistanceKind.BINET_CAUCHY else math.atan2(sine, cosine)
     if kind is DistanceKind.CHORDAL:
         return math.sqrt((np.sin(thetas) ** 2).sum())
-    if kind is DistanceKind.FUBINI_STUDY:
-        return math.acos(min(1.0, float(sigmas.prod())))
-    if kind is DistanceKind.MARTIN:
-        if sigmas[-1] == 0.0:
-            return math.inf
-        return math.sqrt(-2.0 * np.log(sigmas).sum())
     if kind is DistanceKind.PROCRUSTES:
         return 2.0 * math.sqrt((np.sin(thetas / 2.0) ** 2).sum())
     if kind is DistanceKind.PROJECTION:
@@ -263,12 +265,12 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
-    if np.linalg.svd(M, compute_uv=False)[-1] < 1e-10:
+    if _lapack.svdvals(M)[-1] < 1e-10:
         raise SingularPair("Stiefel overlap matrix is numerically singular")
     # H = W M^{-1} = Q tan(Theta) U^T.  Unlike the SVD of M, the SVD of H keeps
     # its directions accurate when every cosine rounds to 1.
-    H = np.linalg.solve(M.T, W.T).T
-    Q, tangents, Ut = np.linalg.svd(H, full_matrices=False)
+    H = _lapack.solve(M.T, W.T).T
+    Q, tangents, Ut = _lapack.svd(H, full_matrices=False)
     Q = np.where(tangents > 1e-12, Q, 0.0)
     return GeodesicCurve(
         Y_start=stiefel_coords(flat1),

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import (AffineFlat, _flat_from_frame, _trusted, projection_coords, stiefel_coords,
-                     unembed)
+from . import _lapack
+from .coords import (AffineFlat, _flat_from_frame, _orthonormalize, _trusted, projection_coords,
+                     stiefel_coords, unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, NotAFlat
 
 __all__ = [
@@ -138,14 +139,15 @@ def _chain_length(config: MHConfig, count: int) -> int:
 def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
-    A Gaussian (n+1) x (k+1) matrix is unembedded; the law of its span is
-    invariant under the orthogonal group of R^(n+1).  The measure-zero event
-    that the span is not a flat is retried, at most 100 times.
+    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks; the
+    law of its span is invariant under the orthogonal group of R^(n+1).  The
+    measure-zero event that the span is not a flat is retried, at most 100 times.
     """
     k, n = _graff_dims(k, n)
     for _ in range(100):
         try:
-            return unembed(rng.standard_normal((n + 1, k + 1)))
+            frame = _orthonormalize(rng.standard_normal((n + 1, k + 1)), "spanning matrix")
+            return _flat_from_frame(frame)
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
@@ -225,14 +227,13 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
     the state after steps burn_in, burn_in + thin, ..., so its draws
     interleave with the chain's.  Returns the acceptance rate.
     """
-    Y = Y0
-    current = _trace_form(S, Y)
+    Y, current = Y0, _trace_form(S, Y0)
     accepted = 0
     for step in range(n_steps):
         G = rng.standard_normal(Y.shape)
-        Qh, d, Wt = np.linalg.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
+        Qh, d, Wt = _lapack.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
         # Re-orthonormalize the geodesic end point to stop drift over long chains.
-        proposal, _ = np.linalg.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))
+        proposal, _ = _lapack.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))
         if not (require_flat and proposal[-1] @ proposal[-1] < 1e-20):
             new = _trace_form(S, proposal)
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
@@ -350,7 +351,7 @@ def langevin_gaussian_run(
         for _ in range(count):
             keep(np.zeros((n, 0)))
         return flats
-    Y0, _ = np.linalg.qr(rng.standard_normal((n, k)))  # a uniform k-plane
+    Y0, _ = _lapack.qr(rng.standard_normal((n, k)))  # a uniform k-plane
     _mh_chain(params.S, Y0, _chain_length(config, count), config, rng, keep, require_flat=False)
     return flats
 

@@ -37,3 +37,48 @@ def test_source_lines_count_newlines_of_the_package_modules(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("outside\n")
     assert bench_pairs.source_lines(tmp_path) == 2
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+
+
+def test_verdict_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread():
+    change = [v + 5.0 for v in PARENT]
+    assert bench_pairs.verdict(PARENT, change, "higher", 0.2) == "gain"
+    assert bench_pairs.verdict(PARENT, [v - 5.0 for v in PARENT], "lower", 0.2) == "gain"
+    # Eight wins of ten are not enough, however large the median gap.
+    assert bench_pairs.verdict(PARENT, change[:8] + PARENT[8:], "higher", 0.2) == "within bound"
+    # Ten wins by less than the parent's interquartile range (0.4) are not a gain.
+    assert bench_pairs.verdict(PARENT, [v + 0.1 for v in PARENT], "higher", 0.2) == "within bound"
+
+
+def test_verdict_worse_beyond_the_bound():
+    assert bench_pairs.verdict(PARENT, [v * 0.7 for v in PARENT], "higher", 0.2) == "worse"
+    assert bench_pairs.verdict(PARENT, [v * 1.3 for v in PARENT], "lower", 0.2) == "worse"
+    assert bench_pairs.verdict(PARENT, [v * 0.9 for v in PARENT], "higher", 0.2) == "within bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
+    noisy = [50.0, 150.0, 60.0, 140.0, 100.0, 100.0, 55.0, 145.0, 100.0, 100.0]
+    shuffled = noisy[5:] + noisy[:5]
+    assert bench_pairs.verdict(noisy, shuffled, "higher", 0.2) == "unresolved"
+    # Every change run better than every parent run resolves it, gap or not.
+    assert bench_pairs.verdict(noisy, [151.0] * 10, "higher", 0.2) == "within bound"
+    assert bench_pairs.verdict(noisy, [49.0] * 10, "lower", 0.2) == "within bound"
+    assert bench_pairs.verdict(noisy, [v + 200.0 for v in noisy], "higher", 0.2) == "gain"
+
+
+def test_each_workload_metric_carries_its_verdict(monkeypatch):
+    def fake_run(tree, workload, seed, seconds):
+        rate = 100.0 + seed if tree == "parent" else 200.0 + seed
+        return {"correct": True, "failed": 0, "env": {},
+                "metrics": {"light_per_s": {"value": rate}, "setup_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    declared = [{"name": "light_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+                {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    result = bench_pairs.bench_workload({"parent": "parent", "change": "change"}, "w",
+                                        list(range(1, 11)), 1.0, declared)
+    assert result["metrics"]["light_per_s"]["verdict"] == "gain"
+    assert result["metrics"]["light_per_s"]["pairs_change_better"] == "10/10"
+    assert result["metrics"]["setup_s"]["verdict"] == "within bound"

@@ -1,0 +1,129 @@
+"""graff._lapack against the public numpy.linalg functions it stands in for."""
+
+import importlib
+import sys
+import types
+
+import numpy as np
+import pytest
+from numpy.linalg import _umath_linalg
+
+import graff
+from graff import _lapack
+
+RNG = np.random.default_rng(20260811)
+# (n+1) x 1 frames (k = 0), (n+1) x n frames (k = n - 1), a wide frame, and stacks of both.
+MATRICES = [
+    RNG.standard_normal((4, 1)),
+    RNG.standard_normal((6, 5)),
+    RNG.standard_normal((129, 33)),
+    RNG.standard_normal((7, 13, 1)),
+    RNG.standard_normal((7, 13, 12)),
+]
+IDS = ["k=0", "k=n-1", "129x33", "stack-k=0", "stack-k=n-1"]
+
+
+def assert_same_bits(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("M", MATRICES, ids=IDS)
+def test_qr_matches_numpy_bit_for_bit(M):
+    Q, R = np.linalg.qr(M)
+    assert_same_bits(_lapack.qr(M), (Q, R.diagonal(0, -2, -1)))
+
+
+@pytest.mark.parametrize("M", MATRICES, ids=IDS)
+def test_svd_matches_numpy_bit_for_bit(M):
+    assert_same_bits([_lapack.svdvals(M)], [np.linalg.svd(M, compute_uv=False)])
+    for full in (True, False):
+        assert_same_bits(_lapack.svd(M, full_matrices=full), np.linalg.svd(M, full_matrices=full))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 4), (33, 2), (7, 12, 3)])
+def test_solve_matches_numpy_bit_for_bit(shape):
+    A = RNG.standard_normal(shape[:-1] + shape[-2:-1])
+    B = RNG.standard_normal(shape)
+    assert_same_bits([_lapack.solve(A, B)], [np.linalg.solve(A, B)])
+    assert_same_bits([_lapack.solve(A.T if A.ndim == 2 else A, B)],
+                     [np.linalg.solve(A.T if A.ndim == 2 else A, B)])
+
+
+@pytest.mark.parametrize("M", MATRICES, ids=IDS)
+def test_the_callers_array_is_unchanged(M):
+    original = M.copy()
+    _lapack.qr(M)
+    _lapack.svdvals(M)
+    _lapack.svd(M, full_matrices=True)
+    _lapack.svd(M, full_matrices=False)
+    k = M.shape[-1]
+    _lapack.solve(M[..., :k, :], M[..., -k:, :])  # views into M on both sides
+    _lapack.solve(np.swapaxes(M[..., :k, :], -1, -2), M[..., -k:, :])
+    assert M.tobytes() == original.tobytes()
+
+
+def test_a_singular_solve_raises_linalgerror_as_numpy_does():
+    A, B = np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.solve(A, B)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _lapack.solve(A, B)
+    with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError):
+        _lapack.solve(A, B)  # numpy's errstate inside, not the caller's
+
+
+def test_non_finite_input_raises_linalgerror_as_numpy_does():
+    M = np.full((4, 2), np.nan)
+    for ours, theirs in ((_lapack.svdvals, lambda M: np.linalg.svd(M, compute_uv=False)),
+                         (lambda M: _lapack.svd(M, full_matrices=False), np.linalg.svd)):
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            theirs(M)
+        with pytest.raises(np.linalg.LinAlgError) as private:
+            ours(M)
+        assert str(private.value) == str(public.value)
+
+
+def test_tiny_entries_under_a_strict_caller_errstate():
+    tiny = 1e-300 * RNG.standard_normal((6, 3))
+    square = 1e-300 * RNG.standard_normal((3, 3)) + 1e-300 * np.eye(3)
+    with np.errstate(all="raise"):
+        Q, R = np.linalg.qr(tiny)
+        assert_same_bits(_lapack.qr(tiny), (Q, R.diagonal()))
+        assert_same_bits([_lapack.svdvals(tiny)], [np.linalg.svd(tiny, compute_uv=False)])
+        assert_same_bits(_lapack.svd(tiny, False), np.linalg.svd(tiny, full_matrices=False))
+        assert_same_bits([_lapack.solve(square, tiny[:3])], [np.linalg.solve(square, tiny[:3])])
+
+
+def _library_results():
+    rng = graff.random_stream(3)
+    draws = [graff.sample_uniform(k, n, rng) for k, n in ((0, 3), (2, 5), (4, 5), (8, 64))]
+    flat1, flat2 = draws[1], graff.sample_uniform(2, 5, rng)
+    curve = graff.geodesic(flat1, flat2)
+    params = graff.LangevinParams(np.diag([1.0, 0.5, 0.0, -0.5, 0.2, 0.1]), 2, 5)
+    chain, rate = graff.langevin_mh_run(params, 60, 0.3, rng, burn_in=10, thin=5)
+    arrays = [x for flat in draws + chain for x in (flat.A, flat.b0)]
+    arrays += [curve.U, curve.Theta, curve.Q, np.array([rate, rng.standard_normal()])]
+    arrays += [np.array([graff.distance(flat1, flat2, kind) for kind in graff.DistanceKind])]
+    return arrays
+
+
+@pytest.mark.parametrize("hidden", ["qr_r_raw", "qr_reduced", "svd", "svd_s", "svd_f", "solve"])
+def test_the_public_fallback_gives_the_same_bits(hidden):
+    """With one private name missing, _lapack binds the public functions."""
+    gufuncs = _library_results()
+    stub = types.ModuleType(_umath_linalg.__name__)
+    stub.__dict__.update({k: v for k, v in vars(_umath_linalg).items() if k != hidden})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, _umath_linalg.__name__, stub)
+        importlib.reload(_lapack)
+        try:
+            assert _lapack.solve is np.linalg.solve
+            fallback = _library_results()
+        finally:
+            patch.undo()
+            importlib.reload(_lapack)
+    assert _lapack.solve is not np.linalg.solve
+    assert_same_bits(fallback, gufuncs)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,58 @@ class TestDistance:
             a, b, c = (random_flat(rng, n, k) for _ in range(3))
             for kind in METRIC_KINDS:
                 assert distance(a, c, kind) <= distance(a, b, kind) + distance(b, c, kind) + 1e-10
+
+
+COSINE_PRODUCT_KINDS = [DistanceKind.BINET_CAUCHY, DistanceKind.FUBINI_STUDY, DistanceKind.MARTIN]
+
+
+def _product_formula(kind, sigmas):
+    """binet_cauchy, fubini_study and martin as products of the cosines."""
+    if kind is DistanceKind.BINET_CAUCHY:
+        return math.sqrt(max(0.0, 1.0 - float(np.prod(sigmas**2))))
+    if kind is DistanceKind.FUBINI_STUDY:
+        return math.acos(min(1.0, float(np.prod(sigmas))))
+    return math.sqrt(-2.0 * float(np.sum(np.log(sigmas))))
+
+
+class TestCosineProductKinds:
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 4), (1, 2), (2, 5), (4, 5), (6, 12), (8, 64)])
+    def test_near_equal_twins_read_the_angles(self, rng, k, n):
+        # For small angles all three kinds equal sqrt(sum theta_i^2) to
+        # second order; a product of cosines reads only rounding there.
+        for _ in range(20):
+            flat1 = random_flat(rng, n, k)
+            rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            A = flat1.A @ rotation + 1e-8 * rng.standard_normal((n, k))
+            b = flat1.b0 + flat1.A @ rng.standard_normal(k) + 1e-8 * rng.standard_normal(n)
+            flat2 = make_flat(A, b)
+            grassmann = distance(flat1, flat2)
+            for kind in COSINE_PRODUCT_KINDS:
+                value = distance(flat1, flat2, kind)
+                assert value == pytest.approx(grassmann, rel=1e-6, abs=0.0)
+                assert abs(value - distance(flat2, flat1, kind)) <= 1e-15
+
+    def test_ordinary_pairs_match_the_product_formula(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            k = int(rng.integers(0, n))
+            flat1, flat2 = random_flat(rng, n, k), random_flat(rng, n, k)
+            sigmas = principal_decomposition(flat1, flat2).sigmas
+            for kind in COSINE_PRODUCT_KINDS:
+                expected = _product_formula(kind, sigmas)
+                assert distance(flat1, flat2, kind) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_a_right_angle_gives_the_limits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance(x_axis(), y_axis(), DistanceKind.BINET_CAUCHY) == 1.0
+            assert distance(x_axis(), y_axis(), DistanceKind.FUBINI_STUDY) == math.pi / 2
+            assert distance(x_axis(), y_axis(), DistanceKind.MARTIN) == math.inf
+
+    @pytest.mark.parametrize("kind", COSINE_PRODUCT_KINDS)
+    def test_identical_flats_are_at_zero(self, rng, kind):
+        flat = random_flat(rng, 5, 2)
+        assert distance(flat, flat, kind) <= 1e-15
 
 
 class TestDeltaDistance:

@@ -11,6 +11,7 @@ from graff import (
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
+    NotAFlat,
     affine_principal_angles,
     equal_flats,
     grassmann_normalizer,
@@ -87,6 +88,24 @@ class TestSampleUniform:
             sample_fg[i] = affine_principal_angles(f1, g1)[0]
             sample_gf[i] = affine_principal_angles(g2, f2)[0]
         assert stats.ks_2samp(sample_fg, sample_gf).pvalue > 0.01
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 5), (1, 2), (4, 5), (2, 5), (8, 64)])
+    def test_matches_unembedding_a_gaussian_draw(self, k, n):
+        # sample_uniform skips unembed's input checks on its own draw; flats
+        # and the generator state must be those of unembed on the same draws.
+        def by_unembed(rng):
+            for _ in range(100):
+                try:
+                    return unembed(rng.standard_normal((n + 1, k + 1)))
+                except NotAFlat:
+                    continue
+
+        rng, reference = random_stream(k + 100 * n), random_stream(k + 100 * n)
+        for _ in range(50):
+            flat, expected = sample_uniform(k, n, rng), by_unembed(reference)
+            assert flat.A.tobytes() == expected.A.tobytes()
+            assert flat.b0.tobytes() == expected.b0.tobytes()
+        assert rng.standard_normal() == reference.standard_normal()
 
     def test_point_draws(self, rng):
         flat = sample_uniform(0, 2, rng)

@@ -13,8 +13,9 @@ the default seeds 1-10 give the ten pairs a claimed gain needs.
 The output follows ``BENCH_4.json``: per workload the seeds, whether every
 run was correct, the most failures in one run, each run's ``# env`` record,
 and for every end-to-end metric declared in ``BENCHMARK.json`` both sides'
-median, quartiles and per-seed values, the change's relative difference and
-the pairs the change won (ties count for neither).  It also records each
+median, quartiles and per-seed values, the change's relative difference,
+the pairs the change won (ties count for neither) and a ``verdict`` against
+the metric's ``bound`` (see :func:`verdict`).  It also records each
 tree's ``src/graff/*.py`` line count (newlines, as ``wc -l`` counts them).
 The output file is written afresh from this one run.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -80,6 +82,31 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How the change compares with the parent on one metric, given its relative ``bound``.
+
+    In order of precedence: ``gain`` when the change wins at least 90 % of the
+    pairs (rounded up) and its median is better than the parent's by more than
+    the parent's interquartile range; ``worse`` when its median is worse by
+    more than ``bound`` times the parent's median; ``unresolved`` when the
+    parent's interquartile range exceeds ``bound`` times its median and not
+    every change run beats every parent run; otherwise ``within bound``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    parent_median = statistics.median(parent)
+    gap = sign * (statistics.median(change) - parent_median)
+    q1, q3 = _quartiles(parent)
+    won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    if won >= math.ceil(0.9 * len(parent)) and gap > q3 - q1:
+        return "gain"
+    if gap < -bound * abs(parent_median):
+        return "worse"
+    separated = min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    if q3 - q1 > bound * abs(parent_median) and not separated:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(parent: list[float], change: list[float], unit: str, better: str) -> dict:
     """Medians, quartiles and pairs won for one metric; pairs share an index."""
     parent_median, change_median = statistics.median(parent), statistics.median(change)
@@ -108,18 +135,20 @@ def bench_workload(trees: dict, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
             runs[side].append(run_once(trees[side], workload, seed, seconds))
     every = runs["parent"] + runs["change"]
+    metrics = {}
+    for metric in declared:
+        parent, change = ([run["metrics"][metric["name"]]["value"] for run in runs[side]]
+                          for side in ("parent", "change"))
+        metrics[metric["name"]] = {
+            **summarize(parent, change, metric["unit"], metric["better"]),
+            "verdict": verdict(parent, change, metric["better"], metric["bound"]),
+        }
     return {
         "seeds": seeds,
         "correct": all(run["correct"] for run in every),
         "failed": max(run["failed"] for run in every),
         "env": {side: [run["env"] for run in side_runs] for side, side_runs in runs.items()},
-        "metrics": {
-            metric["name"]: summarize(
-                [run["metrics"][metric["name"]]["value"] for run in runs["parent"]],
-                [run["metrics"][metric["name"]]["value"] for run in runs["change"]],
-                metric["unit"], metric["better"])
-            for metric in declared
-        },
+        "metrics": metrics,
     }
 
 
