@@ -9,7 +9,7 @@ converted losslessly to
 * Stiefel coordinates, an (n+1) x (k+1) orthonormal matrix that realizes the
   flat as a (k+1)-plane in R^(n+1),
 * projection coordinates, the unique (n+1) x (n+1) orthogonal projection
-  onto that plane,
+  Y Y^T onto that plane (Y the Stiefel coordinates),
 * projection affine coordinates, the pair [A A^T, b0] of an n x n projection
   and a displacement in its kernel.
 
@@ -326,17 +326,24 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
     if k == 0:
         return AffineFlat(np.zeros((n, 0)), b0)
     A = _orthonormalize(A_raw, "basis")
-    u, e = _split_scale(b0)
+    return _trusted(AffineFlat, A=A, b0=_orthogonal_part(A, b0))
+
+
+def _orthogonal_part(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - A A^T b for orthonormal A, as a new array: projected twice when b lies
+    nearly in span(A) (one pass leaves an eps |b| residue), at a power-of-two
+    scale when b is huge; a result too large for a float raises ``ValueError``.
+    """
+    u, e = _split_scale(b)
     b0 = u - A @ (A.T @ u)
     if math.hypot(*b0.tolist()) < 1e-4 * math.hypot(*u.tolist()):
-        # u lay nearly inside span(A); project out the cancellation's eps |u| residue.
         b0 = b0 - A @ (A.T @ b0)
     if e:
         with np.errstate(over="ignore"):
             b0 = np.ldexp(b0, e)
         if not np.isfinite(b0).all():
             raise ValueError("b0 orthogonal to the basis is too large to represent")
-    return _trusted(AffineFlat, A=A, b0=b0)
+    return b0
 
 
 def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
@@ -369,35 +376,21 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
 
 
 def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
-    """Projection coordinates of a flat.
+    """Projection coordinates of a flat: P = Y Y^T for Y = stiefel_coords(flat).Y.
 
     The unique orthogonal projection onto the plane spanned by the Stiefel
     coordinates; in terms of [A, b0] it is
 
         [ A A^T + b0 b0^T / (1 + |b0|^2)   b0 / (1 + |b0|^2) ]
-        [ b0^T / (1 + |b0|^2)               1 / (1 + |b0|^2) ],
+        [ b0^T / (1 + |b0|^2)               1 / (1 + |b0|^2) ].
 
-    which equals Y Y^T for Y the matrix of Stiefel coordinates.  Cached on
-    the (immutable) flat like :func:`stiefel_coords`.
+    P is recomputed on each call; only the Stiefel coordinates are cached.
     """
-    cached = getattr(flat, "_projection", None)
-    if cached is not None:
-        return cached
-    n = flat.n
-    u, e = _split_scale(flat.b0)
-    denom = math.ldexp(1.0, -2 * e) + float(u @ u)
-    corner = math.ldexp(1.0 / denom, -2 * e)
-    if not corner > 0.0:
+    Y = stiefel_coords(flat).Y
+    P = Y @ Y.T
+    if not P[-1, -1] > 0.0:
         raise ValueError("corner entry must be strictly positive for a flat")
-    column = u / denom * math.ldexp(1.0, -e)
-    P = np.zeros((n + 1, n + 1))
-    P[:n, :n] = flat.A @ flat.A.T + np.outer(u, u) / denom
-    P[:n, n] = column
-    P[n, :n] = column
-    P[n, n] = corner
-    result = _trusted(ProjectionMatrix, P=P)
-    object.__setattr__(flat, "_projection", result)
-    return result
+    return _trusted(ProjectionMatrix, P=P)
 
 
 def projection_affine_coords(flat: AffineFlat) -> ProjectionAffinePair:

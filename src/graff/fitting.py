@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AffineFlat, make_flat
+from .coords import AffineFlat, _orthogonal_part, _trusted, make_flat
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
 
 __all__ = [
@@ -138,8 +138,7 @@ def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
             stacklevel=2,
         )
     A = _positive_leading_signs(Vt[:k].T)
-    b0 = mean - A @ (A.T @ mean)
-    return AffineFlat(A, b0)
+    return _trusted(AffineFlat, A=A, b0=_orthogonal_part(A, mean))
 
 
 def eiv_line(cloud: PointCloud) -> AffineFlat:

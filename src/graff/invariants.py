@@ -118,6 +118,8 @@ def _log_volume_gr(k: int, n: int) -> float:
     # accumulated in log scale so large n stays finite.  The products cancel
     # down to prod_{n-m<j<=n} w_j / prod_{j<=m} w_j with m = min(k, n-k).
     m = min(k, n - k)
+    if m > 10**6:
+        raise DimensionError(f"volume of Gr({k}, {n}) needs min(k, n - k) = {m} terms, over 10**6")
     total = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     for j in range(1, m + 1):
         total += _log_unit_ball_volume(n - m + j) - _log_unit_ball_volume(j)

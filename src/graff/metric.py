@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import _lapack
-from .coords import AffineFlat, StiefelMatrix, stiefel_coords, unembed
+from .coords import (AffineFlat, StiefelMatrix, _flat_from_frame, _orthonormalize, stiefel_coords,
+                     unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, SingularPair, UnsupportedKind
 
 __all__ = [
@@ -144,11 +145,11 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
     )
 
 
-def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind) -> float:
-    """Evaluate one row of the distance table on angles and their cosines."""
+def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind, gap: int = 0) -> float:
+    """One row of the distance table; ``gap`` right angles more for :func:`infinite_metric`."""
     largest = float(thetas[-1])
     if kind is DistanceKind.GRASSMANN:
-        return math.sqrt((thetas**2).sum())
+        return math.sqrt(gap * math.pi**2 / 4.0 + (thetas**2).sum())
     if kind is DistanceKind.ASIMOV:
         return largest
     if kind in (DistanceKind.BINET_CAUCHY, DistanceKind.FUBINI_STUDY, DistanceKind.MARTIN):
@@ -161,9 +162,9 @@ def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind) -> floa
         sine, cosine = math.sqrt(0.0 - math.expm1(L)), math.exp(L / 2.0)
         return sine if kind is DistanceKind.BINET_CAUCHY else math.atan2(sine, cosine)
     if kind is DistanceKind.CHORDAL:
-        return math.sqrt((np.sin(thetas) ** 2).sum())
+        return math.sqrt(gap + (np.sin(thetas) ** 2).sum())
     if kind is DistanceKind.PROCRUSTES:
-        return 2.0 * math.sqrt((np.sin(thetas / 2.0) ** 2).sum())
+        return 2.0 * math.sqrt(gap / 2.0 + (np.sin(thetas / 2.0) ** 2).sum())
     if kind is DistanceKind.PROJECTION:
         return math.sin(largest)
     if kind is DistanceKind.SPECTRAL:
@@ -223,13 +224,7 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
             f"no cross-dimension metric for kind {kind.value!r};"
             " choose grassmann, chordal, or procrustes"
         )
-    thetas, _ = _angles(*_overlap(flat1, flat2))
-    gap = abs(flat1.k - flat2.k)
-    if kind is DistanceKind.GRASSMANN:
-        return math.sqrt(gap * math.pi**2 / 4.0 + (thetas**2).sum())
-    if kind is DistanceKind.CHORDAL:
-        return math.sqrt(gap + (np.sin(thetas) ** 2).sum())
-    return 2.0 * math.sqrt(gap / 2.0 + (np.sin(thetas / 2.0) ** 2).sum())
+    return _formula(*_angles(*_overlap(flat1, flat2)), kind, abs(flat1.k - flat2.k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,8 +281,12 @@ def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     """Point of a geodesic at parameter t (values outside [0, 1] extrapolate).
 
     Raises ``NotAFlat`` at the isolated parameter, if any, where the curve
-    exits the embedded image of Graff(k, n).
+    exits the embedded image of Graff(k, n), and ``ValueError`` when some
+    angle t * theta_i is not finite.
     """
     t = float(t)
+    if not math.isfinite(t * float(curve.Theta.max())):
+        raise ValueError(f"geodesic parameter t={t} gives a non-finite angle")
     angles = t * curve.Theta.diagonal()
-    return unembed((curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles))
+    frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
+    return _flat_from_frame(_orthonormalize(frame, "spanning matrix"))

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, _flat_from_frame, _orthonormalize, _trusted, projection_coords,
-                     stiefel_coords, unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
+from .coords import (AffineFlat, _flat_from_frame, _orthogonal_part, _orthonormalize, _trusted,
+                     projection_coords, stiefel_coords,
+                     unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, NotAFlat
 
 __all__ = [
@@ -318,11 +319,7 @@ def langevin_gaussian_log_density(
 
 def _conditional_displacement(A: np.ndarray, sigma2: float, rng: RandomStream) -> np.ndarray:
     """Spherical Gaussian on the orthogonal complement of span(A)."""
-    n = A.shape[0]
-    z = math.sqrt(sigma2) * rng.standard_normal(n)
-    if A.shape[1]:
-        z = z - A @ (A.T @ z)
-    return z
+    return _orthogonal_part(A, math.sqrt(sigma2) * rng.standard_normal(A.shape[0]))
 
 
 def langevin_gaussian_run(

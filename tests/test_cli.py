@@ -156,6 +156,13 @@ class TestGeodesic:
         flat = flat_from_document(out)
         assert flat.b0[1] == pytest.approx(math.tan(math.pi / 8), abs=1e-10)
 
+    def test_infinite_parameter_exits_2_with_one_line(self, capsys, write_doc):
+        code, out, err = run_cli(
+            capsys, "geodesic", write_doc(X_AXIS_DOC), write_doc(LINE_Y1_DOC), "--t", "inf"
+        )
+        assert (code, out) == (2, "")
+        assert err == "ValueError: geodesic parameter t=inf gives a non-finite angle\n"
+
     def test_singular_pair_exits_3(self, capsys, write_doc):
         vertical = {"n": 2, "k": 1, "A": [[0.0, 1.0]], "b": [5.0, 0.0]}
         code, _, err = run_cli(
@@ -198,6 +205,20 @@ class TestInvariant:
         code, out, _ = run_cli(capsys, "invariant", "--what", "volume", "gr", "3", str(10**21))
         assert (code, out.strip()) == (0, fmt_float(0.0))
         assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("what, sizes", [
+        ("volume", ("gr", str(5 * 10**20), str(10**21))),
+        ("relative-volume", (str(5 * 10**20), str(10**21), str(10**21))),
+    ])
+    def test_more_than_a_million_terms_exit_2_before_summing(self, capsys, monkeypatch,
+                                                             what, sizes):
+        calls = []
+        log_w = graff.invariants._log_unit_ball_volume
+        monkeypatch.setattr(graff.invariants, "_log_unit_ball_volume",
+                            lambda m: calls.append(m) or log_w(m))
+        code, out, err = run_cli(capsys, "invariant", "--what", what, *sizes)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("DimensionError: ") and "over 10**6" in err
 
     def test_volume_graff(self, capsys):
         code, out, _ = run_cli(capsys, "invariant", "--what", "volume", "graff", "0", "1")

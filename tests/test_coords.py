@@ -236,6 +236,35 @@ class TestProjectionCoords:
             assert np.abs(diff).max() < 1e-12
 
 
+def _closed_form_projection(flat):
+    """The [A, b0] formula of projection_coords, for |b0|^2 that fits in a float."""
+    n = flat.n
+    denom = 1.0 + float(flat.b0 @ flat.b0)
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = flat.A @ flat.A.T + np.outer(flat.b0, flat.b0) / denom
+    P[:n, n] = P[n, :n] = flat.b0 / denom
+    P[n, n] = 1.0 / denom
+    return P
+
+
+class TestProjectionFromStiefel:
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 4), (3, 4), (2, 5), (1, 9), (32, 128)])
+    @pytest.mark.parametrize("size", [1.0, 1e-3, 1e8, 1e100, 1e150])
+    def test_matches_the_closed_form_and_is_symmetric(self, rng, k, n, size):
+        for _ in range(3):
+            b = rng.standard_normal(n)
+            flat = make_flat(rng.standard_normal((n, k)), size * b / np.linalg.norm(b))
+            P = projection_coords(flat).P
+            np.testing.assert_allclose(P, _closed_form_projection(flat), rtol=0.0, atol=1e-15)
+            assert np.array_equal(P, P.T)
+
+    def test_is_recomputed_while_stiefel_is_cached(self, rng):
+        flat = random_flat(rng, 5, 2)
+        assert stiefel_coords(flat) is stiefel_coords(flat)
+        first, second = projection_coords(flat), projection_coords(flat)
+        assert first is not second and np.array_equal(first.P, second.P)
+
+
 class TestProjectionAffineCoords:
     def test_x_axis(self):
         pair = projection_affine_coords(x_axis())

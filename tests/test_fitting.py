@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from graff import (
     point_to_flat_distance,
     svm_hyperplane,
 )
+
+from graff.io import dumps_document, flat_from_document, flat_to_document
 
 from conftest import horizontal_line, random_flat
 
@@ -62,6 +66,18 @@ class TestFitFlat:
         expected = make_flat(np.array([1.0, 1.0]), np.zeros(2))
         assert equal_flats(fitted, expected, 1e-12)
         assert np.linalg.norm(fitted.b0) < 1e-12
+
+    @pytest.mark.parametrize("offset", [1e10, 1e12])
+    def test_cloud_on_a_far_line_passes_the_public_check(self, offset):
+        # mean - A A^T mean cancels down to an eps |mean| residue along A;
+        # projected once more, the flat passes AffineFlat and reads back.
+        t = offset + 1e3 * np.arange(8.0)
+        fitted = fit_flat(PointCloud(np.column_stack([t, t])), 1)
+        AffineFlat(fitted.A, fitted.b0)
+        np.testing.assert_allclose(fitted.A[:, 0], [2.0**-0.5, 2.0**-0.5], rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(fitted.b0) <= 1e-15 * offset
+        back = flat_from_document(json.loads(dumps_document(flat_to_document(fitted))))
+        assert equal_flats(back, fitted, 1e-12)
 
     def test_k_zero_returns_mean_point(self, rng):
         X = rng.standard_normal((20, 3))

@@ -303,6 +303,23 @@ class TestInfiniteMetric:
                 assert d02 <= d01 + d12 + 1e-10
 
 
+    def test_bit_equal_to_its_own_three_formulas(self, rng):
+        formulas = {
+            DistanceKind.GRASSMANN: lambda gap, t: math.sqrt(gap * math.pi**2 / 4.0
+                                                             + (t**2).sum()),
+            DistanceKind.CHORDAL: lambda gap, t: math.sqrt(gap + (np.sin(t) ** 2).sum()),
+            DistanceKind.PROCRUSTES: lambda gap, t: 2.0 * math.sqrt(
+                gap / 2.0 + (np.sin(t / 2.0) ** 2).sum()),
+        }
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            flat1, flat2 = (random_flat(rng, n, int(rng.integers(0, n))) for _ in range(2))
+            thetas = affine_principal_angles(flat1, flat2)
+            gap = abs(flat1.k - flat2.k)
+            for kind, formula in formulas.items():
+                assert infinite_metric(flat1, flat2, kind) == formula(gap, thetas)
+
+
 class TestGeodesic:
     def test_endpoints(self, rng):
         for _ in range(10):
@@ -394,6 +411,30 @@ class TestGeodesic:
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             geodesic(point_flat([0.0, 1.0]), x_axis())
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1.5e308])
+    def test_non_finite_angles_raise_without_warnings(self, t):
+        # The angle between the x-axis and y = 100 is atan(100) > 1.2.
+        curve = geodesic(x_axis(), horizontal_line(100.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite angle"):
+                evaluate_geodesic(curve, t)
+        equal = geodesic(x_axis(), x_axis())
+        with pytest.raises(ValueError, match="non-finite angle"):
+            evaluate_geodesic(equal, math.inf)
+
+    def test_points_match_unembed_of_the_frame(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(0, n))
+            curve = geodesic(random_flat(rng, n, k), random_flat(rng, n, k))
+            for t in (0.0, 0.3, 1.0, -2.5, 1e6):
+                angles = t * curve.Theta.diagonal()
+                frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
+                point, expected = evaluate_geodesic(curve, t), unembed(frame)
+                assert np.array_equal(point.A, expected.A)
+                assert np.array_equal(point.b0, expected.b0)
 
 
 def _nearest_flat(symmetric: np.ndarray, k: int) -> AffineFlat:

@@ -29,6 +29,7 @@ from graff import (
     unembed,
 )
 
+from graff import probability
 from graff.probability import _chain_length
 
 from conftest import random_flat
@@ -468,6 +469,23 @@ class TestSharedChain:
         assert len(flats) == len(expected) == 25
         for flat, (A, b0) in zip(flats, expected):
             assert np.array_equal(flat.A, A) and np.array_equal(flat.b0, b0)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_gaussian_displacements_match_one_plain_projection(self, monkeypatch, k):
+        def plain(A, sigma2, rng):
+            z = math.sqrt(sigma2) * rng.standard_normal(A.shape[0])
+            return z - A @ (A.T @ z) if A.shape[1] else z
+
+        params = LangevinGaussianParams(S=np.diag([2.0, 1.0, 0.5, 0.0, -1.0]), sigma2=3.0,
+                                        k=k, n=5)
+        config = MHConfig(step_size=0.3, burn_in=20, thin=2)
+        rng, reference = random_stream(17), random_stream(17)
+        flats = langevin_gaussian_run(params, 200, config, rng)
+        monkeypatch.setattr(probability, "_conditional_displacement", plain)
+        expected = langevin_gaussian_run(params, 200, config, reference)
+        for flat, other in zip(flats, expected, strict=True):
+            assert np.array_equal(flat.A, other.A) and np.array_equal(flat.b0, other.b0)
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @CHAIN_PROPERTY
