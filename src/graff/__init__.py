@@ -13,7 +13,6 @@ from .coords import (
     ProjectionMatrix,
     StiefelMatrix,
     deaffine,
-    embed,
     equal_flats,
     flat_from_projection,
     make_flat,
@@ -38,7 +37,6 @@ from .errors import (
 from .fitting import (
     LabeledCloud,
     PointCloud,
-    eiv_line,
     fit_flat,
     linear_regression,
     point_to_flat_distance,

@@ -8,7 +8,8 @@ per line) and CSV point clouds:
     graff geodesic FLAT FLAT --t T [T ...]
     graff invariant --what {dim|schubert-dim|volume|relative-volume|betti|homotopy} ARGS...
     graff sample --dist {uniform|langevin|langevin-gaussian} --seed S [--count N] ...
-    graff fit --method {flat|regression|eiv|svm} [--k K] CLOUD.csv
+    graff fit --method {flat|regression|svm} [--k K] CLOUD.csv
+        (errors-in-variables regression is the total-least-squares line: flat --k 1)
 
 Exit codes: 0 on success, 2 on input or usage errors and on results that do
 not fit in a float (ArithmeticError), 3 on domain errors (NotSeparable,
@@ -142,8 +143,7 @@ def _load_params(args):
         raise ValueError(f"--dist {args.dist} requires --params FILE")
     with open(args.params) as handle:
         doc = json.load(handle)
-    k, n = int(doc["k"]), int(doc["n"])
-    S = np.asarray(doc["S"], dtype=float)
+    S, k, n = doc["S"], doc["k"], doc["n"]
     if args.dist == "langevin":
         return LangevinParams(S=S, k=k, n=n)
     return LangevinGaussianParams(S=S, sigma2=float(doc["sigma2"]), k=k, n=n)
@@ -173,19 +173,15 @@ def _cmd_fit(args) -> int:
         if args.k is None:
             raise ValueError("--method flat requires --k")
         print(dumps_document(flat_to_document(fit_flat(PointCloud(data), args.k))))
-    elif args.method == "eiv":
-        print(dumps_document(flat_to_document(fit_flat(PointCloud(data), 1))))
-    elif args.method == "regression":
-        if data.shape[1] < 2:
-            raise ValueError("regression needs at least one explanatory column")
+        return 0
+    if data.shape[1] < 2:
+        raise ValueError(f"{args.method} needs at least one column before the last")
+    if args.method == "regression":
         flat, beta = linear_regression(data[:, :-1], data[:, -1])
         print(dumps_document(flat_to_document(flat)))
         print(dumps_document({"beta": [float(b) for b in beta]}))
     else:
-        if data.shape[1] < 2:
-            raise ValueError("svm needs at least one feature column")
-        labeled = LabeledCloud(data[:, :-1], data[:, -1])
-        flat, w, beta = svm_hyperplane(labeled)
+        flat, w, beta = svm_hyperplane(LabeledCloud(data[:, :-1], data[:, -1]))
         print(dumps_document(flat_to_document(flat)))
         print(dumps_document({"w": [float(v) for v in w], "beta": float(beta)}))
     return 0
@@ -239,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit", help="fit a flat to a point cloud")
-    p.add_argument("--method", required=True, choices=["flat", "regression", "eiv", "svm"])
+    p.add_argument("--method", required=True, choices=["flat", "regression", "svm"])
     p.add_argument("--k", type=int, help="flat dimension (method=flat)")
     p.add_argument("cloud", help="CSV cloud document")
     p.set_defaults(func=_cmd_fit)

@@ -38,7 +38,6 @@ __all__ = [
     "stiefel_coords",
     "projection_coords",
     "projection_affine_coords",
-    "embed",
     "unembed",
     "equal_flats",
     "pad_ambient",
@@ -101,6 +100,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_orthonormal(M: np.ndarray, what: str) -> None:
+    """Raise ``ValueError(what % deviation)`` unless |M^T M - I|max <= 1e3 tol."""
+    deviation = np.abs(M.T @ M - np.eye(M.shape[1])).max()
+    if deviation > 1e3 * get_default_tol():
+        raise ValueError(what % deviation)
+
+
+def _check_projection(P: np.ndarray) -> None:
+    """Raise ``ValueError`` unless P is symmetric and idempotent to 1e3 tol."""
+    tol = 1e3 * get_default_tol()
+    if np.abs(P - P.T).max() > tol:
+        raise ValueError("P is not symmetric")
+    if np.abs(P @ P - P).max() > tol:
+        raise ValueError("P is not idempotent")
+
+
 def _trusted(cls, **arrays):
     """An instance of ``cls`` over arrays graff has just computed, frozen in place.
 
@@ -131,34 +146,25 @@ class AffineFlat:
     The public constructor validates its input in full: finite entries,
     orthonormal A and b0 orthogonal to span(A).  Use :func:`make_flat` to
     build a flat from a raw basis and an arbitrary displacement.  Flats that
-    graff builds itself (``make_flat``, ``unembed``, the samplers) hold
-    these invariants by construction and are not re-checked.
+    graff builds itself (``make_flat``, ``unembed``, the samplers, the
+    estimators) hold these invariants by construction and are not re-checked.
     """
 
     A: np.ndarray
     b0: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2:
-            raise DimensionError(f"A must be an n x k matrix, got ndim={A.ndim}")
+        A = _as_matrix(self.A, "A")
         n, k = A.shape
         b0 = _as_vector(self.b0, n, "b0")
         if not 0 <= k < n:
             raise DimensionError(f"flat dimension k={k} must satisfy 0 <= k < n={n}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A contains non-finite entries")
-        tol = get_default_tol()
         if k > 0:
-            ortho_err = np.abs(A.T @ A - np.eye(k)).max()
-            if ortho_err > 1e3 * tol:
-                raise ValueError(
-                    f"A is not orthonormal (max deviation {ortho_err:.3e}); use make_flat"
-                )
+            _check_orthonormal(A, "A is not orthonormal (max deviation %.3e); use make_flat")
             u, e = _split_scale(b0)
             size = max(math.ldexp(1.0, -e), float(np.linalg.norm(u)))
             disp_err = np.abs(A.T @ u).max() / size
-            if disp_err > 1e3 * tol:
+            if disp_err > 1e3 * get_default_tol():
                 raise ValueError(
                     f"b0 is not orthogonal to span(A) (relative error {disp_err:.3e}); use make_flat"
                 )
@@ -193,10 +199,7 @@ class StiefelMatrix:
         rows, cols = Y.shape
         if cols < 1 or rows < cols + 1:
             raise DimensionError(f"Stiefel coordinates must be (n+1) x (k+1) with k < n, got {Y.shape}")
-        tol = get_default_tol()
-        ortho_err = np.abs(Y.T @ Y - np.eye(cols)).max()
-        if ortho_err > 1e3 * tol:
-            raise ValueError(f"columns are not orthonormal (max deviation {ortho_err:.3e})")
+        _check_orthonormal(Y, "columns are not orthonormal (max deviation %.3e)")
         if cols > 1 and np.any(Y[-1, :-1] != 0.0):
             raise ValueError("last row must vanish outside its final entry")
         if not Y[-1, -1] > 0.0:
@@ -231,11 +234,7 @@ class ProjectionMatrix:
         m = P.shape[0]
         if P.shape != (m, m) or m < 2:
             raise DimensionError(f"P must be square of size >= 2, got {P.shape}")
-        tol = 1e3 * get_default_tol()
-        if np.abs(P - P.T).max() > tol:
-            raise ValueError("P is not symmetric")
-        if np.abs(P @ P - P).max() > tol:
-            raise ValueError("P is not idempotent")
+        _check_projection(P)
         trace = float(np.trace(P))
         if abs(trace - round(trace)) > 1e-6 or not 1 <= round(trace) <= m - 1:
             raise ValueError(f"trace(P)={trace} is not an integer in [1, {m - 1}]")
@@ -269,12 +268,8 @@ class ProjectionAffinePair:
         if P.shape != (n, n):
             raise DimensionError(f"P must be square, got {P.shape}")
         b = _as_vector(self.b, n, "b")
-        tol = 1e3 * get_default_tol()
-        if np.abs(P - P.T).max() > tol:
-            raise ValueError("P is not symmetric")
-        if np.abs(P @ P - P).max() > tol:
-            raise ValueError("P is not idempotent")
-        if np.abs(P @ b).max() > tol * max(1.0, float(np.linalg.norm(b))):
+        _check_projection(P)
+        if np.abs(P @ b).max() > 1e3 * get_default_tol() * max(1.0, math.hypot(*b.tolist())):
             raise ValueError("b does not lie in ker(P)")
         object.__setattr__(self, "P", _freeze(P))
         object.__setattr__(self, "b", _freeze(b))
@@ -395,17 +390,7 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
 
 def projection_affine_coords(flat: AffineFlat) -> ProjectionAffinePair:
     """Projection affine coordinates [A A^T, b0] of a flat."""
-    return ProjectionAffinePair(flat.A @ flat.A.T, flat.b0)
-
-
-def embed(flat: AffineFlat) -> np.ndarray:
-    """Embed a flat as a (k+1)-plane in R^(n+1).
-
-    Returns an (n+1) x (k+1) matrix with orthonormal columns spanning the
-    image of the flat; identical to ``stiefel_coords(flat).Y``.  The named
-    operation exists so the embedding itself has an explicit home.
-    """
-    return np.array(stiefel_coords(flat).Y)
+    return _trusted(ProjectionAffinePair, P=flat.A @ flat.A.T, b=flat.b0)
 
 
 def unembed(Y_raw) -> AffineFlat:
@@ -419,8 +404,8 @@ def unembed(Y_raw) -> AffineFlat:
     Returns
     -------
     AffineFlat
-        The unique flat F with span(embed(F)) = span(Y_raw), read off the
-        orthonormalized spanning matrix by ``_flat_from_frame``.
+        The unique flat F with span(stiefel_coords(F).Y) = span(Y_raw), read
+        off the orthonormalized spanning matrix by ``_flat_from_frame``.
 
     Raises
     ------

@@ -1,22 +1,25 @@
 """Statistical estimators that return affine flats.
 
-Linear regression, errors-in-variables regression, principal component
-analysis, and the hard-margin support vector machine all search for an
-affine subspace that best represents or best separates data; each estimator
-here solves its classical problem and returns the answer as an
-:class:`~graff.coords.AffineFlat` (plus the familiar coefficients where they
-exist).
+Linear regression, errors-in-variables regression (``fit_flat(cloud, 1)``),
+principal component analysis (``fit_flat``), and the hard-margin support
+vector machine all search for an affine subspace that best represents or
+best separates data; each estimator here solves its classical problem and
+returns the answer as an :class:`~graff.coords.AffineFlat` (plus the
+familiar coefficients where they exist).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AffineFlat, _orthogonal_part, _trusted, make_flat
+from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part, _trusted,
+                     make_flat)
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
+from .invariants import _check_int
 
 __all__ = [
     "PointCloud",
@@ -24,7 +27,6 @@ __all__ = [
     "point_to_flat_distance",
     "fit_flat",
     "linear_regression",
-    "eiv_line",
     "svm_hyperplane",
 ]
 
@@ -41,9 +43,7 @@ class PointCloud:
             raise DimensionError(f"X must be a nonempty n_points x d matrix, got shape {np.shape(self.X)}")
         if not np.all(np.isfinite(X)):
             raise ValueError("X contains non-finite entries")
-        X = X.copy()
-        X.setflags(write=False)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", _freeze(X))
 
     @property
     def n_points(self) -> int:
@@ -55,44 +55,32 @@ class PointCloud:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledCloud:
+class LabeledCloud(PointCloud):
     """Binary-labeled points: labels are -1 or +1 and both classes occur."""
 
-    X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        cloud = PointCloud(self.X)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if y.shape[0] != cloud.n_points:
-            raise DimensionError(f"{y.shape[0]} labels for {cloud.n_points} points")
+        super().__post_init__()
+        y = _as_vector(self.y, self.n_points, "y")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         if not (np.any(y > 0) and np.any(y < 0)):
             raise ValueError("both classes must be present")
-        y = y.copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "X", cloud.X)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n_points(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
+        object.__setattr__(self, "y", _freeze(y))
 
 
 def point_to_flat_distance(x, flat: AffineFlat) -> float:
-    """Euclidean distance from a point to a flat: |(I - A A^T)(x - b0)|."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != flat.n:
-        raise DimensionError(f"point has dimension {x.shape[0]}, flat lives in R^{flat.n}")
-    r = x - flat.b0
-    if flat.k:
-        r = r - flat.A @ (flat.A.T @ r)
-    return float(np.linalg.norm(r))
+    """Euclidean distance from a point to a flat: |(I - A A^T)(x - b0)|.
+
+    Raises ``ValueError`` if the distance does not fit in a float.
+    """
+    x = _as_vector(x, flat.n, "x")
+    with np.errstate(over="ignore"):  # an infinite difference is refused below
+        distance = math.hypot(*(_orthogonal_part(flat.A, x) - flat.b0).tolist())
+    if distance == math.inf:
+        raise ValueError("the distance from x to the flat is too large to represent")
+    return distance
 
 
 def _positive_leading_signs(A: np.ndarray) -> np.ndarray:
@@ -121,7 +109,7 @@ def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
     """
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(cloud)
-    k = int(k)
+    k = _check_int(k, "k")
     if not 0 <= k < cloud.d:
         raise DimensionError(f"need 0 <= k < d, got k={k}, d={cloud.d}")
     if cloud.n_points < k + 1:
@@ -141,11 +129,6 @@ def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
     return _trusted(AffineFlat, A=A, b0=_orthogonal_part(A, mean))
 
 
-def eiv_line(cloud: PointCloud) -> AffineFlat:
-    """Errors-in-variables regression line: the total-least-squares 1-flat."""
-    return fit_flat(cloud, 1)
-
-
 def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
     """Ordinary least squares, returned as a flat in the graph space R^(p+1).
 
@@ -156,17 +139,9 @@ def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
 
     together with the (p+1)-vector of raw coefficients (beta..., intercept).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise DimensionError(f"X must be an n x p matrix, got ndim={X.ndim}")
+    X = _as_matrix(X, "X")
     n_obs, p = X.shape
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != n_obs:
-        raise DimensionError(f"{y.shape[0]} responses for {n_obs} rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("design or response contains non-finite entries")
+    y = _as_vector(y, n_obs, "y")
     design = np.column_stack([X, np.ones(n_obs)])
     coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < p + 1:
@@ -244,5 +219,7 @@ def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
     # Orthonormal basis of ker(w^T): all left singular vectors after w itself.
     basis = np.linalg.svd(w[:, None], full_matrices=True)[0][:, 1:]
     basis = _positive_leading_signs(basis)
-    flat = AffineFlat(basis, (beta / wnorm2) * w)
-    return flat, w, beta
+    b0 = (beta / wnorm2) * w  # parallel to w, so orthogonal to the basis
+    if not np.all(np.isfinite(b0)):  # beta is nan when no alpha passes the support cut
+        raise ValueError("b0 contains non-finite entries")
+    return _trusted(AffineFlat, A=basis, b0=b0), w, beta

@@ -23,6 +23,7 @@ import numpy as np
 
 from .coords import AffineFlat, make_flat
 from .errors import DimensionError
+from .invariants import _check_int
 
 __all__ = [
     "fmt_float",
@@ -75,8 +76,8 @@ def flat_from_document(doc) -> AffineFlat:
     if not isinstance(doc, dict):
         raise ValueError("flat document must be a JSON object")
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
+        n = _check_int(doc["n"], "n")
+        k = _check_int(doc["k"], "k")
         rows = doc["A"]
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError) as exc:

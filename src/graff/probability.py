@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, _flat_from_frame, _orthogonal_part, _orthonormalize, _trusted,
-                     projection_coords, stiefel_coords,
+from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _freeze, _orthogonal_part,
+                     _orthonormalize, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, NotAFlat
+from .invariants import _check_int
 
 __all__ = [
     "RandomStream",
@@ -52,16 +53,14 @@ def random_stream(seed=None) -> RandomStream:
 
 
 def _symmetric_matrix(S, size: int, name: str) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
+    S = _as_matrix(S, name)
     if S.shape != (size, size):
         raise DimensionError(f"{name} must be {size} x {size}, got {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return 0.5 * (S + S.T)
+    return _freeze(0.5 * (S + S.T))
 
 
 def _graff_dims(k, n) -> tuple[int, int]:
-    k, n = int(k), int(n)
+    k, n = _check_int(k, "k"), _check_int(n, "n")
     if not 0 <= k < n:
         raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
     return k, n
@@ -81,9 +80,7 @@ class LangevinParams:
 
     def __post_init__(self):
         k, n = _graff_dims(self.k, self.n)
-        S = _symmetric_matrix(self.S, n + 1, "S")
-        S.setflags(write=False)
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", _symmetric_matrix(self.S, n + 1, "S"))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 
@@ -106,9 +103,7 @@ class LangevinGaussianParams:
         sigma2 = float(self.sigma2)
         if not sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        S = _symmetric_matrix(self.S, n, "S")
-        S.setflags(write=False)
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", _symmetric_matrix(self.S, n, "S"))
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -178,7 +173,7 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     most 2**17 entries (1 MiB), in the stream order of n_samples (n, k)
     draws; ``math.exp`` raises ``OverflowError`` for a concentrated S.
     """
-    k, n = int(k), int(n)
+    k, n = _check_int(k, "k"), _check_int(n, "n")
     if not 0 <= k <= n:
         raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
     S = _symmetric_matrix(S, n, "S")
@@ -190,7 +185,7 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     block = max(1, 2**17 // (n * k))
     values = []
     for start in range(0, n_samples, block):
-        Q, _ = np.linalg.qr(rng.standard_normal((min(block, n_samples - start), n, k)))
+        Q, _ = _lapack.qr(rng.standard_normal((min(block, n_samples - start), n, k)))
         values += [math.exp(x) for x in ((S @ Q) * Q).sum(axis=(1, 2)).tolist()]
     values = np.array(values)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))

@@ -26,7 +26,6 @@ from graff import (
     dim_psi_plus,
     dim_schubert_affine,
     distance,
-    embed,
     equal_flats,
     evaluate_geodesic,
     fit_flat,
@@ -83,7 +82,7 @@ def test_criterion_2_coordinate_round_trip():
         n = int(rng.integers(2, 13))
         k = int(rng.integers(1, n))
         flat = random_flat(rng, n, k)
-        assert equal_flats(unembed(embed(flat)), flat, 1e-9)
+        assert equal_flats(unembed(stiefel_coords(flat).Y), flat, 1e-9)
         Y = stiefel_coords(flat).Y
         assert np.abs(projection_coords(flat).P - Y @ Y.T).max() < 1e-12
     _report(2, "unembed(embed(F)) = F on 1000 random flats; P = Y Y^T to 1e-12")

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from graff import (
     AffineFlat,
+    LabeledCloud,
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
     PointCloud,
+    ProjectionAffinePair,
     ProjectionMatrix,
     StiefelMatrix,
     deaffine,
@@ -27,10 +29,12 @@ from graff import (
     langevin_mh_run,
     make_flat,
     pad_ambient,
+    projection_affine_coords,
     projection_coords,
     random_stream,
     sample_uniform,
     stiefel_coords,
+    svm_hyperplane,
     unembed,
 )
 
@@ -74,6 +78,22 @@ def test_pad_ambient_deaffine_and_fit_flat(case):
     assert_valid(deaffine(flat), k, n)
     cloud = PointCloud(np.ldexp(rng.standard_normal((k + 4, n)), e))
     assert_valid(fit_flat(cloud, k), k, n)
+
+
+@PROPERTY
+@given(cases())
+def test_projection_affine_coords_and_svm_hyperplane(case):
+    k, n, seed, e = case
+    rng = random_stream(seed)
+    pair = projection_affine_coords(
+        make_flat(rng.standard_normal((n, k)), np.ldexp(rng.standard_normal(n), e)))
+    ProjectionAffinePair(pair.P, pair.b)
+    # Two clusters of three points, 4 apart along a random unit direction.
+    direction = rng.standard_normal(n)
+    centers = np.outer([-2.0, -2.0, -2.0, 2.0, 2.0, 2.0], direction / np.linalg.norm(direction))
+    X = centers + 0.1 * rng.standard_normal((6, n))
+    hyperplane, _, _ = svm_hyperplane(LabeledCloud(X, np.repeat([-1.0, 1.0], 3)))
+    assert_valid(hyperplane, n - 1, n)
 
 
 @PROPERTY

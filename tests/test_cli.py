@@ -73,6 +73,20 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err.startswith("DimensionError: A must be")
 
+    def test_non_integer_dimension_exits_2(self, capsys, write_doc):
+        doc = {"n": 2.9, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}
+        with pytest.raises(graff.DimensionError, match="integer"):
+            flat_from_document(doc)
+        code, out, err = run_cli(capsys, "convert", write_doc(doc), "--to", "stiefel")
+        assert (code, out) == (2, "")
+        assert err == "DimensionError: n must be an integer, got 2.9\n"
+
+    def test_huge_displacement_projection_affine_is_quiet(self, capsys, write_doc):
+        doc = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1e200], "orthogonal": True}
+        code, out, err = run_cli(capsys, "convert", write_doc(doc), "--to", "projection-affine")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["data"] == [[1.0, 0.0, 0.0], [0.0, 0.0, 1e200]]
+
     def test_degenerate_basis_exits_2(self, capsys, write_doc):
         bad = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]}
         code, _, err = run_cli(capsys, "convert", write_doc(bad), "--to", "stiefel")
@@ -306,12 +320,12 @@ class TestFit:
         assert code == 0
         assert graff.equal_flats(flat_from_document(out), horizontal_line(1.0), 1e-10)
 
-    def test_eiv_same_as_flat_k1(self, capsys, tmp_path):
+    def test_eiv_method_is_a_usage_error(self, capsys, tmp_path):
+        # Errors-in-variables regression is --method flat --k 1.
         csv = tmp_path / "cloud.csv"
         csv.write_text("0,0\n1,1\n")
-        code, out, _ = run_cli(capsys, "fit", "--method", "eiv", str(csv))
-        assert code == 0
-        assert flat_from_document(out).k == 1
+        code, _, _ = run_cli(capsys, "fit", "--method", "eiv", str(csv))
+        assert code == 2
 
     def test_regression_hand_example(self, capsys, tmp_path):
         csv = tmp_path / "cloud.csv"
@@ -343,7 +357,7 @@ class TestFit:
     def test_malformed_csv_exits_2(self, capsys, tmp_path):
         csv = tmp_path / "data.csv"
         csv.write_text("1,2\n3\n")
-        code, _, err = run_cli(capsys, "fit", "--method", "eiv", str(csv))
+        code, _, err = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
         assert code == 2
 
 
@@ -383,6 +397,21 @@ class TestToleranceControls:
         tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
         assert code == tight_code == 0, err
         assert out == expected
+
+    def test_tight_tol_accepts_own_projection_affine_and_svm(self, capsys, write_doc, tmp_path):
+        # [A A^T, b0] and the SVM hyperplane are built by graff, so --tol does not
+        # re-check them; RAW is a non-orthogonal 2-flat document in R^5.
+        raw = write_doc({"n": 5, "k": 2, "A": [[1.0, 2.0, 0.5, -1.0, 0.3],
+                                               [0.2, -1.0, 3.0, 0.7, 1.1]],
+                         "b": [1.0, -2.0, 0.5, 3.0, 0.1]})
+        csv = tmp_path / "data.csv"
+        csv.write_text("0.8,-1.4,-1\n-2.8,-2.9,-1\n5.9,6.5,1\n4.6,5.4,1\n")
+        for args in (("convert", raw, "--to", "projection-affine"),
+                     ("fit", "--method", "svm", str(csv))):
+            code, expected, _ = run_cli(capsys, *args)
+            tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
+            assert code == tight_code == 0, err
+            assert out == expected
 
     def test_tol_flag_lasts_for_one_call(self, capsys, write_doc):
         nearly = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "b": [0.0, 0.0, 0.0]}

@@ -15,7 +15,6 @@ from graff import (
     NotAFlat,
     RankDeficient,
     deaffine,
-    embed,
     equal_flats,
     flat_from_projection,
     make_flat,
@@ -281,12 +280,18 @@ class TestProjectionAffineCoords:
         np.testing.assert_allclose(pair.P, np.zeros((3, 3)), atol=1e-15)
         np.testing.assert_allclose(pair.b, [2.0, -1.0, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("flat", [AffineFlat([[1.0], [0.0]], [0.0, 1e200]),
+                                      point_flat([1e200, -1e200])])
+    def test_huge_displacement_is_not_rechecked(self, flat):
+        # graff built [A A^T, b0] itself; re-checking b in ker(P) took |b|^2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = projection_affine_coords(flat)
+        np.testing.assert_array_equal(pair.P, flat.A @ flat.A.T)
+        np.testing.assert_array_equal(pair.b, flat.b0)
+
 
 class TestEmbedUnembed:
-    def test_embed_is_stiefel(self):
-        flat = horizontal_line(1.0)
-        np.testing.assert_array_equal(embed(flat), stiefel_coords(flat).Y)
-
     def test_unembed_known_line(self):
         flat = unembed(np.array([[1.0, 0.0], [0.0, INV_SQRT2], [0.0, INV_SQRT2]]))
         assert equal_flats(flat, horizontal_line(1.0), 1e-12)
@@ -308,7 +313,7 @@ class TestEmbedUnembed:
 
     def test_unembed_accepts_any_spanning_basis(self, rng):
         flat = random_flat(rng, 5, 2)
-        Y = embed(flat)
+        Y = stiefel_coords(flat).Y
         X = Y @ rng.standard_normal((3, 3))  # same span, messy basis
         assert equal_flats(unembed(X), flat, 1e-9)
 
@@ -317,7 +322,7 @@ class TestEmbedUnembed:
             n = int(rng.integers(2, 13))
             k = int(rng.integers(1, n))
             flat = random_flat(rng, n, k)
-            assert equal_flats(unembed(embed(flat)), flat, 1e-9)
+            assert equal_flats(unembed(stiefel_coords(flat).Y), flat, 1e-9)
 
 
 class TestEqualFlats:

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from graff import (
     PointCloud,
     RankDeficient,
     delta_distance,
-    eiv_line,
     equal_flats,
     fit_flat,
     linear_regression,
@@ -50,6 +51,18 @@ class TestPointToFlatDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             point_to_flat_distance([1.0, 2.0, 3.0], horizontal_line(1.0))
+
+    def test_extreme_points(self):
+        diagonal = make_flat([[1.0], [1.0]], [0.0, 0.0])
+        far_below = AffineFlat([[1.0], [0.0]], [0.0, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                point_to_flat_distance([np.nan, 0.0], diagonal)
+            assert point_to_flat_distance([1e300, -1e300], diagonal) == pytest.approx(
+                math.sqrt(2.0) * 1e300, rel=1e-15)
+            with pytest.raises(ValueError, match="too large to represent"):
+                point_to_flat_distance([1e308, 1e308], far_below)
 
 
 class TestFitFlat:
@@ -137,6 +150,8 @@ class TestFitFlat:
             fit_flat(PointCloud(X), 3)
         with pytest.raises(DimensionError):
             fit_flat(PointCloud(X[:2]), 2)
+        with pytest.raises(DimensionError, match="integer"):
+            fit_flat(PointCloud(X), 1.5)
 
 
 class TestLinearRegression:
@@ -182,11 +197,11 @@ class TestLinearRegression:
             linear_regression(X, np.arange(4.0))
 
 
-def test_eiv_line_delegates_to_fit_flat():
+def test_eiv_line_is_fit_flat_k1():
     cloud = PointCloud(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
-    assert equal_flats(eiv_line(cloud), horizontal_line(1.0), 1e-10)
+    assert equal_flats(fit_flat(cloud, 1), horizontal_line(1.0), 1e-10)
     diagonal = PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert equal_flats(eiv_line(diagonal), fit_flat(diagonal, 1), 1e-14)
+    assert equal_flats(fit_flat(diagonal, 1), make_flat([[1.0], [1.0]], [0.0, 0.0]), 1e-14)
 
 
 def _feasible_competitors(X, y, w_opt, rng, count=10_000):
@@ -272,3 +287,6 @@ class TestSvmHyperplane:
             LabeledCloud(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LabeledCloud(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(DimensionError):
+            LabeledCloud(np.array([[0.0], [1.0]]), np.array([1.0, -1.0, 1.0]))
+        assert isinstance(LabeledCloud(np.array([[0.0], [1.0]]), np.array([1.0, -1.0])), PointCloud)

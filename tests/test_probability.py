@@ -29,7 +29,7 @@ from graff import (
     unembed,
 )
 
-from graff import probability
+from graff import _lapack, probability
 from graff.probability import _chain_length
 
 from conftest import random_flat
@@ -49,6 +49,14 @@ def _batch_mean_and_se(values, n_batches=20):
 
 
 class TestSampleUniform:
+    def test_non_integer_dimensions_are_refused(self):
+        with pytest.raises(DimensionError, match="integer"):
+            sample_uniform(1.5, 3, random_stream(0))
+        with pytest.raises(DimensionError, match="integer"):
+            LangevinParams(S=np.eye(4), k=1.5, n=3)
+        with pytest.raises(DimensionError, match="integer"):
+            grassmann_normalizer(np.eye(3), 1, 3.5, 100, random_stream(0))
+
     def test_seed_determinism(self):
         first = sample_uniform(2, 5, random_stream(7))
         second = sample_uniform(2, 5, random_stream(7))
@@ -220,8 +228,8 @@ class TestStackedNormalizer:
             assert rng.standard_normal() == reference.standard_normal()
 
     def test_one_draw_and_one_qr_per_block(self, monkeypatch):
-        shapes, qr = [], np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda M: shapes.append(M.shape) or qr(M))
+        shapes, qr = [], _lapack.qr
+        monkeypatch.setattr(_lapack, "qr", lambda M: shapes.append(M.shape) or qr(M))
         grassmann_normalizer(np.eye(6), 2, 6, 11_000, random_stream(5))
         assert shapes == [(10_922, 6, 2), (78, 6, 2)]
 
