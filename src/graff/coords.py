@@ -70,15 +70,21 @@ def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked.
 
     M is first scaled by a power of two that brings its largest entry into
-    [1/2, 1): exact, so Q is unchanged, and the QR cannot overflow.
+    [1/2, 1): exact, so Q is unchanged, and the QR of outside input cannot overflow.
     """
     _, exponent = math.frexp(float(np.abs(M).max()))
-    Q, diag = _lapack.qr(np.ldexp(M, -exponent))
-    size = np.abs(diag)
-    largest = size.max()
-    if largest == 0.0 or size.min() < get_default_tol() * largest:
+    return _frame(np.ldexp(M, -exponent), what)
+
+
+def _frame(M: np.ndarray, what: str) -> np.ndarray:
+    """:func:`_orthonormalize` without the scaling, for M whose QR cannot overflow or
+    underflow: graff's own standard-normal draws, whose Q that scaling would not change."""
+    Q, diag = _lapack.qr(M)
+    size = [abs(x) for x in diag.tolist()]
+    largest = max(size)
+    if largest == 0.0 or min(size) < get_default_tol() * largest:
         raise RankDeficient(f"{what} has numerical rank below {M.shape[1]}")
-    return Q * np.sign(diag)
+    return np.multiply(Q, np.sign(diag), out=Q)
 
 
 def _split_scale(b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -439,10 +445,9 @@ def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
         raise NotAFlat("span lies in the hyperplane x_{n+1} = 0 (a linear subspace, not a flat)")
     # Reflect within the column space so the last row becomes (0, ..., 0, -+r);
     # the reflector adds |v_last| + r to the pivot entry, so it never cancels.
+    # The sign of r needs no fixing: b0 is a ratio within the last column.
     u[-1] += r if u[-1] >= 0.0 else -r
     Q = Q - (Q @ u)[:, None] * u * (2.0 / float(u @ u))
-    if Q[-1, -1] < 0.0:
-        Q[:, -1] = -Q[:, -1]
     return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])
 
 

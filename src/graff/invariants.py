@@ -9,6 +9,7 @@ is a pure function of small integers.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from enum import Enum
 from typing import Sequence
 
@@ -43,9 +44,10 @@ class GroupDescriptor(Enum):
 
 
 def _check_int(value, name: str) -> int:
-    if value != int(value):
-        raise DimensionError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    with suppress(TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
+        if value == int(value):
+            return int(value)
+    raise DimensionError(f"{name} must be an integer, got {value!r}")
 
 
 def dim_graff(k: int, n: int) -> int:

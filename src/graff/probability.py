@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _freeze, _orthogonal_part,
-                     _orthonormalize, _trusted, projection_coords, stiefel_coords,
+from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _frame, _freeze,
+                     _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, NotAFlat
 from .invariants import _check_int
@@ -135,15 +135,15 @@ def _chain_length(config: MHConfig, count: int) -> int:
 def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
-    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks; the
+    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks and
+    the power-of-two scaling that standard-normal entries do not need; the
     law of its span is invariant under the orthogonal group of R^(n+1).  The
     measure-zero event that the span is not a flat is retried, at most 100 times.
     """
     k, n = _graff_dims(k, n)
     for _ in range(100):
         try:
-            frame = _orthonormalize(rng.standard_normal((n + 1, k + 1)), "spanning matrix")
-            return _flat_from_frame(frame)
+            return _flat_from_frame(_frame(rng.standard_normal((n + 1, k + 1)), "spanning matrix"))
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")

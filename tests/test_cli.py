@@ -81,6 +81,16 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err == "DimensionError: n must be an integer, got 2.9\n"
 
+    def test_infinite_dimension_exits_2(self, capsys, write_doc):
+        doc = {"n": math.inf, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}
+        path = write_doc(doc)
+        assert '"n": Infinity' in open(path).read()
+        with pytest.raises(graff.DimensionError, match="integer"):
+            flat_from_document(doc)
+        code, out, err = run_cli(capsys, "convert", path, "--to", "stiefel")
+        assert (code, out) == (2, "")
+        assert err == "DimensionError: n must be an integer, got inf\n"
+
     def test_huge_displacement_projection_affine_is_quiet(self, capsys, write_doc):
         doc = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1e200], "orthogonal": True}
         code, out, err = run_cli(capsys, "convert", write_doc(doc), "--to", "projection-affine")

@@ -54,6 +54,13 @@ class TestDimensions:
                     if l > k:
                         assert dim_psi_minus(k, l, n) == dim_graff(k, l)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "3", None, [1, 2]])
+    def test_non_numbers_and_non_finite_sizes_are_refused(self, value):
+        with pytest.raises(DimensionError, match="integer"):
+            dim_graff(value, 3)
+        with pytest.raises(DimensionError, match="integer"):
+            dim_graff(1, value)
+
     def test_psi_ordering_enforced(self):
         with pytest.raises(DimensionError):
             dim_psi_plus(2, 1, 3)

@@ -57,6 +57,11 @@ class TestSampleUniform:
         with pytest.raises(DimensionError, match="integer"):
             grassmann_normalizer(np.eye(3), 1, 3.5, 100, random_stream(0))
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_dimensions_are_refused(self, k):
+        with pytest.raises(DimensionError, match="integer"):
+            sample_uniform(k, 3, random_stream(0))
+
     def test_seed_determinism(self):
         first = sample_uniform(2, 5, random_stream(7))
         second = sample_uniform(2, 5, random_stream(7))
