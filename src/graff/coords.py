@@ -82,7 +82,7 @@ def _frame(M: np.ndarray, what: str) -> np.ndarray:
     Q, diag = _lapack.qr(M)
     size = [abs(x) for x in diag.tolist()]
     largest = max(size)
-    if largest == 0.0 or min(size) < get_default_tol() * largest:
+    if largest == 0.0 or min(size) / largest < get_default_tol():
         raise RankDeficient(f"{what} has numerical rank below {M.shape[1]}")
     return np.multiply(Q, np.sign(diag), out=Q)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import _lapack
 from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _frame, _freeze,
                      _orthogonal_part, _trusted, projection_coords, stiefel_coords,
-                     unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
+                     unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
 from .errors import DimensionError, InternalError, NotAFlat
 from .invariants import _check_int
 
@@ -111,15 +111,15 @@ class LangevinGaussianParams:
 
 @dataclass(frozen=True)
 class MHConfig:
-    """Metropolis-Hastings settings: geodesic step scale, integral burn-in and thinning."""
+    """Metropolis-Hastings settings: proposal scale (at most 1e300), burn-in and thinning."""
 
     step_size: float = 0.1
     burn_in: int = 1000
     thin: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
+        if not 0.0 < self.step_size <= 1e300:
+            raise ValueError(f"step_size must be in (0, 1e300], got {self.step_size!r}")
         for name, least in (("burn_in", 0), ("thin", 1)):
             value = getattr(self, name)
             if not (value % 1 == 0 and value >= least):
@@ -149,6 +149,11 @@ def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
 
 
+def _trace_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """tr(S Y Y^T) for a frame Y or each frame of a stack: the Langevin log density."""
+    return ((S @ Y) * Y).sum(axis=(-2, -1))
+
+
 def _check_params(flat: AffineFlat, params) -> None:
     if flat.n != params.n or flat.k != params.k:
         raise DimensionError(
@@ -158,9 +163,9 @@ def _check_params(flat: AffineFlat, params) -> None:
 
 
 def langevin_log_density_unnormalized(flat: AffineFlat, params: LangevinParams) -> float:
-    """Log of the unnormalized Langevin density: tr(S P) in projection coordinates."""
+    """Log of the unnormalized Langevin density: tr(S P) = tr(S Y Y^T), Y Stiefel coordinates."""
     _check_params(flat, params)
-    return float(np.sum(params.S * projection_coords(flat).P))
+    return float(_trace_form(params.S, stiefel_coords(flat).Y))
 
 
 def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
@@ -186,7 +191,7 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     values = []
     for start in range(0, n_samples, block):
         Q, _ = _lapack.qr(rng.standard_normal((min(block, n_samples - start), n, k)))
-        values += [math.exp(x) for x in ((S @ Q) * Q).sum(axis=(1, 2)).tolist()]
+        values += [math.exp(x) for x in _trace_form(S, Q).tolist()]
     values = np.array(values)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
 
@@ -207,31 +212,23 @@ def langevin_normalizer(
     return grassmann_normalizer(params.S, params.k + 1, params.n + 1, n_samples, rng)
 
 
-def _trace_form(S: np.ndarray, Y: np.ndarray) -> float:
-    """tr(S Y Y^T), the log target of both Langevin chains."""
-    return float(np.sum(S * (Y @ Y.T)))
-
-
 def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
               rng: RandomStream, keep, require_flat: bool) -> float:
     """Metropolis-Hastings chain on spans of orthonormal frames, target exp(tr(S Y Y^T)).
 
-    Proposals are geodesic steps along isotropic Gaussian horizontal tangents
-    scaled by ``config.step_size``; their law depends only on the principal
-    angles between the spans, hence is symmetric.  ``require_flat`` rejects
-    spans that are not flats (last row numerically zero).  ``keep(Y)`` gets
-    the state after steps burn_in, burn_in + thin, ..., so its draws
-    interleave with the chain's.  Returns the acceptance rate.
+    Proposals are span(Y + step_size * G), G iid Gaussian, one QR each.  Their
+    law depends only on span(Y) (GR has the law of G for orthogonal R) and is
+    O(N)-equivariant, so by two-point homogeneity it is a symmetric function of
+    the principal angles between the spans.  ``require_flat`` rejects spans
+    that are not flats (last row numerically zero).  ``keep(Y)`` gets the state
+    after steps burn_in, burn_in + thin, ..., so its draws interleave with the
+    chain's.  Returns the acceptance rate.
     """
-    Y, current = Y0, _trace_form(S, Y0)
-    accepted = 0
+    Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
     for step in range(n_steps):
-        G = rng.standard_normal(Y.shape)
-        Qh, d, Wt = _lapack.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
-        # Re-orthonormalize the geodesic end point to stop drift over long chains.
-        proposal, _ = _lapack.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))
+        proposal, _ = _lapack.qr(Y + config.step_size * rng.standard_normal(Y.shape))
         if not (require_flat and proposal[-1] @ proposal[-1] < 1e-20):
-            new = _trace_form(S, proposal)
+            new = float(_trace_form(S, proposal))
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
                 Y, current = proposal, new
                 accepted += 1
@@ -263,9 +260,8 @@ def langevin_mh_run(
     if init is None:
         init = sample_uniform(params.k, params.n, rng)
     _check_params(init, params)
-    Y0 = np.array(stiefel_coords(init).Y)
     samples: list[AffineFlat] = []
-    rate = _mh_chain(params.S, Y0, n_steps, config, rng,
+    rate = _mh_chain(params.S, stiefel_coords(init).Y, n_steps, config, rng,
                      lambda Y: samples.append(_flat_from_frame(Y)), require_flat=True)
     return samples, rate
 
@@ -301,7 +297,7 @@ def langevin_gaussian_log_density(
     """
     _check_params(flat, params)
     n, k = params.n, params.k
-    value = _trace_form(params.S, flat.A)
+    value = float(_trace_form(params.S, flat.A))
     value -= float(flat.b0 @ flat.b0) / (2.0 * params.sigma2)
     value -= 0.5 * (n - k) * math.log(2.0 * math.pi * params.sigma2)
     if not unnormalized:

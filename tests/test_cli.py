@@ -306,6 +306,18 @@ class TestSample:
         assert out1 == out2
         assert len(out1.splitlines()) == 3
 
+    def test_overflowing_step_size_exits_2(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"k": 1, "n": 3, "S": np.diag([2.0, 0, 0, 0]).tolist()}))
+        result = subprocess.run(
+            [sys.executable, "-m", "graff", "sample", "--dist", "langevin", "--params",
+             str(params), "--seed", "1", "--step-size", "1.7e308"],
+            capture_output=True, text=True, check=False,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("ValueError: step_size")
+        assert "RuntimeWarning" not in result.stderr
+
     def test_langevin_gaussian_with_params(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(

@@ -49,6 +49,12 @@ class TestMakeFlat:
         with pytest.raises(RankDeficient):
             make_flat(A, np.zeros(3))
 
+    def test_subnormal_column_beside_a_zero_pivot_is_rank_deficient(self):
+        # After scaling, the largest R diagonal entry is subnormal; a tolerance
+        # multiplied into it would underflow to 0 and let the zero pivot pass.
+        with pytest.raises(RankDeficient):
+            make_flat([[1e-320, 0.5], [0, 0], [0, 0]], [0, 1, 0])
+
     def test_k_equal_n_rejected(self):
         with pytest.raises(DimensionError):
             make_flat(np.eye(2), np.zeros(2))

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from graff import (
     DimensionError,
@@ -252,15 +253,13 @@ class TestStackedNormalizer:
 
 
 def _chain_one_by_one(params, n_steps, step_size, rng, burn_in, thin):
-    """The Metropolis-Hastings chain with np.diag geodesic steps and kept
+    """The Metropolis-Hastings chain with np.linalg.qr proposals and kept
     states rebuilt by unembed, in the library's stream order."""
     Y = np.array(stiefel_coords(sample_uniform(params.k, params.n, rng)).Y)
     current = float(np.sum(params.S * (Y @ Y.T)))
     kept, accepted = [], 0
     for step in range(n_steps):
-        G = rng.standard_normal(Y.shape)
-        Qh, d, Wt = np.linalg.svd(step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
-        proposal = np.linalg.qr(Y @ Wt.T @ np.diag(np.cos(d)) + Qh @ np.diag(np.sin(d)))[0]
+        proposal = np.linalg.qr(Y + step_size * rng.standard_normal(Y.shape))[0]
         if np.linalg.norm(proposal[-1]) >= 1e-10:
             new = float(np.sum(params.S * (proposal @ proposal.T)))
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
@@ -338,6 +337,38 @@ class TestLangevinSampler:
             for _ in range(4000)
         ]
         assert stats.ks_2samp(mh_stats, uni_stats).pvalue > 0.01
+
+
+class TestMHLaw:
+    """The chain's mean P against the exact moments of the matrix Langevin law.
+
+    Under exp(c P_11) on Gr(p, N), P_11 is a Beta(a, b - a) variable tilted by
+    exp(c x), with a = p/2 and b = N/2, so E[P_11] is the Kummer ratio
+    (a/b) 1F1(a+1; b+1; c) / 1F1(a; b; c) (Chikuse 2003, Muirhead 1982).
+    """
+
+    @staticmethod
+    def _chain_p(params):
+        samples, _ = langevin_mh_run(params, 20_000, 0.5, random_stream(1101), burn_in=1000,
+                                     thin=5)
+        return np.array([projection_coords(flat).P for flat in samples])
+
+    @pytest.mark.parametrize("k, n, c", [(0, 2, 3.0), (1, 3, 2.0), (2, 5, -2.0)])
+    def test_rank_one_mean_is_the_kummer_ratio(self, k, n, c):
+        S = np.zeros((n + 1, n + 1))
+        S[0, 0] = c
+        a, b = (k + 1) / 2, (n + 1) / 2
+        exact = a / b * special.hyp1f1(a + 1, b + 1, c) / special.hyp1f1(a, b, c)
+        mean, se = _batch_mean_and_se(self._chain_p(LangevinParams(S=S, k=k, n=n))[:, 0, 0])
+        assert abs(mean - exact) <= 4.0 * se
+
+    def test_flat_target_mean_is_isotropic(self):
+        k, n = 1, 3
+        P = self._chain_p(LangevinParams(S=np.zeros((n + 1, n + 1)), k=k, n=n))
+        expected = (k + 1) / (n + 1) * np.eye(n + 1)
+        for i, j in zip(*np.triu_indices(n + 1)):
+            mean, se = _batch_mean_and_se(P[:, i, j])
+            assert abs(mean - expected[i, j]) <= 4.0 * se, (i, j)
 
 
 class TestLangevinGaussian:
@@ -455,9 +486,7 @@ def _gaussian_chain_one_by_one(params, count, config, rng):
     current = float(np.sum(params.S * (Y @ Y.T)))
     kept = []
     for step in range(config.burn_in + 1 + (count - 1) * config.thin):
-        G = rng.standard_normal(Y.shape)
-        Qh, d, Wt = np.linalg.svd(config.step_size * (G - Y @ (Y.T @ G)), full_matrices=False)
-        proposal = np.linalg.qr((Y @ Wt.T) * np.cos(d) + Qh * np.sin(d))[0]
+        proposal = np.linalg.qr(Y + config.step_size * rng.standard_normal(Y.shape))[0]
         new = float(np.sum(params.S * (proposal @ proposal.T)))
         if math.log(max(rng.uniform(), 1e-300)) <= new - current:
             Y, current = proposal, new
@@ -518,13 +547,30 @@ class TestSharedChain:
     @pytest.mark.parametrize("settings_", [{"thin": 0}, {"thin": -2}, {"burn_in": -5},
                                            {"burn_in": 1.5}, {"thin": 2.5}, {"thin": math.inf},
                                            {"step_size": 0.0}, {"step_size": math.inf},
-                                           {"step_size": math.nan}])
+                                           {"step_size": math.nan}, {"step_size": 2e300}])
     def test_invalid_chain_settings_raise(self, settings_):
         with pytest.raises(ValueError):
             MHConfig(**settings_)
         params = LangevinParams(S=np.zeros((4, 4)), k=1, n=3)
         with pytest.raises(ValueError):
             langevin_mh_run(params, 20, rng=random_stream(1), **{"step_size": 0.1, **settings_})
+
+    def test_one_qr_and_no_svd_per_step(self, monkeypatch):
+        calls, qr, svd = [], _lapack.qr, _lapack.svd
+        monkeypatch.setattr(_lapack, "qr", lambda M: calls.append("qr") or qr(M))
+        monkeypatch.setattr(_lapack, "svd", lambda M, full_matrices: calls.append("svd")
+                            or svd(M, full_matrices))
+        Y0 = np.linalg.qr(random_stream(3).standard_normal((5, 2)))[0]
+        probability._mh_chain(np.diag([1.0, 0.5, 0.0, 0.0, -1.0]), Y0, 40, MHConfig(0.3, 0, 1),
+                              random_stream(5), lambda Y: None, require_flat=True)
+        assert calls == ["qr"] * 40
+
+    def test_largest_step_size_runs_without_warnings(self):
+        params = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=1, n=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples, _ = langevin_mh_run(params, 200, 1e300, random_stream(5))
+        assert len(samples) == 200
 
     def test_integral_float_settings_are_stored_as_int(self):
         config = MHConfig(burn_in=4.0, thin=2.0)
