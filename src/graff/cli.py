@@ -14,8 +14,8 @@ per line) and CSV point clouds:
 Exit codes: 0 on success, 2 on input or usage errors and on results that do
 not fit in a float (ArithmeticError), 3 on domain errors (NotSeparable,
 SingularPair, NotAFlat).  Output is deterministic given the
-flags and ``--seed``.  The default tolerance may be overridden with the
-``--tol`` flag or the ``GRAFF_TOL`` environment variable.
+flags and ``--seed``.  The default tolerance of the checks on input may be
+overridden with ``--tol`` or the ``GRAFF_TOL`` environment variable.
 """
 
 from __future__ import annotations
@@ -146,22 +146,23 @@ def _load_params(args):
     S, k, n = doc["S"], doc["k"], doc["n"]
     if args.dist == "langevin":
         return LangevinParams(S=S, k=k, n=n)
-    return LangevinGaussianParams(S=S, sigma2=float(doc["sigma2"]), k=k, n=n)
+    return LangevinGaussianParams(S=S, sigma2=doc["sigma2"], k=k, n=n)
 
 
 def _cmd_sample(args) -> int:
+    count = invariants._check_int(args.count, "count", 1)
     rng = random_stream(args.seed)
     config = MHConfig(step_size=args.step_size, burn_in=args.burn_in, thin=args.thin)
     if args.dist == "uniform":
         if args.k is None or args.n is None:
             raise ValueError("--dist uniform requires --k and --n")
-        flats = [sample_uniform(args.k, args.n, rng) for _ in range(args.count)]
+        flats = [sample_uniform(args.k, args.n, rng) for _ in range(count)]
     elif args.dist == "langevin":
         params = _load_params(args)
-        flats, _ = langevin_mh_run(params, _chain_length(config, args.count), config.step_size,
+        flats, _ = langevin_mh_run(params, _chain_length(config, count), config.step_size,
                                    rng, burn_in=config.burn_in, thin=config.thin)
     else:
-        flats = langevin_gaussian_run(_load_params(args), args.count, config, rng)
+        flats = langevin_gaussian_run(_load_params(args), count, config, rng)
     for flat in flats:
         print(dumps_document(flat_to_document(flat)))
     return 0

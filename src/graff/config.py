@@ -5,6 +5,8 @@ relative to the largest singular value of the matrix under test.  The value
 may be changed process-wide; all modules read it at call time.
 """
 
+from .invariants import _check_positive
+
 _default_tol = 1e-10
 
 
@@ -14,9 +16,6 @@ def get_default_tol() -> float:
 
 
 def set_default_tol(tol: float) -> None:
-    """Set the process-wide default tolerance. Must be a positive finite float."""
+    """Set the process-wide default tolerance, a positive finite number."""
     global _default_tol
-    tol = float(tol)
-    if not tol > 0.0 or tol != tol or tol == float("inf"):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    _default_tol = tol
+    _default_tol = _check_positive(tol, "tol")

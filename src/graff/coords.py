@@ -28,6 +28,7 @@ import numpy as np
 from . import _lapack
 from .config import get_default_tol
 from .errors import DimensionError, NotAFlat, RankDeficient
+from .invariants import _check_int
 
 __all__ = [
     "AffineFlat",
@@ -73,13 +74,7 @@ def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     [1/2, 1): exact, so Q is unchanged, and the QR of outside input cannot overflow.
     """
     _, exponent = math.frexp(float(np.abs(M).max()))
-    return _frame(np.ldexp(M, -exponent), what)
-
-
-def _frame(M: np.ndarray, what: str) -> np.ndarray:
-    """:func:`_orthonormalize` without the scaling, for M whose QR cannot overflow or
-    underflow: graff's own standard-normal draws, whose Q that scaling would not change."""
-    Q, diag = _lapack.qr(M)
+    Q, diag = _lapack.qr(np.ldexp(M, -exponent))
     size = [abs(x) for x in diag.tolist()]
     largest = max(size)
     if largest == 0.0 or min(size) / largest < get_default_tol():
@@ -469,9 +464,7 @@ def pad_ambient(flat: AffineFlat, m: int) -> AffineFlat:
 
     Distances between flats padded into a common ambient space are unchanged.
     """
-    m = int(m)
-    if m < flat.n:
-        raise DimensionError(f"target ambient m={m} is smaller than current n={flat.n}")
+    m = _check_int(m, "m", flat.n)
     if m == flat.n:
         return flat
     A = np.zeros((m, flat.k))

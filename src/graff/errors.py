@@ -5,8 +5,9 @@ class GraffError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(GraffError):
-    """Dimensions are out of range or inconsistent between arguments."""
+class DimensionError(GraffError, ValueError):
+    """A dimension, count or numeric setting is out of range, or dimensions are
+    inconsistent between arguments."""
 
 
 class RankDeficient(GraffError):

@@ -9,7 +9,7 @@ is a pure function of small integers.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
+import sys
 from enum import Enum
 from typing import Sequence
 
@@ -43,18 +43,31 @@ class GroupDescriptor(Enum):
     UNKNOWN = "unknown"
 
 
-def _check_int(value, name: str) -> int:
-    with suppress(TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
-        if value == int(value):
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; ``DimensionError`` unless it is an integer, at least ``least``."""
+    try:
+        if value == int(value) and (least is None or value >= least):
             return int(value)
-    raise DimensionError(f"{name} must be an integer, got {value!r}")
+    except (TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_positive(value, name: str, most: float = sys.float_info.max) -> float:
+    """``value`` as a float; ``DimensionError`` unless it is a real number in (0, most]."""
+    try:
+        if value == float(value) and 0.0 < float(value) <= most:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):  # a non-number or an int past floats
+        pass
+    raise DimensionError(f"{name} must be a number in (0, {most:.3g}], got {value!r}")
 
 
 def dim_graff(k: int, n: int) -> int:
     """Dimension (n - k)(k + 1) of the manifold of k-flats in R^n."""
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 <= k < n:
-        raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k + 1)
     return (n - k) * (k + 1)
 
 
@@ -63,9 +76,8 @@ def dim_stiefel_affine(k: int, n: int) -> tuple[int, int]:
 
     Returns the pair (k(2n - k + 1)/2, n(k + 1)).
     """
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 < k <= n:
-        raise DimensionError(f"need 0 < k <= n, got k={k}, n={n}")
+    k = _check_int(k, "k", 1)
+    n = _check_int(n, "n", k)
     return k * (2 * n - k + 1) // 2, n * (k + 1)
 
 
@@ -89,17 +101,17 @@ def dim_schubert_affine(d: Sequence[int]) -> int:
 
 def dim_psi_plus(k: int, l: int, n: int) -> int:
     """Dimension (n - l)(l - k) of the variety of l-flats containing a k-flat."""
-    k, l, n = _check_int(k, "k"), _check_int(l, "l"), _check_int(n, "n")
-    if not 0 <= k <= l <= n:
-        raise DimensionError(f"need 0 <= k <= l <= n, got ({k}, {l}, {n})")
+    k = _check_int(k, "k", 0)
+    l = _check_int(l, "l", k)
+    n = _check_int(n, "n", l)
     return (n - l) * (l - k)
 
 
 def dim_psi_minus(k: int, l: int, n: int) -> int:
     """Dimension (k + 1)(l - k) of the variety of k-flats contained in an l-flat."""
-    k, l, n = _check_int(k, "k"), _check_int(l, "l"), _check_int(n, "n")
-    if not 0 <= k <= l <= n:
-        raise DimensionError(f"need 0 <= k <= l <= n, got ({k}, {l}, {n})")
+    k = _check_int(k, "k", 0)
+    l = _check_int(l, "l", k)
+    n = _check_int(n, "n", l)
     return (k + 1) * (l - k)
 
 
@@ -109,9 +121,7 @@ def _log_unit_ball_volume(m: int) -> float:
 
 def unit_ball_volume(m: int) -> float:
     """Volume pi^(m/2) / Gamma(1 + m/2) of the unit ball in R^m (1 for m = 0)."""
-    m = _check_int(m, "m")
-    if m < 0:
-        raise DimensionError(f"m must be nonnegative, got {m}")
+    m = _check_int(m, "m", 0)
     return math.exp(_log_unit_ball_volume(m))
 
 
@@ -134,18 +144,16 @@ def volume_gr(k: int, n: int, log: bool = False) -> float:
     With ``log=True`` the natural logarithm is returned instead, which stays
     finite far beyond the range where the volume itself overflows.
     """
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 <= k <= n:
-        raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k)
     value = _log_volume_gr(k, n)
     return value if log else math.exp(value)
 
 
 def volume_graff(k: int, n: int, log: bool = False) -> float:
     """Volume of the space of k-flats in R^n; equals volume_gr(k+1, n+1)."""
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 <= k < n:
-        raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k + 1)
     return volume_gr(k + 1, n + 1, log=log)
 
 
@@ -165,9 +173,9 @@ def relative_volume(k: int, l: int, n: int, log: bool = False) -> float:
     volume_gr(k+1, l+1) / volume_gr(k+1, n+1), which is what is computed, in
     log scale, from at most min(k+1, l-k) + min(k+1, n-k) unit-ball terms.
     """
-    k, l, n = _check_int(k, "k"), _check_int(l, "l"), _check_int(n, "n")
-    if not 0 <= k <= l <= n:
-        raise DimensionError(f"need 0 <= k <= l <= n, got ({k}, {l}, {n})")
+    k = _check_int(k, "k", 0)
+    l = _check_int(l, "l", k)
+    n = _check_int(n, "n", l)
     if k + l < n:
         raise DimensionError(f"need k + l >= n, got k={k}, l={l}, n={n}")
     total = _log_volume_gr(k + 1, l + 1) - _log_volume_gr(k + 1, n + 1)
@@ -180,11 +188,7 @@ def betti(k: int, i: int) -> int:
     Equals the number of partitions of i into at most k parts, computed by
     exact integer dynamic programming.
     """
-    k, i = _check_int(k, "k"), _check_int(i, "i")
-    if k < 1:
-        raise DimensionError(f"k must be at least 1, got {k}")
-    if i < 0:
-        raise DimensionError(f"i must be nonnegative, got {i}")
+    k, i = _check_int(k, "k", 1), _check_int(i, "i", 0)
     # counts[m] = partitions of m into parts <= current bound, at most that many parts
     # via the conjugate view: partitions of i with at most k parts == partitions
     # of i into parts of size <= k.
@@ -206,17 +210,10 @@ def homotopy_group(k: int, n, r: int) -> GroupDescriptor:
     * r >= 2 with 0 <= k < n/2 and r < n - 2k (any r when n is infinite):
       Z when r = 0, 4 (mod 8), Z2 when r = 1, 2 (mod 8), trivial otherwise.
     """
-    k = _check_int(k, "k")
-    r = _check_int(r, "r")
-    if k < 0:
-        raise DimensionError(f"k must be nonnegative, got {k}")
-    if r < 1:
-        raise DimensionError(f"r must be at least 1, got {r}")
+    k, r = _check_int(k, "k", 0), _check_int(r, "r", 1)
     infinite = n == INFINITY
     if not infinite:
-        n = _check_int(n, "n")
-        if n < 1:
-            raise DimensionError(f"n must be positive, got {n}")
+        n = _check_int(n, "n", 1)
     if r == 1:
         if not infinite and k == 1 and n == 2:
             return GroupDescriptor.Z

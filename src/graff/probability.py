@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _frame, _freeze,
-                     _orthogonal_part, _trusted, projection_coords, stiefel_coords,
+from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _freeze, _orthogonal_part,
+                     _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
 from .errors import DimensionError, InternalError, NotAFlat
-from .invariants import _check_int
+from .invariants import _check_int, _check_positive
 
 __all__ = [
     "RandomStream",
@@ -59,13 +59,6 @@ def _symmetric_matrix(S, size: int, name: str) -> np.ndarray:
     return _freeze(0.5 * (S + S.T))
 
 
-def _graff_dims(k, n) -> tuple[int, int]:
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 <= k < n:
-        raise DimensionError(f"need 0 <= k < n, got k={k}, n={n}")
-    return k, n
-
-
 @dataclass(frozen=True, eq=False)
 class LangevinParams:
     """Parameters of the Langevin (von Mises-Fisher) density on k-flats in R^n.
@@ -79,7 +72,8 @@ class LangevinParams:
     n: int
 
     def __post_init__(self):
-        k, n = _graff_dims(self.k, self.n)
+        k = _check_int(self.k, "k", 0)
+        n = _check_int(self.n, "n", k + 1)
         object.__setattr__(self, "S", _symmetric_matrix(self.S, n + 1, "S"))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -99,12 +93,10 @@ class LangevinGaussianParams:
     n: int
 
     def __post_init__(self):
-        k, n = _graff_dims(self.k, self.n)
-        sigma2 = float(self.sigma2)
-        if not sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        k = _check_int(self.k, "k", 0)
+        n = _check_int(self.n, "n", k + 1)
+        object.__setattr__(self, "sigma2", _check_positive(self.sigma2, "sigma2"))
         object.__setattr__(self, "S", _symmetric_matrix(self.S, n, "S"))
-        object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 
@@ -118,13 +110,9 @@ class MHConfig:
     thin: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.step_size <= 1e300:
-            raise ValueError(f"step_size must be in (0, 1e300], got {self.step_size!r}")
-        for name, least in (("burn_in", 0), ("thin", 1)):
-            value = getattr(self, name)
-            if not (value % 1 == 0 and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "step_size", _check_positive(self.step_size, "step_size", 1e300))
+        object.__setattr__(self, "burn_in", _check_int(self.burn_in, "burn_in", 0))
+        object.__setattr__(self, "thin", _check_int(self.thin, "thin", 1))
 
 
 def _chain_length(config: MHConfig, count: int) -> int:
@@ -135,15 +123,18 @@ def _chain_length(config: MHConfig, count: int) -> int:
 def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
-    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks and
-    the power-of-two scaling that standard-normal entries do not need; the
-    law of its span is invariant under the orthogonal group of R^(n+1).  The
-    measure-zero event that the span is not a flat is retried, at most 100 times.
+    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks, the
+    power-of-two scaling and the rank test that standard-normal entries do not
+    need (rank deficiency has probability zero); the law of its span is
+    invariant under the orthogonal group of R^(n+1).  The measure-zero event
+    that the span is not a flat is retried, at most 100 times.
     """
-    k, n = _graff_dims(k, n)
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k + 1)
     for _ in range(100):
+        Q, diag = _lapack.qr(rng.standard_normal((n + 1, k + 1)))
         try:
-            return _flat_from_frame(_frame(rng.standard_normal((n + 1, k + 1)), "spanning matrix"))
+            return _flat_from_frame(np.multiply(Q, np.sign(diag), out=Q))
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
@@ -178,13 +169,10 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
     most 2**17 entries (1 MiB), in the stream order of n_samples (n, k)
     draws; ``math.exp`` raises ``OverflowError`` for a concentrated S.
     """
-    k, n = _check_int(k, "k"), _check_int(n, "n")
-    if not 0 <= k <= n:
-        raise DimensionError(f"need 0 <= k <= n, got k={k}, n={n}")
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k)
     S = _symmetric_matrix(S, n, "S")
-    n_samples = int(n_samples)
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    n_samples = _check_int(n_samples, "n_samples", 100)
     if k == 0:
         return 1.0, 0.0
     block = max(1, 2**17 // (n * k))
@@ -253,9 +241,7 @@ def langevin_mh_run(
     The chain lives on spans of Stiefel coordinates; tr(S P) is basis-free,
     so the density needs no canonicalization per step.
     """
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    n_steps = _check_int(n_steps, "n_steps", 1)
     config = MHConfig(step_size, burn_in, thin)
     if init is None:
         init = sample_uniform(params.k, params.n, rng)
@@ -274,8 +260,9 @@ def sample_langevin(
     init: AffineFlat | None = None,
 ) -> AffineFlat:
     """Final state of an ``n_steps``-long Metropolis-Hastings Langevin chain."""
+    n_steps = _check_int(n_steps, "n_steps", 1)
     samples, _ = langevin_mh_run(
-        params, n_steps, step_size, rng, burn_in=int(n_steps) - 1, thin=1, init=init
+        params, n_steps, step_size, rng, burn_in=n_steps - 1, thin=1, init=init
     )
     return samples[-1]
 
@@ -325,9 +312,7 @@ def langevin_gaussian_run(
     R^n (burn-in then thinning per ``config``); each retained plane gets an
     independent Gaussian displacement in its orthogonal complement.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _check_int(count, "count", 1)
     n, k = params.n, params.k
     flats: list[AffineFlat] = []
 

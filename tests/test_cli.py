@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graff
+from graff import cli
 from graff.cli import main
 from graff.io import flat_from_document, fmt_float
 
@@ -106,6 +114,19 @@ class TestConvert:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "convert", str(tmp_path / "nope.json"), "--to", "stiefel")
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "ValueError: flat document must be a JSON object"),
+        ('{"n": 2, "k": 1, "A": [[1.0, 0.0]]}',
+         "ValueError: flat document is missing or malforms field: 'b'"),
+        ('{"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0, 0, 0]}',
+         "DimensionError: b must have length 2, got (3,)"),
+    ])
+    def test_malformed_document_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "flat.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "convert", str(path), "--to", "stiefel")
+        assert (code, out, err) == (2, "", message + "\n")
 
 
 class TestDistance:
@@ -274,6 +295,11 @@ class TestInvariant:
         assert code == 2
         assert "DimensionError" in err
 
+    def test_unknown_volume_space_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "invariant", "--what", "volume", "sphere", "1", "2")
+        assert (code, out) == (2, "")
+        assert err == "ValueError: volume expects 'gr' or 'graff', got 'sphere'\n"
+
 
 class TestSample:
     def test_uniform_seed_reproducibility(self, capsys):
@@ -315,8 +341,36 @@ class TestSample:
             capture_output=True, text=True, check=False,
         )
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith("ValueError: step_size")
+        assert result.stderr.startswith("DimensionError: step_size")
         assert "RuntimeWarning" not in result.stderr
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("dist", ["uniform", "langevin", "langevin-gaussian"])
+    def test_count_below_one_exits_2_before_sampling(self, capsys, tmp_path, monkeypatch,
+                                                     dist, count):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"k": 1, "n": 3, "sigma2": 0.5,
+                                      "S": np.zeros((4, 4) if dist == "langevin" else (3, 3))
+                                      .tolist()}))
+        for name in ("sample_uniform", "langevin_mh_run", "langevin_gaussian_run"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("sampled"))
+        code, out, err = run_cli(capsys, "sample", "--dist", dist, "--k", "1", "--n", "3",
+                                 "--params", str(params), "--seed", "1", "--count", count,
+                                 "--burn-in", "0", "--thin", "1")
+        assert (code, out) == (2, "")
+        assert err == f"DimensionError: count must be an integer >= 1, got {count}\n"
+
+    @pytest.mark.parametrize("sigma2", ["1e400", str(10**400)])
+    def test_unrepresentable_sigma2_exits_2(self, capsys, tmp_path, sigma2):
+        params = tmp_path / "params.json"
+        params.write_text('{"k": 1, "n": 3, "S": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "sigma2": %s}'
+                          % sigma2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sample", "--dist", "langevin-gaussian",
+                                     "--params", str(params), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("DimensionError: sigma2 must be a number in (0, 1.8e+308], got ")
 
     def test_langevin_gaussian_with_params(self, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -382,6 +436,29 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
         assert code == 2
 
+    @pytest.mark.parametrize("method, text, message", [
+        ("flat", "0,0\n1,1\n", "ValueError: --method flat requires --k"),
+        ("regression", "1\n2\n", "ValueError: regression needs at least one column before the last"),
+        ("svm", "1\n2\n", "ValueError: svm needs at least one column before the last"),
+    ])
+    def test_missing_k_or_columns_exit_2(self, capsys, tmp_path, method, text, message):
+        csv = tmp_path / "data.csv"
+        csv.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--method", method, str(csv))
+        assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty cloud file"),
+        ("\n ,  \n", "empty cloud file"),
+        ("x,y\n", "no data rows"),
+        ("x,y\n1,2\n3,abc\n", "row 3: could not convert string to float: 'abc'"),
+    ])
+    def test_unreadable_cloud_exits_2(self, capsys, tmp_path, text, message):
+        csv = tmp_path / "data.csv"
+        csv.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
+        assert (code, out, err) == (2, "", f"ValueError: {csv}: {message}\n")
+
 
 class TestToleranceControls:
     def test_tol_flag_changes_rank_decision(self, capsys, write_doc):
@@ -444,6 +521,29 @@ class TestToleranceControls:
         code, _, err = run_cli(capsys, "convert", path, "--to", "stiefel")
         assert code == 0, err
 
+    @pytest.mark.parametrize("flag, env, shown", [
+        ("0", None, "0.0"), ("nan", None, "nan"), (None, "-1", "-1.0"), ("inf", "1e-3", "inf"),
+    ])
+    def test_invalid_tolerance_exits_2_and_keeps_the_default(self, capsys, monkeypatch,
+                                                             flag, env, shown):
+        if env is not None:
+            monkeypatch.setenv("GRAFF_TOL", env)
+        args = ("invariant", "--what", "dim", "1", "3")
+        code, out, err = run_cli(capsys, *(("--tol", flag) if flag else ()), *args)
+        assert (code, out) == (2, "")
+        assert err == f"DimensionError: tol must be a number in (0, 1.8e+308], got {shown}\n"
+        assert graff.get_default_tol() == 1e-10
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_loose_tol_does_not_reach_own_samples(self, capsys, seed):
+        # graff's own Gaussian frames take no rank test: --tol checks outside input only.
+        args = ("sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "2000",
+                "--seed", seed)
+        code, expected, _ = run_cli(capsys, *args)
+        loose_code, out, err = run_cli(capsys, "--tol", "0.1", *args)
+        assert code == loose_code == 0, err
+        assert out == expected
+
     def test_bad_usage_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "distance")
         assert code == 2
@@ -473,3 +573,57 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "4"
+
+
+# Fuzzing cli.main in process: numeric flags and parameter fields take ints,
+# floats, +-inf, nan, 1e400 and 10**400.  --count, --burn-in and --thin get no
+# huge positive values, which are valid requests for unboundedly long runs.
+_HUGE = str(10**400)
+_FLAG = st.one_of(st.integers(-3, 6).map(str), st.floats(0.01, 2.0).map(repr), st.floats().map(repr),
+                  st.sampled_from(["inf", "-inf", "nan", "1e400", _HUGE, "-" + _HUGE]))
+_WORK = st.one_of(st.integers(-3, 6).map(str), st.floats().map(repr),
+                  st.sampled_from(["inf", "nan", "1e400", "-" + _HUGE]))
+_FIELD = st.one_of(st.integers(-3, 6).map(str), st.floats().map(json.dumps),
+                   st.sampled_from(["1e400", "-1e400", _HUGE, "0.5"]))
+_FUZZ = settings(deadline=None, derandomize=True, max_examples=150)
+
+
+def _fuzz_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
+@_FUZZ
+@given(dist=st.sampled_from(["uniform", "langevin", "langevin-gaussian"]),
+       flags=st.fixed_dictionaries({}, optional={
+           "--tol": _FLAG, "--count": _WORK, "--k": _FLAG, "--n": _FLAG,
+           "--burn-in": _WORK, "--thin": _WORK, "--step-size": _FLAG}),
+       k=st.one_of(st.just("1"), _FIELD), n=st.one_of(st.just("3"), _FIELD),
+       sigma2=st.one_of(st.just("0.5"), _FIELD))
+def test_fuzzed_sample_exits_cleanly(dist, flags, k, n, sigma2):
+    size = 4 if dist == "langevin" else 3
+    flags = {"--k": "1", "--n": "3", "--burn-in": "5", "--thin": "2", **flags}
+    with tempfile.TemporaryDirectory() as tmp:
+        params = Path(tmp) / "params.json"
+        params.write_text('{"k": %s, "n": %s, "sigma2": %s, "S": %s}'
+                          % (k, n, sigma2, json.dumps(np.eye(size).tolist())))
+        argv = [] if "--tol" not in flags else ["--tol", flags.pop("--tol")]
+        argv += ["sample", "--dist", dist, "--seed", "0", "--params", str(params)]
+        _fuzz_main(argv + [token for pair in flags.items() for token in pair])
+
+
+@_FUZZ
+@given(tol=st.one_of(st.none(), _FLAG), t=st.lists(_FLAG, min_size=1, max_size=3))
+def test_fuzzed_geodesic_exits_cleanly(tol, t):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc in (("a", X_AXIS_DOC), ("b", LINE_Y1_DOC)):
+            paths.append(str(Path(tmp) / f"{name}.json"))
+            Path(paths[-1]).write_text(json.dumps(doc))
+        _fuzz_main(([] if tol is None else ["--tol", tol]) + ["geodesic", *paths, "--t", *t])

@@ -184,6 +184,23 @@ class TestHugeDisplacement:
         assert projection_coords(flat).P[3, 3] == 1.0 / (1.0 + float(flat.b0 @ flat.b0))
 
 
+@pytest.mark.parametrize("cls, args, error, message", [
+    (graff.StiefelMatrix, ([[1.0, 0.0], [0.0, 1.0]],), DimensionError, "Stiefel coordinates must be"),
+    (graff.StiefelMatrix, (np.eye(3)[:, [2, 0]],), ValueError, "last row must vanish"),
+    (graff.StiefelMatrix, ([[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]],), ValueError, "must be strictly"),
+    (graff.ProjectionMatrix, ([[1.0, 0.0]],), DimensionError, "P must be square of size >= 2"),
+    (graff.ProjectionMatrix, ([[1.0, 1.0], [0.0, 0.0]],), ValueError, "P is not symmetric"),
+    (graff.ProjectionMatrix, ([[2.0, 0.0], [0.0, 0.0]],), ValueError, "P is not idempotent"),
+    (graff.ProjectionMatrix, (np.eye(2),), ValueError, "is not an integer in"),
+    (graff.ProjectionMatrix, (np.diag([1.0, 0.0]),), ValueError, "corner entry must be"),
+    (graff.ProjectionAffinePair, ([[1.0, 0.0]], [0.0]), DimensionError, "P must be square"),
+    (graff.ProjectionAffinePair, (np.diag([1.0, 0.0]), [1.0, 0.0]), ValueError, "not lie in ker"),
+])
+def test_public_coordinate_constructors_refuse_invalid_matrices(cls, args, error, message):
+    with pytest.raises(error, match=message):
+        cls(*args)
+
+
 class TestStiefelCoords:
     def test_zero_displacement(self):
         Y = stiefel_coords(x_axis()).Y

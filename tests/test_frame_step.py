@@ -3,9 +3,9 @@
 ``sample_uniform`` used to scale its Gaussian draw by a power of two, check
 the rank with numpy reductions, sign the columns into a new array and, after
 the reflection in ``_flat_from_frame``, negate the last column when its last
-entry was negative.  Today it takes the QR of the draw as it is, checks the
-rank on Python floats, signs the columns in place and has no last-column
-flip.  The reference below is the old path, written out with public numpy.
+entry was negative.  Today it takes the QR of the draw as it is, with no rank
+test, signs the columns in place and has no last-column flip.  The reference
+below is the old path, written out with public numpy.
 """
 
 import math

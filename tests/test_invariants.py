@@ -21,6 +21,26 @@ from graff import (
 )
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (dim_graff, (3, 3), "n must be an integer >= 4, got 3"),
+    (dim_stiefel_affine, (0, 3), "k must be an integer >= 1, got 0"),
+    (dim_stiefel_affine, (3, 2), "n must be an integer >= 3, got 2"),
+    (dim_psi_plus, (2, 1, 3), "l must be an integer >= 2, got 1"),
+    (dim_psi_minus, (1, 2, 1), "n must be an integer >= 2, got 1"),
+    (unit_ball_volume, (-1,), "m must be an integer >= 0, got -1"),
+    (volume_gr, (-1, 2), "k must be an integer >= 0, got -1"),
+    (volume_graff, (2, 2.5), "n must be an integer >= 3, got 2.5"),
+    (relative_volume, (1, 2, 1), "n must be an integer >= 2, got 1"),
+    (betti, (2, -1), "i must be an integer >= 0, got -1"),
+    (homotopy_group, (1, 0, 2), "n must be an integer >= 1, got 0"),
+    (homotopy_group, (1, 3, 0), "r must be an integer >= 1, got 0"),
+])
+def test_ranges_are_chained_lower_bounds(function, args, message):
+    with pytest.raises(DimensionError) as info:
+        function(*args)
+    assert str(info.value) == message and isinstance(info.value, ValueError)
+
+
 class TestDimensions:
     def test_points_have_dimension_n(self):
         for n in range(1, 8):

@@ -9,6 +9,7 @@ from scipy import special, stats
 
 from graff import (
     DimensionError,
+    GraffError,
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
@@ -21,6 +22,7 @@ from graff import (
     langevin_log_density_unnormalized,
     langevin_mh_run,
     langevin_normalizer,
+    pad_ambient,
     projection_coords,
     random_stream,
     sample_langevin,
@@ -31,9 +33,10 @@ from graff import (
 )
 
 from graff import _lapack, probability
+from graff.config import get_default_tol, set_default_tol
 from graff.probability import _chain_length
 
-from conftest import random_flat
+from conftest import random_flat, x_axis
 
 
 def _weighted_mean_and_se(values, weights):
@@ -159,6 +162,8 @@ class TestLangevinDensity:
         params = LangevinParams(S=np.zeros((4, 4)), k=1, n=3)
         with pytest.raises(DimensionError):
             langevin_log_density_unnormalized(random_flat(rng, 4, 1), params)
+        with pytest.raises(DimensionError, match="S must be 4 x 4"):
+            LangevinParams(S=np.zeros((3, 3)), k=1, n=3)
 
     def test_params_symmetrized(self):
         S = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -417,6 +422,8 @@ class TestLangevinGaussian:
         flat = random_flat(rng, 3, 1)
         with pytest.raises(ValueError):
             langevin_gaussian_log_density(flat, params)
+        with pytest.raises(ValueError, match="random stream"):
+            sample_langevin_gaussian(params)
 
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -547,7 +554,9 @@ class TestSharedChain:
     @pytest.mark.parametrize("settings_", [{"thin": 0}, {"thin": -2}, {"burn_in": -5},
                                            {"burn_in": 1.5}, {"thin": 2.5}, {"thin": math.inf},
                                            {"step_size": 0.0}, {"step_size": math.inf},
-                                           {"step_size": math.nan}, {"step_size": 2e300}])
+                                           {"step_size": math.nan}, {"step_size": 2e300},
+                                           {"burn_in": "5"}, {"step_size": "0.1"},
+                                           {"step_size": 10**400}])
     def test_invalid_chain_settings_raise(self, settings_):
         with pytest.raises(ValueError):
             MHConfig(**settings_)
@@ -576,3 +585,59 @@ class TestSharedChain:
         config = MHConfig(burn_in=4.0, thin=2.0)
         assert (config.burn_in, config.thin) == (4, 2)
         assert type(config.burn_in) is int and type(config.thin) is int
+
+
+_PARAMS = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=1, n=3)
+_GAUSSIAN = LangevinGaussianParams(S=np.diag([1.0, 0.5, 0.0]), sigma2=1.0, k=1, n=3)
+
+# Every public integer argument that is not a dimension, as a call on one value.
+_INTEGER_ARGUMENTS = {
+    "langevin_mh_run n_steps": lambda v: langevin_mh_run(_PARAMS, v, 0.3, random_stream(1)),
+    "sample_langevin n_steps": lambda v: sample_langevin(_PARAMS, v, 0.3, random_stream(1)),
+    "langevin_gaussian_run count": lambda v: langevin_gaussian_run(_GAUSSIAN, v, MHConfig(0.3, 2, 1),
+                                                                    random_stream(1)),
+    "grassmann_normalizer n_samples": lambda v: grassmann_normalizer(_GAUSSIAN.S, 1, 3, v,
+                                                                      random_stream(1)),
+    "langevin_normalizer n_samples": lambda v: langevin_normalizer(_PARAMS, v, random_stream(1)),
+    "langevin_gaussian_log_density n_samples": lambda v: langevin_gaussian_log_density(
+        x_axis(3), _GAUSSIAN, n_samples=v, rng=random_stream(1)),
+    "pad_ambient m": lambda v: pad_ambient(x_axis(3), v),
+}
+
+# Every public positive-real argument, as a setter of one value.
+_POSITIVE_ARGUMENTS = {
+    "sigma2": lambda v: LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=v, k=1, n=3),
+    "step_size": lambda v: MHConfig(step_size=v),
+    "tol": set_default_tol,
+}
+
+
+class TestScalarArguments:
+    """Outside numbers come in one way: an integer check and a positive-real check,
+    each raising an error that is both a GraffError and a ValueError."""
+
+    @pytest.mark.parametrize("value", [2.9, 2.5, 150.7, 4.7, "5", math.inf, math.nan, 0, -3])
+    @pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+    def test_non_integers_and_small_counts_are_refused(self, call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="must be an integer >= ") as info:
+                call(value)
+        assert isinstance(info.value, GraffError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, "0.5",
+                                       pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("setter", _POSITIVE_ARGUMENTS.values(), ids=_POSITIVE_ARGUMENTS)
+    def test_non_positive_and_non_finite_reals_are_refused(self, setter, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="must be a number in") as info:
+                setter(value)
+        assert isinstance(info.value, GraffError) and isinstance(info.value, ValueError)
+        assert get_default_tol() == 1e-10
+
+    def test_integral_values_of_any_numeric_type_are_read_as_int(self):
+        flats, _ = langevin_mh_run(_PARAMS, np.int64(3), 0.3, random_stream(1))
+        assert len(flats) == 3
+        assert pad_ambient(x_axis(3), 5.0).n == 5
+        assert MHConfig(step_size=1).step_size == 1.0
