@@ -16,6 +16,6 @@ def get_default_tol() -> float:
 
 
 def set_default_tol(tol: float) -> None:
-    """Set the process-wide default tolerance, a positive finite number."""
+    """Set the process-wide default tolerance, a number in (0, 0.5]."""
     global _default_tol
-    _default_tol = _check_positive(tol, "tol")
+    _default_tol = _check_positive(tol, "tol", 0.5)

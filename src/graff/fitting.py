@@ -153,73 +153,72 @@ def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
     return make_flat(graph_basis, displacement), coeffs
 
 
-def _smo_hard_margin(K: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Dual coordinate ascent for the hard-margin SVM.
-
-    Maximizes sum(alpha) - (1/2) alpha^T Q alpha with Q = yy^T * K subject to
-    alpha >= 0 and y^T alpha = 0, by pairwise updates on the most violating
-    pair (the usual working-set selection with the box bound sent to
-    infinity).  Raises ``NotSeparable`` on divergence or iteration
-    exhaustion.
+def _nearest_points(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest points of the convex hulls of the rows of P and of Q, by
+    Wolfe's minimum-norm-point method (*Math. Programming* 1976) on the hull of
+    the differences P[i] - Q[j], with corners (i, j) in the corral.  It stops
+    when the new corner is already in the corral, when Wolfe's gap x.x - x.v is
+    at most 1e-15 v.v, or when rounding keeps |x| from decreasing.
     """
-    m = y.shape[0]
-    alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of (1/2) a^T Q a - sum(a)
-    for _ in range(max_iter):
-        scores = -y * grad
-        # alpha_t may always grow along +y_t when y_t = +1, and may grow
-        # along -y_t only while alpha_t > 0; symmetrically for shrinking.
-        up = (y > 0) | (alpha > 0)
-        low = (y < 0) | (alpha > 0)
-        i = int(np.argmax(np.where(up, scores, -np.inf)))
-        j = int(np.argmin(np.where(low, scores, np.inf)))
-        gap = scores[i] - scores[j]
-        if gap <= tol:
-            return alpha
-        # Move alpha_i by y_i*t and alpha_j by -y_j*t: keeps y^T alpha = 0,
-        # with curvature |x_i - x_j|^2 along the direction.
-        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        step = gap / max(curvature, 1e-12)
-        t_max = np.inf
-        if y[i] < 0:
-            t_max = min(t_max, alpha[i])
-        if y[j] > 0:
-            t_max = min(t_max, alpha[j])
-        step = float(min(step, t_max))
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += step * y * (K[:, i] - K[:, j])
-        if alpha.max() > 1e10:
-            raise NotSeparable("dual variables diverged; classes are not strictly separable")
-    raise NotSeparable("no KKT point within the iteration cap; classes may not be separable")
+    corners, weights, x = [(0, 0)], np.ones(1), P[0] - Q[0]
+    while True:
+        i, j = int(np.argmin(P @ x)), int(np.argmax(Q @ x))
+        v = P[i] - Q[j]
+        if (i, j) in corners or x @ x - x @ v <= 1e-15 * (v @ v):
+            break
+        corral, lam = corners + [(i, j)], np.append(weights, 0.0)
+        while True:
+            V = P[[c[0] for c in corral]] - Q[[c[1] for c in corral]]
+            # [[V V^T, 1], [1^T, 0]] [mu; nu] = [0; 1], singular for d + 2 corners.
+            bordered = np.pad(V @ V.T, ((0, 1), (0, 1)), constant_values=1.0)
+            bordered[-1, -1] = 0.0
+            mu = np.linalg.lstsq(bordered, np.eye(len(V) + 1)[-1], rcond=None)[0][:-1]
+            if mu.min() > 0.0:
+                break
+            theta, drop = min((l / (l - u) if l > u else 0.0, k)
+                              for k, (l, u) in enumerate(zip(lam, mu)) if u <= 0.0)
+            lam = lam + theta * (mu - lam)
+            lam[drop] = 0.0
+            corral = [c for c, weight in zip(corral, lam) if weight > 0.0]
+            lam = lam[lam > 0.0]
+        new_x = mu @ V
+        if new_x @ new_x >= x @ x:
+            break
+        corners, weights, x = corral, mu, new_x
+    return tuple(weights @ M[list(rows)] for M, rows in zip((P, Q), zip(*corners)))
 
 
 def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
-    """Hard-margin support vector machine.
+    """Hard-margin support vector machine: the minimum-norm (w, beta) with
+    y_i (w^T x_i - beta) >= 1 for all points, with the hyperplane
+    ker(w^T) + beta w / |w|^2 as a (d-1)-flat.
 
-    Finds the minimum-norm (w, beta) with y_i (w^T x_i - beta) >= 1 for all
-    training points, via SMO-style pairwise ascent on the dual to KKT
-    tolerance 1e-8.  Returns the separating hyperplane as the (d-1)-flat
-    ker(w^T) + beta w / |w|^2, together with w and beta.
-
-    Raises ``NotSeparable`` when the classes admit no strict separation.
+    With c+ and c- the nearest points of the class hulls (Bennett &
+    Bredensteiner, *ICML* 2000), w = 2 (c+ - c-) / |c+ - c-|^2.  The pair is
+    exact, found in finitely many steps on the cloud scaled by powers of two
+    and centred, so neither scale nor offset changes the answer.  Raises
+    ``NotSeparable`` when the hulls meet (c+ and c- at most 1e-12 apart once
+    the centred cloud's largest entry is in [1/2, 1)), and ``ValueError`` when
+    w, beta or b0 does not fit in a float.
     """
     if not isinstance(data, LabeledCloud):
         raise TypeError("svm_hyperplane expects a LabeledCloud")
-    X, y = data.X, data.y
-    K = X @ X.T
-    alpha = _smo_hard_margin(K, y, tol=1e-8, max_iter=100_000)
-    w = X.T @ (alpha * y)
-    wnorm2 = float(w @ w)
-    if wnorm2 <= 0.0:
-        raise NotSeparable("optimal margin direction vanished")
-    support = alpha > 1e-8 * max(1.0, float(alpha.max()))
-    margins = X[support] @ w
-    beta = float(np.mean(margins - y[support]))
+    # Scaling before centring keeps X.mean finite; the solve sees 2^-e2 (2^-e1 X - mean).
+    e1 = math.frexp(float(np.abs(data.X).max()))[1]
+    X = np.ldexp(data.X, -e1)
+    mean = X.mean(axis=0)
+    e2 = math.frexp(float(np.abs(X - mean).max()))[1]
+    X = np.ldexp(X - mean, -e2)
+    plus, minus = _nearest_points(X[data.y > 0], X[data.y < 0])
+    x = plus - minus
+    if math.sqrt(x @ x) <= 1e-12:
+        raise NotSeparable("the class hulls meet; no hyperplane separates the classes strictly")
+    w = (2.0 / (x @ x)) * x
     # Orthonormal basis of ker(w^T): all left singular vectors after w itself.
-    basis = np.linalg.svd(w[:, None], full_matrices=True)[0][:, 1:]
-    basis = _positive_leading_signs(basis)
-    b0 = (beta / wnorm2) * w  # parallel to w, so orthogonal to the basis
-    if not np.all(np.isfinite(b0)):  # beta is nan when no alpha passes the support cut
-        raise ValueError("b0 contains non-finite entries")
+    basis = _positive_leading_signs(np.linalg.svd(w[:, None], full_matrices=True)[0][:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if past the floats
+        beta = float(w @ (plus + minus) / 2.0 + np.ldexp(w @ mean, -e2))
+        b0, w = np.ldexp((beta / (w @ w)) * w, e1 + e2), np.ldexp(w, -e1 - e2)  # b0 along w
+    if not (math.isfinite(beta) and np.all(np.isfinite(w)) and np.all(np.isfinite(b0))):
+        raise ValueError("w, beta or b0 is too large to represent")
     return _trusted(AffineFlat, A=basis, b0=b0), w, beta

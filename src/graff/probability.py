@@ -84,7 +84,7 @@ class LangevinGaussianParams:
     """Parameters of the Langevin-Gaussian density on k-flats in R^n.
 
     ``S`` is an n x n symmetric concentration matrix for the linear part and
-    ``sigma2`` the variance of the spherical Gaussian on the displacement.
+    ``sigma2`` the variance (at most 1e300) of the Gaussian on the displacement.
     """
 
     S: np.ndarray
@@ -95,7 +95,7 @@ class LangevinGaussianParams:
     def __post_init__(self):
         k = _check_int(self.k, "k", 0)
         n = _check_int(self.n, "n", k + 1)
-        object.__setattr__(self, "sigma2", _check_positive(self.sigma2, "sigma2"))
+        object.__setattr__(self, "sigma2", _check_positive(self.sigma2, "sigma2", 1e300))
         object.__setattr__(self, "S", _symmetric_matrix(self.S, n, "S"))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)

@@ -114,6 +114,7 @@ def test_samplers_and_geodesics(case):
     samples, _ = langevin_mh_run(LangevinParams(S=S, k=k, n=n), 12, 0.3, rng, burn_in=2, thin=5)
     for flat in samples:
         assert_valid(flat, k, n)
-    params = LangevinGaussianParams(S=S[:n, :n], sigma2=np.ldexp(0.5, 2 * e), k=k, n=n)
+    # sigma2 is at most 1e300, so the 2**999 of e = 500 is taken down to that bound.
+    params = LangevinGaussianParams(S=S[:n, :n], sigma2=min(np.ldexp(0.5, 2 * e), 1e300), k=k, n=n)
     for flat in langevin_gaussian_run(params, 3, MHConfig(step_size=0.3, burn_in=2, thin=2), rng):
         assert_valid(flat, k, n)

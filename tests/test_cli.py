@@ -360,7 +360,7 @@ class TestSample:
         assert (code, out) == (2, "")
         assert err == f"DimensionError: count must be an integer >= 1, got {count}\n"
 
-    @pytest.mark.parametrize("sigma2", ["1e400", str(10**400)])
+    @pytest.mark.parametrize("sigma2", ["1e301", "1e400", str(10**400)])
     def test_unrepresentable_sigma2_exits_2(self, capsys, tmp_path, sigma2):
         params = tmp_path / "params.json"
         params.write_text('{"k": 1, "n": 3, "S": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "sigma2": %s}'
@@ -370,7 +370,7 @@ class TestSample:
             code, out, err = run_cli(capsys, "sample", "--dist", "langevin-gaussian",
                                      "--params", str(params), "--seed", "1")
         assert (code, out) == (2, "")
-        assert err.startswith("DimensionError: sigma2 must be a number in (0, 1.8e+308], got ")
+        assert err.startswith("DimensionError: sigma2 must be a number in (0, 1e+300], got ")
 
     def test_langevin_gaussian_with_params(self, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -523,6 +523,7 @@ class TestToleranceControls:
 
     @pytest.mark.parametrize("flag, env, shown", [
         ("0", None, "0.0"), ("nan", None, "nan"), (None, "-1", "-1.0"), ("inf", "1e-3", "inf"),
+        ("2", None, "2.0"), (None, "1", "1.0"),
     ])
     def test_invalid_tolerance_exits_2_and_keeps_the_default(self, capsys, monkeypatch,
                                                              flag, env, shown):
@@ -531,7 +532,7 @@ class TestToleranceControls:
         args = ("invariant", "--what", "dim", "1", "3")
         code, out, err = run_cli(capsys, *(("--tol", flag) if flag else ()), *args)
         assert (code, out) == (2, "")
-        assert err == f"DimensionError: tol must be a number in (0, 1.8e+308], got {shown}\n"
+        assert err == f"DimensionError: tol must be a number in (0, 0.5], got {shown}\n"
         assert graff.get_default_tol() == 1e-10
 
     @pytest.mark.parametrize("seed", ["1", "2", "3"])
@@ -627,3 +628,28 @@ def test_fuzzed_geodesic_exits_cleanly(tol, t):
             paths.append(str(Path(tmp) / f"{name}.json"))
             Path(paths[-1]).write_text(json.dumps(doc))
         _fuzz_main(([] if tol is None else ["--tol", tol]) + ["geodesic", *paths, "--t", *t])
+
+
+# CSV clouds for fit --method svm: small integers and floats times a scale from
+# 2**-1074 to 1e300, with the largest floats and subnormals, duplicated rows and
+# conflicting labels.
+_SVM_ENTRY = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0),
+                       st.sampled_from([5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]))
+
+
+@_FUZZ
+@given(d=st.integers(1, 3), scale=st.sampled_from([1.0, 2.0**-1074, 1e-300, 1e-160, 1e150, 1e300]),
+       data=st.data())
+def test_fuzzed_svm_fit_exits_cleanly(d, scale, data):
+    points = data.draw(st.lists(st.lists(_SVM_ENTRY, min_size=d, max_size=d), min_size=2,
+                                max_size=8))
+    labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(points),
+                                max_size=len(points)))
+    repeats = data.draw(st.integers(0, 2))  # rows repeated with the same or the other label
+    flip = data.draw(st.sampled_from([1, -1]))
+    rows = [[x * scale for x in p] + [y] for p, y in zip(points, labels)]
+    rows += [row[:-1] + [flip * row[-1]] for row in rows[:repeats]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cloud.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        _fuzz_main(["fit", "--method", "svm", str(path)])

@@ -218,6 +218,20 @@ def _feasible_competitors(X, y, w_opt, rng, count=10_000):
     return np.asarray(norms[:count])
 
 
+def _planted_margin_cloud(seed, rows=1000, features=5):
+    """perfbench's cli_batch SVM recipe: rows x ~ N(0, 4 I) with |x.w - 0.3| >= 0.5.
+
+    One (10 rows, features) draw gives the same stream as one draw per row.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(features)
+    X = 2.0 * rng.standard_normal((10 * rows, features))
+    margin = X @ w - 0.3
+    keep = np.flatnonzero(np.abs(margin) >= 0.5)[:rows]
+    assert keep.size == rows
+    return X[keep], np.sign(margin[keep])
+
+
 class TestSvmHyperplane:
     def test_one_dimensional_pair(self):
         data = LabeledCloud(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]))
@@ -269,6 +283,58 @@ class TestSvmHyperplane:
         _, w, _ = svm_hyperplane(LabeledCloud(X, y))
         competitor_norms = _feasible_competitors(X, y, w, rng)
         assert np.all(competitor_norms >= np.linalg.norm(w) - 1e-6)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_margin_clouds_touch_both_margins(self, seed):
+        X, y = _planted_margin_cloud(seed)
+        _, w, beta = svm_hyperplane(LabeledCloud(X, y))
+        margins = y * (X @ w - beta)
+        for label in (1.0, -1.0):
+            assert margins[y == label].min() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scale, offset", [
+        pytest.param(2.0**-500, 0.0, id="2**-500-0.0"), (1e-160, 0.0), (1.0, 0.0), (1e150, 0.0),
+        (1e300, 0.0), (1.0, 1e8), pytest.param(2.0**-40, 8.0, id="2**-40-8.0"),
+    ])
+    def test_answer_follows_the_scale_and_offset_of_the_cloud(self, scale, offset):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]]) * scale + offset
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat, w, beta = svm_hyperplane(LabeledCloud(X, y))
+        assert np.linalg.norm(w * scale - [2.0 / 3.0, 0.0]) <= 1e-12 * (2.0 / 3.0)
+        assert beta == pytest.approx(1.0 + 2.0 * offset / (3.0 * scale), rel=1e-12)
+        assert np.linalg.norm(flat.b0 - [1.5 * scale + offset, 0.0]) <= 1e-12 * flat.b0[0]
+        np.testing.assert_array_equal(flat.A, [[0.0], [1.0]])
+
+    def test_w_past_the_floats_is_a_value_error(self):
+        # Two subnormal points 5e-324 apart need |w| near 4e323.
+        data = LabeledCloud(np.array([[5e-324], [1e-323]]), np.array([-1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large to represent"):
+                svm_hyperplane(data)
+
+    def test_refusals_match_linear_programming_and_w_matches_slsqp(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        for _ in range(120):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(3, 10))
+            X, y = rng.standard_normal((m, d)), rng.choice([-1.0, 1.0], m)
+            y[:2] = 1.0, -1.0
+            rows = y[:, None] * np.column_stack([X, -np.ones(m)])  # y (w.x - beta) >= 1
+            lp = optimize.linprog(np.zeros(d + 1), A_ub=-rows, b_ub=-np.ones(m),
+                                  bounds=(None, None))
+            try:
+                _, w, _ = svm_hyperplane(LabeledCloud(X, y))
+            except NotSeparable:
+                assert lp.status == 2
+                continue
+            assert lp.status == 0
+            margin = {"type": "ineq", "fun": lambda v: rows @ v - 1.0, "jac": lambda v: rows}
+            qp = optimize.minimize(
+                lambda v: v[:d] @ v[:d], lp.x, jac=lambda v: np.append(2.0 * v[:d], 0.0),
+                constraints=margin, method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000})
+            assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(qp.x[:d]), rel=1e-9)
 
     def test_not_separable(self):
         data = LabeledCloud(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OPERATIONS = ["make_flat", "distance", "sample_uniform", "geodesic", "evaluate_geodesic",
-              "MH step", "normalizer per sample"]
+              "MH step", "normalizer per sample", "svm_hyperplane per point"]
 
 
 def _percall(monkeypatch):

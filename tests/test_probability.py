@@ -429,6 +429,14 @@ class TestLangevinGaussian:
         with pytest.raises(ValueError):
             LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=0.0, k=1, n=3)
 
+    def test_largest_sigma2_keeps_the_density_finite(self):
+        # 2 pi sigma2 overflows past about 2.9e307; the bound 1e300 refuses 1e301.
+        params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1e300, k=1, n=3)
+        value = langevin_gaussian_log_density(x_axis(3), params, unnormalized=True)
+        assert value == -math.log(2.0 * math.pi * 1e300)
+        with pytest.raises(DimensionError, match=r"sigma2 must be a number in \(0, 1e\+300\]"):
+            LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1e301, k=1, n=3)
+
     def test_draws_satisfy_orthogonality(self):
         params = LangevinGaussianParams(
             S=np.diag([2.0, 1.0, 0.0, 0.0]), sigma2=0.3, k=2, n=4
@@ -625,7 +633,7 @@ class TestScalarArguments:
                 call(value)
         assert isinstance(info.value, GraffError) and isinstance(info.value, ValueError)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, "0.5",
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan, "0.5", 1e301,
                                        pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("setter", _POSITIVE_ARGUMENTS.values(), ids=_POSITIVE_ARGUMENTS)
     def test_non_positive_and_non_finite_reals_are_refused(self, setter, value):

@@ -8,8 +8,9 @@ directory, made by ``tools/bench_pairs.py``'s helpers: the parent commit from
 process per tree, alternating which goes first; a process imports graff from
 its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  The chain and the
-normalizer report per step and per sample, and a repeat runs ``--number``
-steps or samples (at least one call).
+normalizer report per step and per sample, the SVM per point of one 1000 x 5
+planted-margin cloud, and a repeat runs ``--number`` steps, samples or points
+(at least one call).
 
 The table gives, per operation and tree, the best time over all rounds and
 the range of the per-process bests, in microseconds.
@@ -29,7 +30,17 @@ from pathlib import Path
 import numpy
 from bench_pairs import _git, copy_parent, copy_working_tree
 
-MH_STEPS, NORMALIZER_SAMPLES = 100, 2000
+MH_STEPS, NORMALIZER_SAMPLES, SVM_POINTS = 100, 2000, 1000
+
+
+def svm_cloud(graff):
+    """perfbench cli_batch's SVM cloud, unrotated: x ~ N(0, 4 I) kept when |x.w - 0.3| >= 0.5."""
+    rng = numpy.random.default_rng(2019)
+    w = rng.standard_normal(5)
+    X = 2.0 * rng.standard_normal((10 * SVM_POINTS, 5))
+    margin = X @ w - 0.3
+    keep = numpy.flatnonzero(numpy.abs(margin) >= 0.5)[:SVM_POINTS]
+    return graff.LabeledCloud(X[keep], numpy.sign(margin[keep]))
 
 
 def operations(graff):
@@ -42,6 +53,7 @@ def operations(graff):
     curve = graff.geodesic(flat, other)
     S = rng.standard_normal((n + 1, n + 1))
     params = graff.LangevinParams(S + S.T, k, n)
+    cloud = svm_cloud(graff)
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
         ("distance", lambda: graff.distance(flat, other), 1),
@@ -52,6 +64,7 @@ def operations(graff):
                                                   init=flat), MH_STEPS),
         ("normalizer per sample", lambda: graff.langevin_normalizer(params, NORMALIZER_SAMPLES, rng),
          NORMALIZER_SAMPLES),
+        ("svm_hyperplane per point", lambda: graff.svm_hyperplane(cloud), SVM_POINTS),
     ]
 
 
