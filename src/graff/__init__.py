@@ -6,7 +6,6 @@ distributions with samplers, and classical estimators posed as searches for
 a best flat.
 """
 
-from .config import get_default_tol, set_default_tol
 from .coords import (
     AffineFlat,
     ProjectionAffinePair,

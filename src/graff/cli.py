@@ -14,8 +14,9 @@ per line) and CSV point clouds:
 Exit codes: 0 on success, 2 on input or usage errors and on results that do
 not fit in a float (ArithmeticError), 3 on domain errors (NotSeparable,
 SingularPair, NotAFlat).  Output is deterministic given the
-flags and ``--seed``.  The default tolerance of the checks on input may be
-overridden with ``--tol`` or the ``GRAFF_TOL`` environment variable.
+flags and ``--seed``.  The checks on input use one fixed relative tolerance,
+1e-10 for ranks; a document that needs a looser orthogonality check drops
+``"orthogonal": true`` and is canonicalized through ``make_flat``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import invariants
-from .config import get_default_tol, set_default_tol
 from .coords import projection_affine_coords, projection_coords, stiefel_coords
 from .errors import GraffError, NotAFlat, NotSeparable, SingularPair
 from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
@@ -192,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graff", description="Affine subspaces: coordinates, distances, sampling, fitting."
     )
-    parser.add_argument("--tol", type=float, help="override the default numerical tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert a flat document to other coordinates")
@@ -248,12 +246,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    saved_tol = get_default_tol()
     try:
-        if args.tol is not None:
-            set_default_tol(args.tol)
-        elif os.environ.get("GRAFF_TOL"):
-            set_default_tol(float(os.environ["GRAFF_TOL"]))
         return args.func(args)
     except (NotSeparable, SingularPair, NotAFlat) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -262,8 +255,6 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_default_tol(saved_tol)  # --tol and GRAFF_TOL last for one call only
 
 
 def entry_point() -> None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .config import get_default_tol
 from .errors import DimensionError, NotAFlat, RankDeficient
 from .invariants import _check_int
 
@@ -45,6 +44,11 @@ __all__ = [
     "deaffine",
     "flat_from_projection",
 ]
+
+# Relative tolerances: the rank ratio of a QR's diagonal, and (1e3 times looser)
+# the orthogonality, projection and kernel checks on outside coordinates.
+_RANK_TOL = 1e-10
+_CHECK_TOL = 1e3 * _RANK_TOL
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -77,7 +81,7 @@ def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     Q, diag = _lapack.qr(np.ldexp(M, -exponent))
     size = [abs(x) for x in diag.tolist()]
     largest = max(size)
-    if largest == 0.0 or min(size) / largest < get_default_tol():
+    if largest == 0.0 or min(size) / largest < _RANK_TOL:
         raise RankDeficient(f"{what} has numerical rank below {M.shape[1]}")
     return np.multiply(Q, np.sign(diag), out=Q)
 
@@ -102,19 +106,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _check_orthonormal(M: np.ndarray, what: str) -> None:
-    """Raise ``ValueError(what % deviation)`` unless |M^T M - I|max <= 1e3 tol."""
-    deviation = np.abs(M.T @ M - np.eye(M.shape[1])).max()
-    if deviation > 1e3 * get_default_tol():
+    """Raise ``ValueError(what % deviation)`` unless |M^T M - I|max <= _CHECK_TOL."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+        deviation = np.abs(M.T @ M - np.eye(M.shape[1])).max()
+    if not deviation <= _CHECK_TOL:
         raise ValueError(what % deviation)
 
 
 def _check_projection(P: np.ndarray) -> None:
-    """Raise ``ValueError`` unless P is symmetric and idempotent to 1e3 tol."""
-    tol = 1e3 * get_default_tol()
-    if np.abs(P - P.T).max() > tol:
-        raise ValueError("P is not symmetric")
-    if np.abs(P @ P - P).max() > tol:
-        raise ValueError("P is not idempotent")
+    """Raise ``ValueError`` unless P is symmetric and idempotent to _CHECK_TOL."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+        if not np.abs(P - P.T).max() <= _CHECK_TOL:
+            raise ValueError("P is not symmetric")
+        if not np.abs(P @ P - P).max() <= _CHECK_TOL:
+            raise ValueError("P is not idempotent")
+
+
+def _kernel_error(M: np.ndarray, b: np.ndarray) -> float:
+    """|M b|max / max(1, |b|), for M with entries of order one and any finite b."""
+    u, e = _split_scale(b)
+    return np.abs(M @ u).max() / max(math.ldexp(1.0, -e), float(np.linalg.norm(u)))
 
 
 def _trusted(cls, **arrays):
@@ -162,10 +173,8 @@ class AffineFlat:
             raise DimensionError(f"flat dimension k={k} must satisfy 0 <= k < n={n}")
         if k > 0:
             _check_orthonormal(A, "A is not orthonormal (max deviation %.3e); use make_flat")
-            u, e = _split_scale(b0)
-            size = max(math.ldexp(1.0, -e), float(np.linalg.norm(u)))
-            disp_err = np.abs(A.T @ u).max() / size
-            if disp_err > 1e3 * get_default_tol():
+            disp_err = _kernel_error(A.T, b0)
+            if disp_err > _CHECK_TOL:
                 raise ValueError(
                     f"b0 is not orthogonal to span(A) (relative error {disp_err:.3e}); use make_flat"
                 )
@@ -270,7 +279,7 @@ class ProjectionAffinePair:
             raise DimensionError(f"P must be square, got {P.shape}")
         b = _as_vector(self.b, n, "b")
         _check_projection(P)
-        if np.abs(P @ b).max() > 1e3 * get_default_tol() * max(1.0, math.hypot(*b.tolist())):
+        if not _kernel_error(P, b) <= _CHECK_TOL:
             raise ValueError("b does not lie in ker(P)")
         object.__setattr__(self, "P", _freeze(P))
         object.__setattr__(self, "b", _freeze(b))

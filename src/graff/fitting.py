@@ -94,6 +94,18 @@ def _positive_leading_signs(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _scale_and_centre(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(C, mean, e): 2^-e brings X's largest entry into [1/2, 1), mean is the mean
+    of 2^-e X and C = 2^-e X - mean, in one new array.  Scaling before centring
+    keeps the mean and C finite near 1.8e308 and, being exact, keeps their bits.
+    """
+    e = math.frexp(max(float(X.max()), -float(X.min())))[1]
+    C = np.ldexp(X, -e)
+    mean = C.mean(axis=0)
+    C -= mean
+    return C, mean, e
+
+
 def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
     """Best-fitting k-flat of a point cloud, in total least squares.
 
@@ -114,10 +126,10 @@ def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
         raise DimensionError(f"need 0 <= k < d, got k={k}, d={cloud.d}")
     if cloud.n_points < k + 1:
         raise DimensionError(f"need at least k+1={k + 1} points, got {cloud.n_points}")
-    mean = cloud.X.mean(axis=0)
+    centered, mean, e = _scale_and_centre(cloud.X)
+    mean = np.ldexp(mean, e)
     if k == 0:
         return AffineFlat(np.zeros((cloud.d, 0)), mean)
-    centered = cloud.X - mean
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     if k < svals.shape[0] and svals[0] > 0 and svals[k - 1] - svals[k] < 1e-10 * svals[0]:
         warnings.warn(
@@ -138,14 +150,22 @@ def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
         span([I_p; beta^T]) + intercept * e_{p+1},
 
     together with the (p+1)-vector of raw coefficients (beta..., intercept).
+    X and y are each scaled by a power of two whose largest entry lands in
+    [1/2, 1), so the rank of [X, 1] does not depend on the scale of X.  Raises
+    ``ValueError`` when a coefficient does not fit in a float.
     """
     X = _as_matrix(X, "X")
     n_obs, p = X.shape
     y = _as_vector(y, n_obs, "y")
-    design = np.column_stack([X, np.ones(n_obs)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    ex, ey = (math.frexp(float(np.abs(M).max()))[1] for M in (X, y))
+    design = np.column_stack([np.ldexp(X, -ex), np.ones(n_obs)])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, np.ldexp(y, -ey), rcond=None)
     if rank < p + 1:
         raise RankDeficient(f"design matrix [X, 1] has rank {rank} < {p + 1}")
+    with np.errstate(over="ignore"):  # refused below if past the floats
+        coeffs = np.ldexp(coeffs, [ey - ex] * p + [ey])
+    if not np.isfinite(coeffs).all():
+        raise ValueError("beta or the intercept is too large to represent")
     beta, intercept = coeffs[:p], coeffs[p]
     graph_basis = np.vstack([np.eye(p), beta[None, :]])
     displacement = np.zeros(p + 1)
@@ -203,12 +223,10 @@ def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
     """
     if not isinstance(data, LabeledCloud):
         raise TypeError("svm_hyperplane expects a LabeledCloud")
-    # Scaling before centring keeps X.mean finite; the solve sees 2^-e2 (2^-e1 X - mean).
-    e1 = math.frexp(float(np.abs(data.X).max()))[1]
-    X = np.ldexp(data.X, -e1)
-    mean = X.mean(axis=0)
-    e2 = math.frexp(float(np.abs(X - mean).max()))[1]
-    X = np.ldexp(X - mean, -e2)
+    # The solve sees 2^-e2 (2^-e1 X - mean), its largest entry in [1/2, 1).
+    X, mean, e1 = _scale_and_centre(data.X)
+    e2 = math.frexp(float(np.abs(X).max()))[1]
+    X = np.ldexp(X, -e2)
     plus, minus = _nearest_points(X[data.y > 0], X[data.y < 0])
     x = plus - minus
     if math.sqrt(x @ x) <= 1e-12:

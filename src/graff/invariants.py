@@ -9,7 +9,6 @@ is a pure function of small integers.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import Sequence
 
@@ -54,14 +53,14 @@ def _check_int(value, name: str, least: int | None = None) -> int:
     raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _check_positive(value, name: str, most: float = sys.float_info.max) -> float:
-    """``value`` as a float; ``DimensionError`` unless it is a real number in (0, most]."""
+def _check_positive(value, name: str) -> float:
+    """``value`` as a float; ``DimensionError`` unless it is a real number in (0, 1e300]."""
     try:
-        if value == float(value) and 0.0 < float(value) <= most:
+        if value == float(value) and 0.0 < float(value) <= 1e300:
             return float(value)
     except (TypeError, ValueError, OverflowError):  # a non-number or an int past floats
         pass
-    raise DimensionError(f"{name} must be a number in (0, {most:.3g}], got {value!r}")
+    raise DimensionError(f"{name} must be a number in (0, 1e+300], got {value!r}")
 
 
 def dim_graff(k: int, n: int) -> int:

@@ -95,7 +95,7 @@ class LangevinGaussianParams:
     def __post_init__(self):
         k = _check_int(self.k, "k", 0)
         n = _check_int(self.n, "n", k + 1)
-        object.__setattr__(self, "sigma2", _check_positive(self.sigma2, "sigma2", 1e300))
+        object.__setattr__(self, "sigma2", _check_positive(self.sigma2, "sigma2"))
         object.__setattr__(self, "S", _symmetric_matrix(self.S, n, "S"))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -110,7 +110,7 @@ class MHConfig:
     thin: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "step_size", _check_positive(self.step_size, "step_size", 1e300))
+        object.__setattr__(self, "step_size", _check_positive(self.step_size, "step_size"))
         object.__setattr__(self, "burn_in", _check_int(self.burn_in, "burn_in", 0))
         object.__setattr__(self, "thin", _check_int(self.thin, "thin", 1))
 

@@ -460,94 +460,14 @@ class TestFit:
         assert (code, out, err) == (2, "", f"ValueError: {csv}: {message}\n")
 
 
-class TestToleranceControls:
-    def test_tol_flag_changes_rank_decision(self, capsys, write_doc):
-        nearly = {
-            "n": 3,
-            "k": 2,
-            "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]],
-            "b": [0.0, 0.0, 0.0],
-        }
-        path = write_doc(nearly)
-        code, _, _ = run_cli(capsys, "convert", path, "--to", "stiefel")
-        assert code == 0
-        code, _, err = run_cli(capsys, "--tol", "1e-3", "convert", path, "--to", "stiefel")
-        assert code == 2
-        assert "RankDeficient" in err
-
-    def test_env_variable_used_when_flag_absent(self, capsys, write_doc, monkeypatch):
-        nearly = {
-            "n": 3,
-            "k": 2,
-            "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]],
-            "b": [0.0, 0.0, 0.0],
-        }
-        path = write_doc(nearly)
-        monkeypatch.setenv("GRAFF_TOL", "1e-3")
-        code, _, err = run_cli(capsys, "convert", path, "--to", "stiefel")
-        assert code == 2
-        assert "RankDeficient" in err
-
-    def test_tight_tol_accepts_own_samples(self, capsys):
-        # graff does not re-check the orthonormality of bases its QR built.
-        args = ("sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "2",
-                "--seed", "1")
-        code, expected, _ = run_cli(capsys, *args)
-        tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
-        assert code == tight_code == 0, err
-        assert out == expected
-
-    def test_tight_tol_accepts_own_projection_affine_and_svm(self, capsys, write_doc, tmp_path):
-        # [A A^T, b0] and the SVM hyperplane are built by graff, so --tol does not
-        # re-check them; RAW is a non-orthogonal 2-flat document in R^5.
-        raw = write_doc({"n": 5, "k": 2, "A": [[1.0, 2.0, 0.5, -1.0, 0.3],
-                                               [0.2, -1.0, 3.0, 0.7, 1.1]],
-                         "b": [1.0, -2.0, 0.5, 3.0, 0.1]})
-        csv = tmp_path / "data.csv"
-        csv.write_text("0.8,-1.4,-1\n-2.8,-2.9,-1\n5.9,6.5,1\n4.6,5.4,1\n")
-        for args in (("convert", raw, "--to", "projection-affine"),
-                     ("fit", "--method", "svm", str(csv))):
-            code, expected, _ = run_cli(capsys, *args)
-            tight_code, out, err = run_cli(capsys, "--tol", "1e-20", *args)
-            assert code == tight_code == 0, err
-            assert out == expected
-
-    def test_tol_flag_lasts_for_one_call(self, capsys, write_doc):
-        nearly = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "b": [0.0, 0.0, 0.0]}
-        path = write_doc(nearly)
-        code, _, _ = run_cli(capsys, "--tol", "1e-3", "convert", path, "--to", "stiefel")
-        assert code == 2
-        assert graff.get_default_tol() == 1e-10
-        code, _, err = run_cli(capsys, "convert", path, "--to", "stiefel")
-        assert code == 0, err
-
-    @pytest.mark.parametrize("flag, env, shown", [
-        ("0", None, "0.0"), ("nan", None, "nan"), (None, "-1", "-1.0"), ("inf", "1e-3", "inf"),
-        ("2", None, "2.0"), (None, "1", "1.0"),
-    ])
-    def test_invalid_tolerance_exits_2_and_keeps_the_default(self, capsys, monkeypatch,
-                                                             flag, env, shown):
-        if env is not None:
-            monkeypatch.setenv("GRAFF_TOL", env)
-        args = ("invariant", "--what", "dim", "1", "3")
-        code, out, err = run_cli(capsys, *(("--tol", flag) if flag else ()), *args)
-        assert (code, out) == (2, "")
-        assert err == f"DimensionError: tol must be a number in (0, 0.5], got {shown}\n"
-        assert graff.get_default_tol() == 1e-10
-
-    @pytest.mark.parametrize("seed", ["1", "2", "3"])
-    def test_loose_tol_does_not_reach_own_samples(self, capsys, seed):
-        # graff's own Gaussian frames take no rank test: --tol checks outside input only.
-        args = ("sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "2000",
-                "--seed", seed)
-        code, expected, _ = run_cli(capsys, *args)
-        loose_code, out, err = run_cli(capsys, "--tol", "0.1", *args)
-        assert code == loose_code == 0, err
-        assert out == expected
-
-    def test_bad_usage_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "distance")
-        assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["distance"],
+    ["--tol", "1e-3", "convert", "X_AXIS", "--to", "stiefel"],  # no tolerance flag any more
+])
+def test_bad_usage_exits_2(capsys, write_doc, argv):
+    argv = [write_doc(X_AXIS_DOC) if arg == "X_AXIS" else arg for arg in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
 
 
 def test_flat_documents_round_trip_bit_exactly():
@@ -589,7 +509,8 @@ _FIELD = st.one_of(st.integers(-3, 6).map(str), st.floats().map(json.dumps),
 _FUZZ = settings(deadline=None, derandomize=True, max_examples=150)
 
 
-def _fuzz_main(argv):
+def _fuzz_main(argv, allowed=()):
+    """Run main; ``allowed`` names the warning classes a command may issue by design."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -597,13 +518,14 @@ def _fuzz_main(argv):
             code = main(argv)
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    caught = [w for w in caught if not issubclass(w.category, allowed)]
     assert not caught, [str(w.message) for w in caught]
 
 
 @_FUZZ
 @given(dist=st.sampled_from(["uniform", "langevin", "langevin-gaussian"]),
        flags=st.fixed_dictionaries({}, optional={
-           "--tol": _FLAG, "--count": _WORK, "--k": _FLAG, "--n": _FLAG,
+           "--count": _WORK, "--k": _FLAG, "--n": _FLAG,
            "--burn-in": _WORK, "--thin": _WORK, "--step-size": _FLAG}),
        k=st.one_of(st.just("1"), _FIELD), n=st.one_of(st.just("3"), _FIELD),
        sigma2=st.one_of(st.just("0.5"), _FIELD))
@@ -614,32 +536,81 @@ def test_fuzzed_sample_exits_cleanly(dist, flags, k, n, sigma2):
         params = Path(tmp) / "params.json"
         params.write_text('{"k": %s, "n": %s, "sigma2": %s, "S": %s}'
                           % (k, n, sigma2, json.dumps(np.eye(size).tolist())))
-        argv = [] if "--tol" not in flags else ["--tol", flags.pop("--tol")]
-        argv += ["sample", "--dist", dist, "--seed", "0", "--params", str(params)]
+        argv = ["sample", "--dist", dist, "--seed", "0", "--params", str(params)]
         _fuzz_main(argv + [token for pair in flags.items() for token in pair])
 
 
 @_FUZZ
-@given(tol=st.one_of(st.none(), _FLAG), t=st.lists(_FLAG, min_size=1, max_size=3))
-def test_fuzzed_geodesic_exits_cleanly(tol, t):
+@given(t=st.lists(_FLAG, min_size=1, max_size=3))
+def test_fuzzed_geodesic_exits_cleanly(t):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, doc in (("a", X_AXIS_DOC), ("b", LINE_Y1_DOC)):
             paths.append(str(Path(tmp) / f"{name}.json"))
             Path(paths[-1]).write_text(json.dumps(doc))
-        _fuzz_main(([] if tol is None else ["--tol", tol]) + ["geodesic", *paths, "--t", *t])
+        _fuzz_main(["geodesic", *paths, "--t", *t])
+
+
+# Flat documents in R^n: an axis basis (its entries 1 or fuzzed) with b orthogonal to
+# it, or fuzzed rows, the orthogonal flag on or off, and entries from 5e-324 to
+# 1.7e308, nan, 1e400 and 10**400.
+_DOC_ENTRY = st.one_of(st.integers(-3, 3).map(str), st.floats(-4.0, 4.0).map(repr),
+                       st.sampled_from(["NaN", "1e400", _HUGE, "5e-324", "1.7e308", "-1.7e308"]))
+
+
+@st.composite
+def _flat_document(draw, n):
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        unit = draw(st.one_of(st.just("1"), _DOC_ENTRY))
+        rows = [[unit if i == j else "0" for i in range(n)] for j in range(k)]
+        b = ["0"] * k + draw(st.lists(_DOC_ENTRY, min_size=n - k, max_size=n - k))
+    else:
+        rows = draw(st.lists(st.lists(_DOC_ENTRY, min_size=n, max_size=n), min_size=k,
+                             max_size=k))
+        b = draw(st.lists(_DOC_ENTRY, min_size=n, max_size=n))
+    return '{"n": %d, "k": %d, "A": [%s], "b": [%s], "orthogonal": %s}' % (
+        n, k, ", ".join("[%s]" % ", ".join(row) for row in rows), ", ".join(b),
+        json.dumps(draw(st.booleans())))
+
+
+_DOC_COMMAND = st.one_of(
+    st.sampled_from(["stiefel", "projection", "projection-affine"]).map(
+        lambda to: ["convert", "FLAT1", "--to", to]),
+    st.tuples(st.sampled_from([kind.value for kind in graff.DistanceKind]),
+              st.sets(st.sampled_from(["--verbose", "--infinite"]))).map(
+        lambda kind_flags: ["distance", "FLAT1", "FLAT2", "--kind", kind_flags[0],
+                            *sorted(kind_flags[1])]),
+    st.lists(_FLAG, min_size=1, max_size=2).map(lambda t: ["geodesic", "FLAT1", "FLAT2", "--t", *t]))
+
+
+@_FUZZ
+@given(command=_DOC_COMMAND, n=st.integers(1, 4), data=st.data())
+def test_fuzzed_flat_documents_exit_cleanly(command, n, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("FLAT1", "FLAT2"):
+            (Path(tmp) / name).write_text(data.draw(_flat_document(n)))
+        _fuzz_main([str(Path(tmp) / arg) if arg.startswith("FLAT") else arg for arg in command])
 
 
 # CSV clouds for fit --method svm: small integers and floats times a scale from
-# 2**-1074 to 1e300, with the largest floats and subnormals, duplicated rows and
+# 2**-1074 to 4e307, with the largest floats and subnormals, duplicated rows and
 # conflicting labels.
 _SVM_ENTRY = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0),
                        st.sampled_from([5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]))
 
 
+_SCALE = st.sampled_from([1.0, 2.0**-1074, 1e-300, 1e-160, 1e150, 1e300, 4e307])
+
+
+def _write_cloud(tmp, rows) -> str:
+    path = Path(tmp) / "cloud.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return str(path)
+
+
 @_FUZZ
-@given(d=st.integers(1, 3), scale=st.sampled_from([1.0, 2.0**-1074, 1e-300, 1e-160, 1e150, 1e300]),
-       data=st.data())
+@given(d=st.integers(1, 3), scale=_SCALE, data=st.data())
 def test_fuzzed_svm_fit_exits_cleanly(d, scale, data):
     points = data.draw(st.lists(st.lists(_SVM_ENTRY, min_size=d, max_size=d), min_size=2,
                                 max_size=8))
@@ -650,6 +621,18 @@ def test_fuzzed_svm_fit_exits_cleanly(d, scale, data):
     rows = [[x * scale for x in p] + [y] for p, y in zip(points, labels)]
     rows += [row[:-1] + [flip * row[-1]] for row in rows[:repeats]]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cloud.csv"
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
-        _fuzz_main(["fit", "--method", "svm", str(path)])
+        _fuzz_main(["fit", "--method", "svm", _write_cloud(tmp, rows)])
+
+
+@_FUZZ
+@given(method=st.sampled_from(["flat", "regression"]), d=st.integers(1, 4), k=st.integers(0, 3),
+       scale=_SCALE, data=st.data())
+def test_fuzzed_flat_and_regression_fit_exit_cleanly(method, d, k, scale, data):
+    points = data.draw(st.lists(st.lists(_SVM_ENTRY, min_size=d, max_size=d), min_size=1,
+                                max_size=8))
+    points += points[:data.draw(st.integers(0, 2))]  # repeated rows
+    rows = [[x * scale for x in p] for p in points]
+    with tempfile.TemporaryDirectory() as tmp:
+        flags = ["--k", str(k)] if method == "flat" else []
+        _fuzz_main(["fit", "--method", method, *flags, _write_cloud(tmp, rows)],
+                   allowed=graff.DegenerateSpectrum)  # a tie of singular values is reported

@@ -82,6 +82,10 @@ class TestMakeFlat:
             with pytest.raises(RankDeficient):
                 build(A)
 
+    def test_pair_one_pivot_ratio_above_the_rank_tolerance_is_kept(self):
+        # The rank tolerance is a fixed 1e-10, relative to the largest pivot.
+        assert make_flat([[1.0, 1.0], [0.0, 1e-9], [0.0, 0.0]], np.zeros(3)).k == 2
+
     def test_orthonormal_basis_is_kept(self, rng):
         for k in (1, 2, 4):
             A_raw = np.linalg.qr(rng.standard_normal((6, k)))[0]
@@ -195,10 +199,28 @@ class TestHugeDisplacement:
     (graff.ProjectionMatrix, (np.diag([1.0, 0.0]),), ValueError, "corner entry must be"),
     (graff.ProjectionAffinePair, ([[1.0, 0.0]], [0.0]), DimensionError, "P must be square"),
     (graff.ProjectionAffinePair, (np.diag([1.0, 0.0]), [1.0, 0.0]), ValueError, "not lie in ker"),
+    # |b| overflows a plain norm; b is scaled before the comparison.
+    (graff.ProjectionAffinePair, (np.diag([1.0, 0.0, 0.0]), [1.7e308] * 3), ValueError,
+     "not lie in ker"),
 ])
 def test_public_coordinate_constructors_refuse_invalid_matrices(cls, args, error, message):
     with pytest.raises(error, match=message):
         cls(*args)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (graff.AffineFlat, (np.eye(3)[:, :2] * [1e200, 1.0], np.zeros(3)), "A is not orthonormal"),
+    (graff.StiefelMatrix, (np.eye(3)[:, :2] * [1e200, 1.0],), "columns are not orthonormal"),
+    (graff.ProjectionMatrix, (np.diag([1e200, 1.0, 1.0]),), "P is not idempotent"),
+    (graff.ProjectionMatrix, ([[1.0, 1.7e308], [-1.7e308, 1.0]],), "P is not symmetric"),
+    (graff.ProjectionAffinePair, (np.diag([1e200, 1.0, 0.0]), np.zeros(3)), "P is not idempotent"),
+])
+def test_public_coordinate_constructors_refuse_huge_entries_without_warning(cls, args, message):
+    # M^T M, P @ P and P - P^T overflow to inf or nan here; both are refused, unwarned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            cls(*args)
 
 
 class TestStiefelCoords:

@@ -139,6 +139,15 @@ class TestFitFlat:
                 point_to_flat_distance(x + v, shifted), abs=1e-10
             )
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_huge_cloud_is_the_scaled_ordinary_fit(self, rng, k):
+        # Entries up to 1.79e308: the mean and the centring are taken after a
+        # power-of-two scaling, so they neither overflow nor lose a bit.
+        X = rng.uniform(-1.0, 1.0, (50, 3))
+        huge, ordinary = fit_flat(PointCloud(np.ldexp(X, 1024)), k), fit_flat(PointCloud(X), k)
+        np.testing.assert_array_equal(huge.A, ordinary.A)
+        np.testing.assert_array_equal(huge.b0, np.ldexp(ordinary.b0, 1024))
+
     def test_spectral_tie_warns(self):
         square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.warns(DegenerateSpectrum):
@@ -190,6 +199,19 @@ class TestLinearRegression:
         z = rng.standard_normal(2)
         prediction = float(z @ beta[:2] + beta[2])
         assert point_to_flat_distance(np.append(z, prediction), flat) < 1e-10
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 1e-20, 1e300])
+    def test_scaled_cloud_keeps_beta_and_scales_the_intercept(self, rng, scale):
+        X = rng.standard_normal((20, 3))
+        y = X @ [1.0, 2.0, 3.0] + 0.5 + 0.01 * rng.standard_normal(20)
+        _, coeffs = linear_regression(X, y)
+        _, scaled = linear_regression(X * scale, y * scale)
+        np.testing.assert_allclose(scaled[:3], coeffs[:3], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scaled[3] / scale, coeffs[3], rtol=1e-12, atol=0.0)
+
+    def test_coefficients_past_the_floats_are_a_value_error(self):
+        with pytest.raises(ValueError, match="too large to represent"):
+            linear_regression(np.array([0.0, 1e-300, 2e-300]), np.array([0.0, 1e300, 2e300]))
 
     def test_rank_deficient_design(self):
         X = np.ones((4, 1))  # collinear with the intercept column

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graff import make_flat, random_stream, sample_uniform, stiefel_coords
-from graff.config import get_default_tol
 from graff.coords import _flat_from_frame
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
@@ -44,7 +43,7 @@ def _old_draw(k, n, rng):
         diag = R.diagonal()
         size = np.abs(diag)
         largest = size.max()
-        assert largest > 0.0 and size.min() >= get_default_tol() * largest
+        assert largest > 0.0 and size.min() >= 1e-10 * largest
         flat = _old_flat_from_frame(Q * np.sign(diag))
         if flat is not None:
             return flat

@@ -33,7 +33,6 @@ from graff import (
 )
 
 from graff import _lapack, probability
-from graff.config import get_default_tol, set_default_tol
 from graff.probability import _chain_length
 
 from conftest import random_flat, x_axis
@@ -616,7 +615,6 @@ _INTEGER_ARGUMENTS = {
 _POSITIVE_ARGUMENTS = {
     "sigma2": lambda v: LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=v, k=1, n=3),
     "step_size": lambda v: MHConfig(step_size=v),
-    "tol": set_default_tol,
 }
 
 
@@ -642,7 +640,6 @@ class TestScalarArguments:
             with pytest.raises(DimensionError, match="must be a number in") as info:
                 setter(value)
         assert isinstance(info.value, GraffError) and isinstance(info.value, ValueError)
-        assert get_default_tol() == 1e-10
 
     def test_integral_values_of_any_numeric_type_are_read_as_int(self):
         flats, _ = langevin_mh_run(_PARAMS, np.int64(3), 0.3, random_stream(1))
