@@ -460,6 +460,51 @@ class TestFit:
         assert (code, out, err) == (2, "", f"ValueError: {csv}: {message}\n")
 
 
+_NEARLY_DOC = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "b": [0.0, 0.0, 0.0]}
+
+
+class TestFixedTolerance:
+    def test_rank_decision_uses_the_fixed_tolerance(self, capsys, write_doc):
+        # A pivot ratio of 1e-5 is above the fixed 1e-10; 1e-11 is below it.
+        code, _, err = run_cli(capsys, "convert", write_doc(_NEARLY_DOC), "--to", "stiefel")
+        assert (code, err) == (0, "")
+        below = dict(_NEARLY_DOC, A=[[1.0, 0.0, 0.0], [1.0, 1e-11, 0.0]])
+        code, out, err = run_cli(capsys, "convert", write_doc(below), "--to", "stiefel")
+        assert (code, out) == (2, "")
+        assert err.startswith("RankDeficient")
+
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "1e-3", "2", "1"])
+    def test_tolerance_variable_is_ignored(self, capsys, write_doc, monkeypatch, value):
+        path = write_doc(_NEARLY_DOC)
+        expected = run_cli(capsys, "convert", path, "--to", "stiefel")
+        monkeypatch.setenv("GRAFF_TOL", value)
+        assert run_cli(capsys, "convert", path, "--to", "stiefel") == expected
+        assert expected[0] == 0
+
+    def test_own_samples_read_back_unchanged(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sample", "--dist", "uniform", "--k", "2", "--n", "5",
+                                 "--count", "2", "--seed", "1")
+        assert (code, err) == (0, "")
+        for i, line in enumerate(out.splitlines()):
+            path = tmp_path / f"sample{i}.json"
+            path.write_text(line)
+            code, stiefel, err = run_cli(capsys, "convert", str(path), "--to", "stiefel")
+            assert (code, err) == (0, "")
+            flat = flat_from_document(line)
+            np.testing.assert_array_equal(json.loads(stiefel)["data"], graff.stiefel_coords(flat).Y)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_every_own_sample_passes_the_orthogonality_check(self, capsys, seed):
+        # Printed bases carry "orthogonal": true, so reading them back runs the fixed
+        # orthogonality check on every one of them.
+        code, out, err = run_cli(capsys, "sample", "--dist", "uniform", "--k", "2", "--n", "5",
+                                 "--count", "2000", "--seed", seed)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 2000
+        assert all(flat_from_document(line).k == 2 for line in lines)
+
+
 @pytest.mark.parametrize("argv", [
     ["distance"],
     ["--tol", "1e-3", "convert", "X_AXIS", "--to", "stiefel"],  # no tolerance flag any more
