@@ -185,14 +185,15 @@ def betti(k: int, i: int) -> int:
     """i-th Betti number of the space of k-flats, with Z/2 coefficients.
 
     Equals the number of partitions of i into at most k parts, computed by
-    exact integer dynamic programming.
+    exact integer dynamic programming; ``DimensionError`` past 10**7 steps.
     """
     k, i = _check_int(k, "k", 1), _check_int(i, "i", 0)
-    # counts[m] = partitions of m into parts <= current bound, at most that many parts
-    # via the conjugate view: partitions of i with at most k parts == partitions
-    # of i into parts of size <= k.
+    if min(k, i) * i > 10**7:
+        raise DimensionError(f"betti({k}, {i}) needs min(k, i) * i steps, over 10**7")
+    # Conjugated, these are the partitions of i into parts <= min(k, i); counts[m]
+    # counts the partitions of m into the parts seen so far.
     counts = [1] + [0] * i
-    for part in range(1, k + 1):
+    for part in range(1, min(k, i) + 1):
         for m in range(part, i + 1):
             counts[m] += counts[m - part]
     return counts[i]

@@ -98,25 +98,23 @@ def _overlap(flat1: AffineFlat, flat2: AffineFlat) -> tuple[np.ndarray, np.ndarr
     return M, Y2 - Y1 @ M
 
 
-def _angles(M: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (nondecreasing) and their cosines from M = Y1^T Y2, W = Y2 - Y1 M.
+def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
+    """Angles (nondecreasing) and cosines, as float lists, from M = Y1^T Y2, W = Y2 - Y1 M.
 
-    The cosines are the singular values of M, the sines the smallest of W;
-    one batched SVD of M padded with zero rows (same singular values) and W
-    gives both.  arccos near a cosine of 1 loses half the digits, so angles
-    below pi/4 are recovered from the sines instead.
+    The cosines are the singular values of M, the sines the smallest of W: one
+    batched SVD of M padded with zero rows (same singular values) and W, read
+    once with ``tolist``.  Angles below pi/4 come from ``math.asin`` of the sines,
+    as arccos near 1 loses half the digits; ``min(x, 1.0)`` keeps a nan a nan.
     """
-    count = min(M.shape)
     stack = np.zeros((2,) + W.shape)
-    stack[0, : M.shape[0]] = M
-    stack[1] = W
-    values = _lapack.svdvals(stack)
-    sigmas = values[0, :count]
-    if sigmas[0] > 1.0 + 1e-8:
-        raise InternalError(f"singular value {sigmas[0]} exceeds 1 beyond rounding")
-    sigmas = np.minimum(sigmas, 1.0)
-    sines = np.minimum(values[1, ::-1][:count], 1.0)
-    return np.where(sigmas**2 >= 0.5, np.arcsin(sines), np.arccos(sigmas)), sigmas
+    stack[0, : M.shape[0]], stack[1] = M, W
+    cosines, sines = _lapack.svdvals(stack).tolist()
+    if cosines[0] > 1.0 + 1e-8:
+        raise InternalError(f"singular value {cosines[0]} exceeds 1 beyond rounding")
+    sigmas = [min(s, 1.0) for s in cosines[: min(M.shape)]]
+    thetas = [math.asin(min(t, 1.0)) if s * s >= 0.5 else math.acos(s)
+              for s, t in zip(sigmas, sines[::-1])]
+    return thetas, sigmas
 
 
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
@@ -127,7 +125,7 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    return _angles(*_overlap(flat1, flat2))[0]
+    return np.array(_angles(*_overlap(flat1, flat2))[0])
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
@@ -136,8 +134,8 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
     thetas, sigmas = _angles(M, W)
     U, _, Vt = _lapack.svd(M, full_matrices=True)
     return PrincipalDecomposition(
-        thetas=thetas,
-        sigmas=sigmas,
+        thetas=np.array(thetas),
+        sigmas=np.array(sigmas),
         U=U,
         V=Vt.T,
         P_vecs=stiefel_coords(flat1).Y @ U,
@@ -145,26 +143,27 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
     )
 
 
-def _formula(thetas: np.ndarray, sigmas: np.ndarray, kind: DistanceKind, gap: int = 0) -> float:
-    """One row of the distance table; ``gap`` right angles more for :func:`infinite_metric`."""
-    largest = float(thetas[-1])
+def _formula(thetas: list[float], sigmas: list[float], kind: DistanceKind, gap: int = 0) -> float:
+    """One row of the distance table on the float lists of :func:`_angles`, sums by ``math.fsum``;
+    ``gap`` right angles more for :func:`infinite_metric`."""
+    largest = thetas[-1]
     if kind is DistanceKind.GRASSMANN:
-        return math.sqrt(gap * math.pi**2 / 4.0 + (thetas**2).sum())
+        return math.sqrt(gap * math.pi**2 / 4.0 + math.fsum(t * t for t in thetas))
     if kind is DistanceKind.ASIMOV:
         return largest
     if kind in (DistanceKind.BINET_CAUCHY, DistanceKind.FUBINI_STUDY, DistanceKind.MARTIN):
         # L = sum log cos^2 theta_i, from the sines where sigma^2 >= 1/2 as in the kernel.
         L = -math.inf if sigmas[-1] == 0.0 else sum(
             math.log1p(-math.sin(t) ** 2) if s * s >= 0.5 else 2.0 * math.log(s)
-            for t, s in zip(thetas.tolist(), sigmas.tolist()))
+            for t, s in zip(thetas, sigmas))
         if kind is DistanceKind.MARTIN:
             return math.sqrt(0.0 - L)
         sine, cosine = math.sqrt(0.0 - math.expm1(L)), math.exp(L / 2.0)
         return sine if kind is DistanceKind.BINET_CAUCHY else math.atan2(sine, cosine)
     if kind is DistanceKind.CHORDAL:
-        return math.sqrt(gap + (np.sin(thetas) ** 2).sum())
+        return math.sqrt(gap + math.fsum(math.sin(t) ** 2 for t in thetas))
     if kind is DistanceKind.PROCRUSTES:
-        return 2.0 * math.sqrt(gap / 2.0 + (np.sin(thetas / 2.0) ** 2).sum())
+        return 2.0 * math.sqrt(gap / 2.0 + math.fsum(math.sin(t / 2.0) ** 2 for t in thetas))
     if kind is DistanceKind.PROJECTION:
         return math.sin(largest)
     if kind is DistanceKind.SPECTRAL:

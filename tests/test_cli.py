@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graff
@@ -594,6 +594,25 @@ def test_fuzzed_geodesic_exits_cleanly(t):
             paths.append(str(Path(tmp) / f"{name}.json"))
             Path(paths[-1]).write_text(json.dumps(doc))
         _fuzz_main(["geodesic", *paths, "--t", *t])
+
+
+# invariant arguments: small, negative and 10**21-scale integers, floats, nan, inf and
+# 1e400; each --what gets its own count of them, one fewer or one more, and volume a space.
+_INVARIANT_ARG = st.one_of(st.integers(-3, 8).map(str),
+                           st.integers(-9, 9).map(lambda d: str(10**21 + d)),
+                           st.integers(1, 9).map(lambda d: str(-10**21 * d)), st.floats().map(repr),
+                           st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+_INVARIANT_ARITY = {"dim": 2, "schubert-dim": 3, "volume": 2, "relative-volume": 3, "betti": 2,
+                    "homotopy": 3}
+
+
+@_FUZZ
+@given(what=st.sampled_from(sorted(_INVARIANT_ARITY)), space=st.sampled_from(["gr", "graff"]),
+       args=st.lists(_INVARIANT_ARG, min_size=4, max_size=4), extra=st.integers(-1, 1))
+@example(what="betti", space="gr", args=[str(10**21), "3", "0", "0"], extra=0)  # huge k, small i
+def test_fuzzed_invariant_exits_cleanly(what, space, args, extra):
+    args = args[: _INVARIANT_ARITY[what] + extra]
+    _fuzz_main(["invariant", "--what", what, *([space] if what == "volume" else []), *args])
 
 
 # Flat documents in R^n: an axis basis (its entries 1 or fuzzed) with b orthogonal to

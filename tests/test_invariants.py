@@ -256,6 +256,15 @@ class TestBetti:
         with pytest.raises(DimensionError):
             betti(2, -1)
 
+    def test_parts_past_i_add_nothing_so_a_huge_k_returns_at_once(self):
+        assert betti(10**21, 4) == betti(4, 4) == 5
+        assert betti(10**21, 0) == 1
+
+    def test_more_than_ten_million_steps_are_refused(self):
+        for k, i in ((2, 5 * 10**6 + 1), (10**21, 3163), (1, 10**21)):
+            with pytest.raises(DimensionError, match=r"over 10\*\*7"):
+                betti(k, i)
+
 
 class TestHomotopyGroups:
     def test_fundamental_group(self):

@@ -304,17 +304,18 @@ class TestInfiniteMetric:
 
 
     def test_bit_equal_to_its_own_three_formulas(self, rng):
-        formulas = {
+        formulas = {  # over thetas.tolist(), in the library's fsum-of-math.sin arithmetic
             DistanceKind.GRASSMANN: lambda gap, t: math.sqrt(gap * math.pi**2 / 4.0
-                                                             + (t**2).sum()),
-            DistanceKind.CHORDAL: lambda gap, t: math.sqrt(gap + (np.sin(t) ** 2).sum()),
+                                                             + math.fsum(x * x for x in t)),
+            DistanceKind.CHORDAL: lambda gap, t: math.sqrt(gap + math.fsum(math.sin(x) ** 2
+                                                                           for x in t)),
             DistanceKind.PROCRUSTES: lambda gap, t: 2.0 * math.sqrt(
-                gap / 2.0 + (np.sin(t / 2.0) ** 2).sum()),
+                gap / 2.0 + math.fsum(math.sin(x / 2.0) ** 2 for x in t)),
         }
         for _ in range(200):
             n = int(rng.integers(1, 9))
             flat1, flat2 = (random_flat(rng, n, int(rng.integers(0, n))) for _ in range(2))
-            thetas = affine_principal_angles(flat1, flat2)
+            thetas = affine_principal_angles(flat1, flat2).tolist()
             gap = abs(flat1.k - flat2.k)
             for kind, formula in formulas.items():
                 assert infinite_metric(flat1, flat2, kind) == formula(gap, thetas)

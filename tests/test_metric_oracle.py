@@ -1,0 +1,175 @@
+"""Ulp bounds of the metric layer against a 40-digit mpmath oracle.
+
+The oracle takes graff's float Stiefel coordinates Y1, Y2 as exact input.  At 40
+digits it forms M = Y1^T Y2 and W = Y2 - Y1 M, takes the cosines from
+``mp.svd_r(M)`` and the sines from the smallest singular values of W, and picks
+each angle as graff does: the arcsine of the sine when cos^2 >= 1/2, the
+arccosine of the cosine otherwise.  The distance formulas are then evaluated on
+those angles at 40 digits.
+
+An ulp is eps = 2**-52, the spacing of the floats in [1, 2).
+* An angle's error is counted against max(theta, 1).  Forming M and W in floats
+  leaves an absolute floor of about eps under every angle, so relative error is
+  the wrong yardstick for tiny ones: twins 1e-8 apart would read millions of
+  ulps relative.
+* A distance's error is counted against max(d, 1) + sum_i |dd/dtheta_i|
+  max(theta_i, 1): the rounding of d itself plus what angles one ulp off would
+  carry into it.  For eight kinds |dd/dtheta_i| <= 1; martin's tan(theta_i) / d
+  grows without bound near a right angle, where its cosines lose their digits.
+
+Each bound is the worst error seen over 3,000 pairs per class at n = 5 (three
+seeds of 1,000), rounded up; the numpy angle tail that the float-list tail
+replaced (np.arcsin/np.arccos and array sums) showed the same worst cases.
+Angles: 3.6 ulps for random 2-flats, 4.03 far from the origin, 0.7 for twins,
+1.5 for points, 9.2 for mixed dimensions and 14.4 for hyperplanes, whose
+5-column W carries more rounding from forming it in floats.  Distances: 3.9
+for martin, at most 2.6 for the rest.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from mpmath import mp
+
+from graff import (DistanceKind, affine_principal_angles, delta_distance, distance,
+                   infinite_metric, make_flat, principal_decomposition, stiefel_coords)
+
+EPS = 2.0**-52
+N = 5
+PAIRS = 30
+INFINITE_KINDS = (DistanceKind.GRASSMANN, DistanceKind.CHORDAL, DistanceKind.PROCRUSTES)
+
+# Worst angle error, in ulps of max(theta, 1), per class.
+ANGLE_ULPS = {"random": 5, "twins": 5, "far": 5, "points": 5, "hyperplanes": 16, "mixed": 16}
+# Worst distance error, in ulps of the yardstick above, per kind; the cross-dimension
+# metrics are keyed "infinite_<kind>".
+DISTANCE_ULPS = {
+    "grassmann": 4, "asimov": 4, "binet_cauchy": 4, "chordal": 4, "fubini_study": 4,
+    "martin": 6, "procrustes": 4, "projection": 4, "spectral": 4,
+    "infinite_grassmann": 4, "infinite_chordal": 4, "infinite_procrustes": 4,
+}
+
+
+def _flat(rng, k, far=False):
+    b = rng.standard_normal(N)
+    return make_flat(rng.standard_normal((N, k)), 1e6 * b / np.linalg.norm(b) if far else b)
+
+
+@lru_cache(maxsize=None)
+def _pairs(name):
+    """The class's flat pairs: 2-flats (random, twins 1e-8 apart, |b0| about 1e6),
+    points, hyperplanes, and flats of two different dimensions."""
+    rng = np.random.default_rng(["random", "twins", "far", "points", "hyperplanes",
+                                 "mixed"].index(name))
+    pairs = []
+    for _ in range(PAIRS):
+        if name == "twins":
+            flat = _flat(rng, 2)
+            twin = make_flat(flat.A + 1e-8 * rng.standard_normal(flat.A.shape),
+                             flat.b0 + 1e-8 * rng.standard_normal(N))
+            pairs.append((flat, twin))
+        elif name == "mixed":
+            k, l = rng.choice(N, size=2, replace=False)
+            pairs.append((_flat(rng, int(k)), _flat(rng, int(l))))
+        else:
+            k = {"points": 0, "hyperplanes": N - 1}.get(name, 2)
+            pairs.append((_flat(rng, k, name == "far"), _flat(rng, k, name == "far")))
+    return pairs
+
+
+def _oracle_angles(flat1, flat2):
+    Y1, Y2 = (mp.matrix(stiefel_coords(flat).Y.tolist()) for flat in (flat1, flat2))
+    M = Y1.T * Y2
+    W = Y2 - Y1 * M
+    count = min(M.rows, M.cols)
+    cosines = sorted(mp.svd_r(M, compute_uv=False), reverse=True)[:count]
+    sines = sorted(mp.svd_r(W, compute_uv=False))[:count]
+    return [mp.asin(min(s, 1)) if c * c >= 0.5 else mp.acos(min(c, 1))
+            for c, s in zip(cosines, sines)]
+
+
+def _oracle_distance(thetas, kind, gap=0):
+    if kind is DistanceKind.GRASSMANN:
+        return mp.sqrt(gap * mp.pi**2 / 4 + mp.fsum(t**2 for t in thetas))
+    if kind is DistanceKind.ASIMOV:
+        return thetas[-1]
+    if kind is DistanceKind.BINET_CAUCHY:
+        return mp.sqrt(1 - mp.fprod(mp.cos(t) ** 2 for t in thetas))
+    if kind is DistanceKind.CHORDAL:
+        return mp.sqrt(gap + mp.fsum(mp.sin(t) ** 2 for t in thetas))
+    if kind is DistanceKind.FUBINI_STUDY:
+        return mp.acos(mp.fprod(mp.cos(t) for t in thetas))
+    if kind is DistanceKind.MARTIN:
+        return mp.sqrt(-mp.fsum(2 * mp.log(mp.cos(t)) for t in thetas))
+    if kind is DistanceKind.PROCRUSTES:
+        return 2 * mp.sqrt(mp.mpf(gap) / 2 + mp.fsum(mp.sin(t / 2) ** 2 for t in thetas))
+    if kind is DistanceKind.PROJECTION:
+        return mp.sin(thetas[-1])
+    return 2 * mp.sin(thetas[-1] / 2)
+
+
+def _yardstick(thetas, kind, gap=0):
+    """max(d, 1) + sum_i |dd/dtheta_i| max(theta_i, 1), the derivatives by central
+    differences at 40 digits."""
+    h = mp.mpf("1e-12")
+    total = max(_oracle_distance(thetas, kind, gap), 1)
+    for i, theta in enumerate(thetas):
+        up, down = list(thetas), list(thetas)
+        up[i], down[i] = theta + h, theta - h
+        slope = (_oracle_distance(up, kind, gap) - _oracle_distance(down, kind, gap)) / (2 * h)
+        total += abs(slope) * max(theta, 1)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _worst(name):
+    """Worst angle error and worst error per distance kind over the class, in ulps."""
+    angle, kinds = 0.0, dict.fromkeys(DISTANCE_ULPS, 0.0)
+    with mp.workdps(40):
+        for flat1, flat2 in _pairs(name):
+            thetas = _oracle_angles(flat1, flat2)
+            for got in (affine_principal_angles(flat1, flat2),
+                        affine_principal_angles(flat2, flat1),
+                        principal_decomposition(flat1, flat2).thetas):
+                assert got.shape == (len(thetas),)
+                for g, t in zip(got.tolist(), thetas):
+                    angle = max(angle, float(abs(g - t) / max(t, 1)) / EPS)
+            measured = [(kind.value, delta_distance(flat1, flat2, kind), 0, kind)
+                        for kind in DistanceKind]
+            if flat1.k == flat2.k:
+                measured += [(kind.value, distance(flat1, flat2, kind), 0, kind)
+                             for kind in DistanceKind]
+            gap = abs(flat1.k - flat2.k)
+            measured += [("infinite_" + kind.value, infinite_metric(flat1, flat2, kind), gap, kind)
+                         for kind in INFINITE_KINDS]
+            for key, got, gap, kind in measured:
+                assert isinstance(got, float) and math.isfinite(got)
+                error = abs(got - _oracle_distance(thetas, kind, gap))
+                kinds[key] = max(kinds[key], float(error / _yardstick(thetas, kind, gap)) / EPS)
+    return angle, kinds
+
+
+CLASSES = list(ANGLE_ULPS)
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_angles_within_their_ulp_bound(name):
+    angle, _ = _worst(name)
+    assert angle <= ANGLE_ULPS[name], f"{name}: worst angle error {angle:.2f} ulps"
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_every_distance_kind_within_its_ulp_bound(name):
+    _, kinds = _worst(name)
+    over = {key: round(ulps, 2) for key, ulps in kinds.items() if ulps > DISTANCE_ULPS[key]}
+    assert not over, f"{name}: {over}"
+
+
+def test_twins_read_angles_near_1e8_not_zero():
+    """The twins class is near-equal but not equal: its angles sit near 1e-8, so a
+    kernel that lost them to the sqrt(eps) floor of arccos would fail the bound."""
+    for flat1, flat2 in _pairs("twins"):
+        largest = affine_principal_angles(flat1, flat2)[-1]
+        assert 1e-10 < largest < 1e-6

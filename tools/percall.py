@@ -53,10 +53,15 @@ def operations(graff):
     curve = graff.geodesic(flat, other)
     S = rng.standard_normal((n + 1, n + 1))
     params = graff.LangevinParams(S + S.T, k, n)
+    line = graff.sample_uniform(1, n, rng)
+    graff.delta_distance(flat, line)  # caches the line's Stiefel coordinates
     cloud = svm_cloud(graff)
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
         ("distance", lambda: graff.distance(flat, other), 1),
+        ("affine_principal_angles (2-flat, 1-flat)",
+         lambda: graff.affine_principal_angles(flat, line), 1),
+        ("infinite_metric (2-flat, 1-flat)", lambda: graff.infinite_metric(flat, line), 1),
         ("sample_uniform", lambda: graff.sample_uniform(k, n, rng), 1),
         ("geodesic", lambda: graff.geodesic(flat, other), 1),
         ("evaluate_geodesic", lambda: graff.evaluate_geodesic(curve, 0.3), 1),
