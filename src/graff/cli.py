@@ -11,12 +11,12 @@ per line) and CSV point clouds:
     graff fit --method {flat|regression|svm} [--k K] CLOUD.csv
         (errors-in-variables regression is the total-least-squares line: flat --k 1)
 
-Exit codes: 0 on success, 2 on input or usage errors and on results that do
-not fit in a float (ArithmeticError), 3 on domain errors (NotSeparable,
-SingularPair, NotAFlat).  Output is deterministic given the
-flags and ``--seed``.  The checks on input use one fixed relative tolerance,
-1e-10 for ranks; a document that needs a looser orthogonality check drops
-``"orthogonal": true`` and is canonicalized through ``make_flat``.
+Exit codes: 0 on success; 2 on a usage error and on GraffError, ValueError, TypeError,
+KeyError, IndexError, OSError and ArithmeticError; 3 on the domain errors NotSeparable,
+SingularPair and NotAFlat.  Stdout holds finite numbers only, but for the bare ``inf``
+of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
+Input checks use one fixed relative rank tolerance, 1e-10; a document that needs a
+looser orthogonality check drops ``"orthogonal": true`` to go through ``make_flat``.
 """
 
 from __future__ import annotations

@@ -439,8 +439,8 @@ def unembed(Y_raw) -> AffineFlat:
 def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
     """The flat whose image is span(Q), for Q with orthonormal columns.
 
-    :func:`unembed` after its QR, for frames orthonormal already (chain
-    states); Q is left unchanged.  Raises ``NotAFlat`` as ``unembed`` does.
+    :func:`unembed` after its QR, for frames orthonormal by construction (chain
+    states, geodesic points); Q is left unchanged.  Raises ``NotAFlat`` as ``unembed`` does.
     """
     n, k = Q.shape[0] - 1, Q.shape[1] - 1
     u = Q[-1].copy()

@@ -36,17 +36,19 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trips exactly)."""
+    """Render a float with 17 significant digits (round-trips exactly; inf stays ``inf``)."""
     return format(float(x), ".17g")
 
 
 def dumps_document(obj) -> str:
-    """Serialize a document as single-line JSON with 17-digit floats."""
+    """Serialize a document as single-line JSON with 17-digit floats (nan, inf: ValueError)."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"{float(obj)} is not a JSON number")
         return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, StiefelMatrix, _flat_from_frame, _orthonormalize, stiefel_coords,
+from .coords import (AffineFlat, StiefelMatrix, _flat_from_frame, stiefel_coords,
                      unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, SingularPair, UnsupportedKind
 
@@ -51,12 +51,13 @@ class DistanceKind(str, Enum):
     SPECTRAL = "spectral"
 
 
+_KINDS = {kind.value: kind for kind in DistanceKind}  # a member hashes as its value
+
+
 def _as_kind(kind) -> DistanceKind:
-    if isinstance(kind, DistanceKind):
-        return kind
     try:
-        return DistanceKind(str(kind))
-    except ValueError:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
         raise UnsupportedKind(f"unknown distance kind {kind!r}") from None
 
 
@@ -166,9 +167,7 @@ def _formula(thetas: list[float], sigmas: list[float], kind: DistanceKind, gap: 
         return 2.0 * math.sqrt(gap / 2.0 + math.fsum(math.sin(t / 2.0) ** 2 for t in thetas))
     if kind is DistanceKind.PROJECTION:
         return math.sin(largest)
-    if kind is DistanceKind.SPECTRAL:
-        return 2.0 * math.sin(largest / 2.0)
-    raise UnsupportedKind(f"unknown distance kind {kind!r}")  # pragma: no cover
+    return 2.0 * math.sin(largest / 2.0)  # DistanceKind.SPECTRAL, the last kind
 
 
 def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASSMANN) -> float:
@@ -235,8 +234,9 @@ class GeodesicCurve:
 
         (Y' - Y Y^T Y') (Y^T Y')^{-1} = Q tan(Theta) U^T
 
-    with Theta nondecreasing.  Columns of Q whose angle is at rounding level
-    (tangent at most 1e-12) are zero; sin(t Theta) removes them anyway.
+    with Theta nondecreasing.  A direction with tangent at most 1e-12 gets angle 0 and
+    a zero column of Q; the other columns of Q are orthonormal and orthogonal to
+    span(Y_start) to rounding, so every frame of the curve is orthonormal.
     """
 
     Y_start: StiefelMatrix
@@ -250,42 +250,45 @@ class GeodesicCurve:
 def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     """Minimizing geodesic from ``flat1`` to ``flat2`` in Graff(k, n).
 
-    Requires Y_F^T Y_G to be invertible; raises ``SingularPair`` when its
-    smallest singular value falls below 1e-10.  The curve has constant speed
-    and length equal to the Grassmann distance; at most one parameter value
-    leaves the space of flats (``evaluate_geodesic`` raises ``NotAFlat``
-    there).
+    Raises ``SingularPair`` unless Y_F^T Y_G is invertible with every tangent of
+    the angles at most 1e10 (cosines down to about 1e-10).  The curve has constant
+    speed and length the Grassmann distance; it leaves the space of flats at most
+    once (``evaluate_geodesic`` raises ``NotAFlat`` there).
     """
     M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
-    if _lapack.svdvals(M)[-1] < 1e-10:
+    Y, k = stiefel_coords(flat1), flat1.k
+    # H = W M^{-1} = Q tan(Theta) U^T; unlike M's, its SVD keeps the directions when every
+    # cosine rounds to 1.  Taken in a basis of span(Y, H) beyond span(Y), it gives a Q that
+    # is orthonormal and orthogonal to span(Y) to rounding however small the cosines.
+    try:
+        H = _lapack.solve(M.T, W.T).T
+        beyond = _lapack.qr(np.concatenate((Y.Y, H), axis=1))[0][:, k + 1:]
+        Q_beyond, tangents, Ut = _lapack.svd(beyond.T @ H, full_matrices=True)
+    except np.linalg.LinAlgError:
+        tangents = None
+    if tangents is None or not tangents[0] <= 1e10:  # nan and inf included
         raise SingularPair("Stiefel overlap matrix is numerically singular")
-    # H = W M^{-1} = Q tan(Theta) U^T.  Unlike the SVD of M, the SVD of H keeps
-    # its directions accurate when every cosine rounds to 1.
-    H = _lapack.solve(M.T, W.T).T
-    Q, tangents, Ut = _lapack.svd(H, full_matrices=False)
-    Q = np.where(tangents > 1e-12, Q, 0.0)
-    return GeodesicCurve(
-        Y_start=stiefel_coords(flat1),
-        U=Ut[::-1].T,
-        Theta=np.diag(np.arctan(tangents[::-1])),
-        Q=Q[:, ::-1],
-        n=flat1.n,
-        k=flat1.k,
-    )
+    # Ascending; a tangent at most 1e-12, or a direction with no room beyond span(Y), gets 0.
+    live = [math.atan(x) for x in tangents.tolist() if x > 1e-12]
+    pad = k + 1 - len(live)
+    Q = np.zeros((flat1.n + 1, k + 1))
+    Q[:, pad:] = beyond @ Q_beyond[:, : len(live)][:, ::-1]
+    return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + live[::-1]), Q=Q,
+                         n=flat1.n, k=k)
 
 
 def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     """Point of a geodesic at parameter t (values outside [0, 1] extrapolate).
 
-    Raises ``NotAFlat`` at the isolated parameter, if any, where the curve
-    exits the embedded image of Graff(k, n), and ``ValueError`` when some
-    angle t * theta_i is not finite.
+    The frame is orthonormal by construction and skips ``unembed``'s QR.  Raises
+    ``NotAFlat`` where the curve exits the image of Graff(k, n) (at most one t),
+    and ``ValueError`` when some angle t * theta_i is not finite.
     """
     t = float(t)
     if not math.isfinite(t * float(curve.Theta.max())):
         raise ValueError(f"geodesic parameter t={t} gives a non-finite angle")
     angles = t * curve.Theta.diagonal()
     frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
-    return _flat_from_frame(_orthonormalize(frame, "spanning matrix"))
+    return _flat_from_frame(frame)

@@ -25,6 +25,14 @@ def point_flat(coords) -> AffineFlat:
     return AffineFlat(np.zeros((coords.size, 0)), coords)
 
 
+def orthonormal_drift(flat: AffineFlat) -> float:
+    """max(|A^T A - I|, |A^T b0| / max(1, |b0|)): how far a flat's stored A and b0
+    are from orthonormal and orthogonal."""
+    A, b0 = flat.A, flat.b0
+    gram = np.abs(A.T @ A - np.eye(flat.k)).max(initial=0.0)
+    return max(gram, np.abs(A.T @ b0).max(initial=0.0) / max(1.0, float(np.linalg.norm(b0))))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)

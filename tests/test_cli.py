@@ -531,6 +531,45 @@ def test_flat_documents_round_trip_bit_exactly():
         np.testing.assert_array_equal(reparsed.b0, flat.b0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                   np.float64("-inf")])
+def test_dumps_document_refuses_non_finite_floats(value):
+    from graff.io import dumps_document
+
+    with pytest.raises(ValueError, match="is not a JSON number"):
+        dumps_document({"data": [[1.0, value]]})
+
+
+def test_fmt_float_keeps_the_bare_inf():
+    assert (fmt_float(math.inf), fmt_float(-math.inf), fmt_float(np.float64("inf"))) == (
+        "inf", "-inf", "inf")
+
+
+def test_a_non_finite_document_exits_2_with_nothing_printed(capsys, write_doc, monkeypatch):
+    monkeypatch.setattr(cli, "matrix_document", lambda M: {"data": [[math.nan]]})
+    code, out, err = run_cli(capsys, "convert", write_doc(X_AXIS_DOC), "--to", "stiefel")
+    assert (code, out, err) == (2, "", "ValueError: nan is not a JSON number\n")
+
+
+@pytest.mark.parametrize("error, code", [
+    (graff.GraffError("x"), 2), (graff.DimensionError("x"), 2), (graff.RankDeficient("x"), 2),
+    (graff.UnsupportedKind("x"), 2), (graff.InvalidFlag("x"), 2), (graff.InternalError("x"), 2),
+    (ValueError("x"), 2), (TypeError("x"), 2), (KeyError("x"), 2), (IndexError("x"), 2),
+    (OSError("x"), 2), (FileNotFoundError("x"), 2), (ArithmeticError("x"), 2),
+    (OverflowError("x"), 2), (ZeroDivisionError("x"), 2),
+    (graff.NotSeparable("x"), 3), (graff.SingularPair("x"), 3), (graff.NotAFlat("x"), 3),
+])
+def test_exit_code_contract(capsys, monkeypatch, error, code):
+    """Each exception class a subcommand raises maps to its documented exit code,
+    with one line on stderr and nothing on stdout."""
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_invariant", fail)
+    assert run_cli(capsys, "invariant", "--what", "dim", "1", "3") == (
+        code, "", f"{type(error).__name__}: {error}\n")
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "graff", "invariant", "--what", "dim", "1", "3"],

@@ -26,7 +26,7 @@ from graff import (
     unembed,
 )
 
-from conftest import horizontal_line, point_flat, random_flat, x_axis
+from conftest import horizontal_line, orthonormal_drift, point_flat, random_flat, x_axis
 
 ALL_KINDS = list(DistanceKind)
 METRIC_KINDS = [DistanceKind.GRASSMANN, DistanceKind.CHORDAL, DistanceKind.PROCRUSTES]
@@ -113,6 +113,15 @@ class TestDistance:
         )
         with pytest.raises(UnsupportedKind):
             distance(x_axis(), horizontal_line(1.0), "euclidean")
+
+    def test_kind_lookup_accepts_str_subclasses_and_keeps_its_refusals(self):
+        pair = (x_axis(), horizontal_line(1.0))
+        assert distance(*pair, np.str_("chordal")) == distance(*pair, DistanceKind.CHORDAL)
+        for kind, shown in [("euclidean", "'euclidean'"), (None, "None"),
+                            (["grassmann"], "['grassmann']")]:
+            with pytest.raises(UnsupportedKind) as refused:
+                distance(*pair, kind)
+            assert str(refused.value) == f"unknown distance kind {shown}"
 
     def test_martin_diverges_on_orthogonal_flats(self):
         assert distance(x_axis(), y_axis(), DistanceKind.MARTIN) == math.inf
@@ -426,6 +435,7 @@ class TestGeodesic:
             evaluate_geodesic(equal, math.inf)
 
     def test_points_match_unembed_of_the_frame(self, rng):
+        # The frame skips unembed's QR, so the flats agree to rounding, not bit for bit.
         for _ in range(20):
             n = int(rng.integers(2, 9))
             k = int(rng.integers(0, n))
@@ -433,9 +443,19 @@ class TestGeodesic:
             for t in (0.0, 0.3, 1.0, -2.5, 1e6):
                 angles = t * curve.Theta.diagonal()
                 frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
-                point, expected = evaluate_geodesic(curve, t), unembed(frame)
-                assert np.array_equal(point.A, expected.A)
-                assert np.array_equal(point.b0, expected.b0)
+                point = evaluate_geodesic(curve, t)
+                assert equal_flats(point, unembed(frame), 1e-13)
+                assert orthonormal_drift(point) <= 1e-14
+
+    @pytest.mark.parametrize("c", [1e-300, 5e-324])
+    def test_overflowing_solve_refused_without_warnings(self, c):
+        # Lines through the origin: the smallest singular value of Y1^T Y2 is c,
+        # so the tangent sqrt(1 - c^2) / c is 1e300 or overflows the solve.
+        tilted = AffineFlat(np.array([[c], [math.sqrt(1.0 - c * c)]]), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPair, match="numerically singular"):
+                geodesic(x_axis(), tilted)
 
 
 def _nearest_flat(symmetric: np.ndarray, k: int) -> AffineFlat:

@@ -24,6 +24,22 @@ Angles: 3.6 ulps for random 2-flats, 4.03 far from the origin, 0.7 for twins,
 1.5 for points, 9.2 for mixed dimensions and 14.4 for hyperplanes, whose
 5-column W carries more rounding from forming it in floats.  Distances: 3.9
 for martin, at most 2.6 for the rest.
+
+The geodesic oracle runs the equidimensional classes and 2-flat pairs whose
+smallest cosine sigma_min is 2e-10 or 1e-9, next to geodesic's refusal at about
+1e-10.  It checks the point at t = 1 by its Grassmann distance from flat2, the
+points at t = 1/4, 1/2, 3/4 by their distance from flat1 against t d, and the
+midpoint's angles to flat1 against theta_i / 2.  Solving H = W M^-1 carries
+eps / sigma_min of rounding, so there an ulp is eps / sigma_min: the errors
+count against max(d, 1) eps / sigma_min, the midpoint's against max(theta_i, 1)
+eps / sigma_min.  Over 3,000 pairs per class the earlier construction (Q from
+the SVD of H itself, a QR of every frame) read at worst 12.7 ulps for the end
+point, 3.3 for the distances and 4.0 for the midpoint; this one (Q in a basis
+beyond span(Y), no QR per frame) 16.0, 2.3 and 4.8.  An angle
+below geodesic's 1e-12 cut-off is dropped by design, so a pair holding one
+misses flat2 by that angle: 2 of the 3,000 twin pairs, 3,694 ulps at worst (an
+angle of 8.2e-13), in both.  |A^T A - I| and |A^T b0| / max(1, |b0|) stayed
+below 1.4e-15 with the QR per frame and 7.0e-15 without, at t up to 1e6.
 """
 
 import math
@@ -34,7 +50,10 @@ import pytest
 from mpmath import mp
 
 from graff import (DistanceKind, affine_principal_angles, delta_distance, distance,
-                   infinite_metric, make_flat, principal_decomposition, stiefel_coords)
+                   evaluate_geodesic, geodesic, infinite_metric, make_flat,
+                   principal_decomposition, stiefel_coords, unembed)
+
+from conftest import orthonormal_drift
 
 EPS = 2.0**-52
 N = 5
@@ -173,3 +192,120 @@ def test_twins_read_angles_near_1e8_not_zero():
     for flat1, flat2 in _pairs("twins"):
         largest = affine_principal_angles(flat1, flat2)[-1]
         assert 1e-10 < largest < 1e-6
+
+
+# The geodesic oracle's classes (see the module docstring).
+GEODESIC_CLASSES = ["random", "twins", "far", "points", "hyperplanes", "cosine 2e-10",
+                    "cosine 1e-9"]
+GEODESIC_PAIRS = 20
+# Worst error per check, in ulps of the yardstick in the module docstring.
+GEODESIC_ULPS = {"end": 20, "distance": 4, "midpoint": 8}
+TS = (0.0, 0.5, 1.0, -2.5, 1e3, 1e6)
+
+
+def _flat_at_angles(rng, flat, thetas):
+    """A flat whose nonzero principal angles with ``flat`` are ``thetas`` (at most n - k
+    of them): a random rotation of its Stiefel basis, turned into a random orthonormal
+    complement."""
+    Y = stiefel_coords(flat).Y
+    G = rng.standard_normal((Y.shape[0], len(thetas)))
+    complement = np.linalg.qr(G - Y @ (Y.T @ G))[0]
+    frame = Y @ np.linalg.qr(rng.standard_normal((Y.shape[1],) * 2))[0]
+    frame[:, : len(thetas)] = frame[:, : len(thetas)] * np.cos(thetas) + complement * np.sin(thetas)
+    return unembed(frame)
+
+
+@lru_cache(maxsize=None)
+def _geodesic_pairs(name):
+    if not name.startswith("cosine"):
+        return _pairs(name)[:GEODESIC_PAIRS]
+    cosine = float(name.split()[1])
+    rng = np.random.default_rng(GEODESIC_CLASSES.index(name))
+    pairs = []
+    for _ in range(GEODESIC_PAIRS):
+        flat = _flat(rng, 2)
+        thetas = [*rng.uniform(0.0, 1.2, 2), math.acos(cosine)]
+        pairs.append((flat, _flat_at_angles(rng, flat, thetas)))
+    return pairs
+
+
+def _oracle_grassmann(flat1, flat2):
+    return mp.sqrt(mp.fsum(t**2 for t in _oracle_angles(flat1, flat2)))
+
+
+@lru_cache(maxsize=None)
+def _geodesic_worst(name):
+    """Worst error of the end point, the distances t d and the midpoint's angles, in ulps."""
+    worst = dict.fromkeys(GEODESIC_ULPS, 0.0)
+    with mp.workdps(40):
+        for flat1, flat2 in _geodesic_pairs(name):
+            thetas = _oracle_angles(flat1, flat2)
+            d = mp.sqrt(mp.fsum(t**2 for t in thetas))
+            ulp = EPS / mp.cos(thetas[-1])  # eps / sigma_min
+            scale = max(d, 1) * ulp
+            curve = geodesic(flat1, flat2)
+            errors = {"end": _oracle_grassmann(evaluate_geodesic(curve, 1.0), flat2) / scale,
+                      "distance": 0, "midpoint": 0}
+            for t in (0.25, 0.5, 0.75):
+                angles = _oracle_angles(evaluate_geodesic(curve, t), flat1)
+                moved = mp.sqrt(mp.fsum(a**2 for a in angles))
+                errors["distance"] = max(errors["distance"], abs(moved - t * d) / scale)
+                if t == 0.5:
+                    errors["midpoint"] = max(abs(a - theta / 2) / (max(theta, 1) * ulp)
+                                             for a, theta in zip(angles, thetas))
+            for key, error in errors.items():
+                worst[key] = max(worst[key], float(error))
+    return worst
+
+
+@pytest.mark.parametrize("name", GEODESIC_CLASSES)
+def test_geodesic_points_within_their_ulp_bound(name):
+    worst = _geodesic_worst(name)
+    over = {key: round(ulps, 2) for key, ulps in worst.items() if ulps > GEODESIC_ULPS[key]}
+    assert not over, f"{name}: {over}"
+
+
+@pytest.mark.parametrize("name", GEODESIC_CLASSES)
+def test_geodesic_points_stay_orthonormal(name):
+    """Without a QR, evaluate_geodesic stores the frame's A and b0 as they come;
+    they stay orthonormal and orthogonal to 1e-14 far along the curve."""
+    for flat1, flat2 in _geodesic_pairs(name):
+        curve = geodesic(flat1, flat2)
+        for t in TS:
+            assert orthonormal_drift(evaluate_geodesic(curve, t)) <= 1e-14, (name, t)
+
+
+def test_a_rounding_level_direction_stays_put():
+    """A principal angle of 3e-13 has tangent below 1e-12: its column of Q is zero
+    and its angle is zero too, so at t = 3e12 the frame keeps that column unit."""
+    rng = np.random.default_rng(7)
+    for _ in range(GEODESIC_PAIRS):
+        flat = _flat(rng, 2)
+        curve = geodesic(flat, _flat_at_angles(rng, flat, [3e-13, *rng.uniform(0.1, 1.2, 2)]))
+        assert curve.Theta[0, 0] == 0.0 and not curve.Q[:, 0].any()
+        assert orthonormal_drift(evaluate_geodesic(curve, 3e12)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, k", [(5, 3), (5, 4), (8, 6)])
+@pytest.mark.parametrize("cosine", [2e-10, 1e-9])
+def test_near_singular_pairs_with_few_directions_beyond_stay_orthonormal(n, k, cosine):
+    """With n - k < k + 1 the tangents beyond the first n - k are rounding, about
+    eps |H|, which reaches 1e-6 here; a Q taken from H's own SVD then has columns
+    mostly inside span(Y_start), and frames without a QR drifted to 0.8."""
+    rng = np.random.default_rng([n, k])
+    for _ in range(GEODESIC_PAIRS):
+        flat = make_flat(rng.standard_normal((n, k)), rng.standard_normal(n))
+        thetas = [math.acos(cosine), *rng.uniform(0.0, 1.2, n - k - 1)]
+        curve = geodesic(flat, _flat_at_angles(rng, flat, thetas))
+        assert np.count_nonzero(curve.Theta) <= n - k
+        for t in TS:
+            assert orthonormal_drift(evaluate_geodesic(curve, t)) <= 1e-14, t
+
+
+@pytest.mark.parametrize("name", ["cosine 2e-10", "cosine 1e-9"])
+def test_cosine_classes_sit_at_their_cosine(name):
+    cosine = float(name.split()[1])
+    for flat1, flat2 in _geodesic_pairs(name):
+        smallest = np.linalg.svd(stiefel_coords(flat1).Y.T @ stiefel_coords(flat2).Y,
+                                 compute_uv=False)[-1]
+        assert abs(smallest - cosine) <= 1e-3 * cosine
