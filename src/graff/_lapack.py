@@ -5,11 +5,13 @@ box, numpy 2.4): ``np.linalg.qr`` takes 18-24 us against 5-7 us for its two
 gufuncs, a reduced ``svd`` 14 against 8 us, ``solve`` 7.6 against 1.9 us.  These
 helpers call ``numpy.linalg._umath_linalg`` under numpy.linalg's errstate (same
 bits, same ``LinAlgError``) and never change the caller's array.  Those names
-are private numpy API that changes between releases (numpy 1.x splits them by
-shape); if one is missing, the public functions are bound instead.
+are private numpy API with the signatures of numpy 2 (numpy 1.x split them by
+shape), hence graff's floor of numpy 2.0.
 """
 
 import numpy as np
+from numpy.linalg._umath_linalg import (qr_r_raw, qr_reduced, solve as _solve, svd as _svd, svd_f,
+                                        svd_s)
 
 
 def _errstate(message: str) -> np.errstate:  # as a decorator, entered afresh on each call
@@ -18,34 +20,24 @@ def _errstate(message: str) -> np.errstate:  # as a decorator, entered afresh on
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-try:
-    from numpy.linalg._umath_linalg import (qr_r_raw, qr_reduced, solve as _solve, svd as _svd,
-                                            svd_f, svd_s)
-except ImportError:
-    def qr(M):
-        Q, R = np.linalg.qr(M)
-        return Q, R.diagonal(0, -2, -1)
+@_errstate("Incorrect argument found while performing QR factorization")
+def qr(M):
+    """(Q, diagonal of R) of the reduced QR of a matrix or a stack of them."""
+    a = np.array(M, dtype=float)  # qr_r_raw factors its argument in place
+    Q = qr_reduced(a, qr_r_raw(a, signature="d->d"), signature="dd->d")
+    return Q, a.diagonal(0, -2, -1)
 
-    def svdvals(M):
-        return np.linalg.svd(M, compute_uv=False)
 
-    svd, solve = np.linalg.svd, np.linalg.solve
-else:
-    @_errstate("Incorrect argument found while performing QR factorization")
-    def qr(M):
-        """(Q, diagonal of R) of the reduced QR of a matrix or a stack of them."""
-        a = np.array(M, dtype=float)  # qr_r_raw factors its argument in place
-        Q = qr_reduced(a, qr_r_raw(a, signature="d->d"), signature="dd->d")
-        return Q, a.diagonal(0, -2, -1)
+@_errstate("SVD did not converge")
+def svdvals(M):
+    return _svd(M, signature="d->d")
 
-    @_errstate("SVD did not converge")
-    def svdvals(M):
-        return _svd(M, signature="d->d")
 
-    @_errstate("SVD did not converge")
-    def svd(M, full_matrices: bool):
-        return (svd_f if full_matrices else svd_s)(M, signature="d->ddd")
+@_errstate("SVD did not converge")
+def svd(M, full_matrices: bool):
+    return (svd_f if full_matrices else svd_s)(M, signature="d->ddd")
 
-    @_errstate("Singular matrix")
-    def solve(A, B):  # B a matrix, not a vector
-        return _solve(A, B, signature="dd->d")
+
+@_errstate("Singular matrix")
+def solve(A, B):  # B a matrix, not a vector
+    return _solve(A, B, signature="dd->d")

@@ -12,7 +12,8 @@ per line) and CSV point clouds:
         (errors-in-variables regression is the total-least-squares line: flat --k 1)
 
 Exit codes: 0 on success; 2 on a usage error and on GraffError, ValueError, TypeError,
-KeyError, IndexError, OSError and ArithmeticError; 3 on the domain errors NotSeparable,
+KeyError, IndexError, OSError, ArithmeticError, MemoryError (a size too large to allocate)
+and RecursionError (too deeply nested JSON); 3 on the domain errors NotSeparable,
 SingularPair and NotAFlat.  Stdout holds finite numbers only, but for the bare ``inf``
 of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
 Input checks use one fixed relative rank tolerance, 1e-10; a document that needs a
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (GraffError, ValueError, TypeError, KeyError, IndexError, OSError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

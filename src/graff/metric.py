@@ -234,9 +234,9 @@ class GeodesicCurve:
 
         (Y' - Y Y^T Y') (Y^T Y')^{-1} = Q tan(Theta) U^T
 
-    with Theta nondecreasing.  A direction with tangent at most 1e-12 gets angle 0 and
-    a zero column of Q; the other columns of Q are orthonormal and orthogonal to
-    span(Y_start) to rounding, so every frame of the curve is orthonormal.
+    with Theta nondecreasing.  Where n - k < k + 1 the k + 1 - (n - k) directions with no
+    room beyond span(Y_start) get angle 0 and a zero column of Q; the other columns are
+    orthonormal and orthogonal to span(Y_start) to rounding, so every frame is orthonormal.
     """
 
     Y_start: StiefelMatrix
@@ -253,7 +253,9 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     Raises ``SingularPair`` unless Y_F^T Y_G is invertible with every tangent of
     the angles at most 1e10 (cosines down to about 1e-10).  The curve has constant
     speed and length the Grassmann distance; it leaves the space of flats at most
-    once (``evaluate_geodesic`` raises ``NotAFlat`` there).
+    once (``evaluate_geodesic`` raises ``NotAFlat`` there).  Every angle is kept, so the
+    point at t = 1 is flat2 to rounding; angles of rounding size, as between a flat and
+    itself in another basis, move a point at t by about |t| eps.
     """
     M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
@@ -270,12 +272,12 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
         tangents = None
     if tangents is None or not tangents[0] <= 1e10:  # nan and inf included
         raise SingularPair("Stiefel overlap matrix is numerically singular")
-    # Ascending; a tangent at most 1e-12, or a direction with no room beyond span(Y), gets 0.
-    live = [math.atan(x) for x in tangents.tolist() if x > 1e-12]
-    pad = k + 1 - len(live)
+    # Ascending; a direction with no room beyond span(Y) gets angle 0.
+    thetas = [math.atan(x) for x in reversed(tangents.tolist())]
+    pad = k + 1 - len(thetas)
     Q = np.zeros((flat1.n + 1, k + 1))
-    Q[:, pad:] = beyond @ Q_beyond[:, : len(live)][:, ::-1]
-    return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + live[::-1]), Q=Q,
+    Q[:, pad:] = beyond @ Q_beyond[:, : len(thetas)][:, ::-1]
+    return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + thetas), Q=Q,
                          n=flat1.n, k=k)
 
 

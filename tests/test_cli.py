@@ -556,7 +556,8 @@ def test_a_non_finite_document_exits_2_with_nothing_printed(capsys, write_doc, m
     (graff.UnsupportedKind("x"), 2), (graff.InvalidFlag("x"), 2), (graff.InternalError("x"), 2),
     (ValueError("x"), 2), (TypeError("x"), 2), (KeyError("x"), 2), (IndexError("x"), 2),
     (OSError("x"), 2), (FileNotFoundError("x"), 2), (ArithmeticError("x"), 2),
-    (OverflowError("x"), 2), (ZeroDivisionError("x"), 2),
+    (OverflowError("x"), 2), (ZeroDivisionError("x"), 2), (MemoryError("x"), 2),
+    (RecursionError("x"), 2),
     (graff.NotSeparable("x"), 3), (graff.SingularPair("x"), 3), (graff.NotAFlat("x"), 3),
 ])
 def test_exit_code_contract(capsys, monkeypatch, error, code):
@@ -568,6 +569,32 @@ def test_exit_code_contract(capsys, monkeypatch, error, code):
     monkeypatch.setattr(cli, "_cmd_invariant", fail)
     assert run_cli(capsys, "invariant", "--what", "dim", "1", "3") == (
         code, "", f"{type(error).__name__}: {error}\n")
+
+
+def _graff(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "graff", *args], capture_output=True, text=True,
+                          check=False, timeout=60)
+
+
+@pytest.mark.parametrize("where", ["flat", "params"])
+def test_deeply_nested_json_exits_2(tmp_path, write_doc, where):
+    """json.load raises RecursionError on 100,000 nested brackets."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    args = (("distance", str(deep), write_doc(X_AXIS_DOC)) if where == "flat" else
+            ("sample", "--dist", "langevin", "--params", str(deep), "--seed", "1"))
+    result = _graff(*args)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("RecursionError: ") and result.stderr.count("\n") == 1
+
+
+def test_an_unallocatable_sample_exits_2():
+    """n = 1e15 asks for 7 PiB, beyond any 64-bit user address space, so the
+    allocation fails at once whatever the overcommit setting."""
+    result = _graff("sample", "--dist", "uniform", "--k", "0", "--n", "1000000000000000",
+                    "--seed", "1")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("MemoryError: ") and result.stderr.count("\n") == 1
 
 
 def test_module_entry_point_runs():

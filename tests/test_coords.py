@@ -429,3 +429,19 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graff.__file__)))
     code = "import sys, graff; assert 'scipy' not in sys.modules, 'scipy was imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_graff_reexports_each_modules_public_names_and_nothing_else():
+    from graff import coords, errors, fitting, invariants, metric, probability
+    exported = {name: getattr(module, name)
+                for module in (coords, fitting, invariants, metric, probability)
+                for name in module.__all__}
+    exported.update((name, value) for name, value in vars(errors).items()
+                    if isinstance(value, type) and value.__module__ == errors.__name__)
+    for name, value in exported.items():
+        assert getattr(graff, name) is value, name
+    submodules = {name for name, value in vars(graff).items()
+                  if getattr(value, "__name__", None) == f"graff.{name}"}
+    public = {name for name in dir(graff) if not name.startswith("_")}
+    assert public == exported.keys() | (submodules & public)
+    assert isinstance(graff.__version__, str)

@@ -1,14 +1,8 @@
 """graff._lapack against the public numpy.linalg functions it stands in for."""
 
-import importlib
-import sys
-import types
-
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
-import graff
 from graff import _lapack
 
 RNG = np.random.default_rng(20260811)
@@ -95,35 +89,3 @@ def test_tiny_entries_under_a_strict_caller_errstate():
         assert_same_bits([_lapack.svdvals(tiny)], [np.linalg.svd(tiny, compute_uv=False)])
         assert_same_bits(_lapack.svd(tiny, False), np.linalg.svd(tiny, full_matrices=False))
         assert_same_bits([_lapack.solve(square, tiny[:3])], [np.linalg.solve(square, tiny[:3])])
-
-
-def _library_results():
-    rng = graff.random_stream(3)
-    draws = [graff.sample_uniform(k, n, rng) for k, n in ((0, 3), (2, 5), (4, 5), (8, 64))]
-    flat1, flat2 = draws[1], graff.sample_uniform(2, 5, rng)
-    curve = graff.geodesic(flat1, flat2)
-    params = graff.LangevinParams(np.diag([1.0, 0.5, 0.0, -0.5, 0.2, 0.1]), 2, 5)
-    chain, rate = graff.langevin_mh_run(params, 60, 0.3, rng, burn_in=10, thin=5)
-    arrays = [x for flat in draws + chain for x in (flat.A, flat.b0)]
-    arrays += [curve.U, curve.Theta, curve.Q, np.array([rate, rng.standard_normal()])]
-    arrays += [np.array([graff.distance(flat1, flat2, kind) for kind in graff.DistanceKind])]
-    return arrays
-
-
-@pytest.mark.parametrize("hidden", ["qr_r_raw", "qr_reduced", "svd", "svd_s", "svd_f", "solve"])
-def test_the_public_fallback_gives_the_same_bits(hidden):
-    """With one private name missing, _lapack binds the public functions."""
-    gufuncs = _library_results()
-    stub = types.ModuleType(_umath_linalg.__name__)
-    stub.__dict__.update({k: v for k, v in vars(_umath_linalg).items() if k != hidden})
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(sys.modules, _umath_linalg.__name__, stub)
-        importlib.reload(_lapack)
-        try:
-            assert _lapack.solve is np.linalg.solve
-            fallback = _library_results()
-        finally:
-            patch.undo()
-            importlib.reload(_lapack)
-    assert _lapack.solve is not np.linalg.solve
-    assert_same_bits(fallback, gufuncs)

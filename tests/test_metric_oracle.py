@@ -25,9 +25,9 @@ Angles: 3.6 ulps for random 2-flats, 4.03 far from the origin, 0.7 for twins,
 5-column W carries more rounding from forming it in floats.  Distances: 3.9
 for martin, at most 2.6 for the rest.
 
-The geodesic oracle runs the equidimensional classes and 2-flat pairs whose
+The geodesic oracle runs the equidimensional classes, 2-flat pairs whose
 smallest cosine sigma_min is 2e-10 or 1e-9, next to geodesic's refusal at about
-1e-10.  It checks the point at t = 1 by its Grassmann distance from flat2, the
+1e-10, and 2-flat pairs holding one angle of rounding size, 1e-14, 3e-13 or 8e-13.  It checks the point at t = 1 by its Grassmann distance from flat2, the
 points at t = 1/4, 1/2, 3/4 by their distance from flat1 against t d, and the
 midpoint's angles to flat1 against theta_i / 2.  Solving H = W M^-1 carries
 eps / sigma_min of rounding, so there an ulp is eps / sigma_min: the errors
@@ -35,11 +35,16 @@ count against max(d, 1) eps / sigma_min, the midpoint's against max(theta_i, 1)
 eps / sigma_min.  Over 3,000 pairs per class the earlier construction (Q from
 the SVD of H itself, a QR of every frame) read at worst 12.7 ulps for the end
 point, 3.3 for the distances and 4.0 for the midpoint; this one (Q in a basis
-beyond span(Y), no QR per frame) 16.0, 2.3 and 4.8.  An angle
-below geodesic's 1e-12 cut-off is dropped by design, so a pair holding one
-misses flat2 by that angle: 2 of the 3,000 twin pairs, 3,694 ulps at worst (an
-angle of 8.2e-13), in both.  |A^T A - I| and |A^T b0| / max(1, |b0|) stayed
-below 1.4e-15 with the QR per frame and 7.0e-15 without, at t up to 1e6.
+beyond span(Y), no QR per frame) 16.0, 2.3 and 4.8.  Both then dropped
+angles with tangent below 1e-12, so a pair holding one missed flat2 by that
+angle, 3,694 ulps at worst (an angle of 8.2e-13); every angle is now kept, and
+3,000 other twin pairs (seeds [0..2, 1]) read at worst 11.4 ulps for the end
+point, where the cut-off read 3,694 with 3 pairs over 20.  |A^T A - I| and
+|A^T b0| / max(1, |b0|) stayed below 1.4e-15 with the QR per frame and 7.0e-15
+without, at t up to 1e6.  Against the same flat in another basis every tangent
+is rounding and is kept, so extrapolated points drift about |t| eps: at worst
+9.4 eps max(|t|, 1) over 120 such pairs; the cut-off kept 20 of them within
+7.4 eps at every t.
 """
 
 import math
@@ -196,7 +201,7 @@ def test_twins_read_angles_near_1e8_not_zero():
 
 # The geodesic oracle's classes (see the module docstring).
 GEODESIC_CLASSES = ["random", "twins", "far", "points", "hyperplanes", "cosine 2e-10",
-                    "cosine 1e-9"]
+                    "cosine 1e-9", "angle 1e-14", "angle 3e-13", "angle 8e-13"]
 GEODESIC_PAIRS = 20
 # Worst error per check, in ulps of the yardstick in the module docstring.
 GEODESIC_ULPS = {"end": 20, "distance": 4, "midpoint": 8}
@@ -217,14 +222,17 @@ def _flat_at_angles(rng, flat, thetas):
 
 @lru_cache(maxsize=None)
 def _geodesic_pairs(name):
-    if not name.startswith("cosine"):
+    if not name.startswith(("cosine", "angle")):
         return _pairs(name)[:GEODESIC_PAIRS]
-    cosine = float(name.split()[1])
+    value = float(name.split()[1])
     rng = np.random.default_rng(GEODESIC_CLASSES.index(name))
     pairs = []
     for _ in range(GEODESIC_PAIRS):
         flat = _flat(rng, 2)
-        thetas = [*rng.uniform(0.0, 1.2, 2), math.acos(cosine)]
+        if name.startswith("cosine"):
+            thetas = [*rng.uniform(0.0, 1.2, 2), math.acos(value)]
+        else:
+            thetas = [value, *rng.uniform(0.1, 1.2, 2)]
         pairs.append((flat, _flat_at_angles(rng, flat, thetas)))
     return pairs
 
@@ -275,15 +283,31 @@ def test_geodesic_points_stay_orthonormal(name):
             assert orthonormal_drift(evaluate_geodesic(curve, t)) <= 1e-14, (name, t)
 
 
-def test_a_rounding_level_direction_stays_put():
-    """A principal angle of 3e-13 has tangent below 1e-12: its column of Q is zero
-    and its angle is zero too, so at t = 3e12 the frame keeps that column unit."""
-    rng = np.random.default_rng(7)
-    for _ in range(GEODESIC_PAIRS):
-        flat = _flat(rng, 2)
-        curve = geodesic(flat, _flat_at_angles(rng, flat, [3e-13, *rng.uniform(0.1, 1.2, 2)]))
-        assert curve.Theta[0, 0] == 0.0 and not curve.Q[:, 0].any()
+# Worst distance from flat1 of a geodesic between identical flats, in ulps of max(|t|, 1).
+IDENTICAL_ULPS = 16
+
+
+def test_a_rounding_level_angle_is_kept():
+    """A principal angle of 3e-13 keeps its value and its column of Q, and at
+    t = 3e12, where it has turned about 0.9 rad, the frame stays orthonormal."""
+    for flat1, flat2 in _geodesic_pairs("angle 3e-13"):
+        curve = geodesic(flat1, flat2)
+        assert abs(curve.Theta[0, 0] - 3e-13) <= 1e-15
+        assert abs(np.linalg.norm(curve.Q[:, 0]) - 1) <= 1e-14
         assert orthonormal_drift(evaluate_geodesic(curve, 3e12)) <= 1e-14
+
+
+def test_a_geodesic_between_identical_flats_stays_near_flat1():
+    """Against the same flat in a rotated basis every tangent is rounding, about eps;
+    each is kept, so extrapolated points move off flat1 by about |t| eps."""
+    rng = np.random.default_rng(11)
+    with mp.workdps(40):
+        for _ in range(GEODESIC_PAIRS):
+            flat = _flat(rng, 2)
+            curve = geodesic(flat, _flat_at_angles(rng, flat, []))
+            for t in TS:
+                moved = _oracle_grassmann(evaluate_geodesic(curve, t), flat)
+                assert moved <= IDENTICAL_ULPS * max(abs(t), 1) * EPS, (t, float(moved))
 
 
 @pytest.mark.parametrize("n, k", [(5, 3), (5, 4), (8, 6)])
