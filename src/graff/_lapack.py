@@ -2,16 +2,15 @@
 
 On graff's 6 x 3 matrices numpy.linalg's Python wrapper outweighs LAPACK (2-core
 box, numpy 2.4): ``np.linalg.qr`` takes 18-24 us against 5-7 us for its two
-gufuncs, a reduced ``svd`` 14 against 8 us, ``solve`` 7.6 against 1.9 us.  These
-helpers call ``numpy.linalg._umath_linalg`` under numpy.linalg's errstate (same
-bits, same ``LinAlgError``) and never change the caller's array.  Those names
-are private numpy API with the signatures of numpy 2 (numpy 1.x split them by
-shape), hence graff's floor of numpy 2.0.
+gufuncs, ``solve`` 7.6 against 1.9 us.  These helpers call
+``numpy.linalg._umath_linalg`` under numpy.linalg's errstate (same bits, same
+``LinAlgError``) and never change the caller's array.  Those names are private
+numpy API with the signatures of numpy 2 (numpy 1.x split them by shape), hence
+graff's floor of numpy 2.0.
 """
 
 import numpy as np
-from numpy.linalg._umath_linalg import (qr_r_raw, qr_reduced, solve as _solve, svd as _svd, svd_f,
-                                        svd_s)
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve as _solve, svd as _svd, svd_f
 
 
 def _errstate(message: str) -> np.errstate:  # as a decorator, entered afresh on each call
@@ -34,8 +33,8 @@ def svdvals(M):
 
 
 @_errstate("SVD did not converge")
-def svd(M, full_matrices: bool):
-    return (svd_f if full_matrices else svd_s)(M, signature="d->ddd")
+def svd(M):  # the full SVD
+    return svd_f(M, signature="d->ddd")
 
 
 @_errstate("Singular matrix")

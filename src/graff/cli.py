@@ -229,9 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="flat dimension (uniform)")
     p.add_argument("--n", type=int, help="ambient dimension (uniform)")
     p.add_argument("--params", help="JSON parameter file (langevin variants)")
-    p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
-    p.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--step-size", type=float, default=MHConfig.step_size, dest="step_size")
+    p.add_argument("--burn-in", type=int, default=MHConfig.burn_in, dest="burn_in")
+    p.add_argument("--thin", type=int, default=MHConfig.thin)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit", help="fit a flat to a point cloud")

@@ -49,6 +49,8 @@ __all__ = [
 # the orthogonality, projection and kernel checks on outside coordinates.
 _RANK_TOL = 1e-10
 _CHECK_TOL = 1e3 * _RANK_TOL
+# An orthonormal frame whose last row has a smaller norm spans no flat.
+_FLAT_TOL = 1e-10
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -445,7 +447,7 @@ def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
     n, k = Q.shape[0] - 1, Q.shape[1] - 1
     u = Q[-1].copy()
     r = math.sqrt(float(u @ u))
-    if r < 1e-10:
+    if r < _FLAT_TOL:
         raise NotAFlat("span lies in the hyperplane x_{n+1} = 0 (a linear subspace, not a flat)")
     # Reflect within the column space so the last row becomes (0, ..., 0, -+r);
     # the reflector adds |v_last| + r to the pivot entry, so it never cancels.

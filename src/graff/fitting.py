@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part, _trusted,
-                     make_flat)
+from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part,
+                     _split_scale, _trusted, make_flat)
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
 from .invariants import _check_int
 
@@ -76,8 +76,12 @@ def point_to_flat_distance(x, flat: AffineFlat) -> float:
     Raises ``ValueError`` if the distance does not fit in a float.
     """
     x = _as_vector(x, flat.n, "x")
-    with np.errstate(over="ignore"):  # an infinite difference is refused below
-        distance = math.hypot(*(_orthogonal_part(flat.A, x) - flat.b0).tolist())
+    u, e = _split_scale(x)
+    part = _orthogonal_part(flat.A, u)  # 2^-e (I - A A^T) x
+    s = max(0, e + math.frexp(float(np.abs(part).max()))[1] - 1024)  # 0 unless 2^e part overflows
+    with np.errstate(over="ignore"):  # an infinite distance is refused below
+        residual = np.ldexp(part, e - s) - np.ldexp(flat.b0, -s)
+        distance = float(np.ldexp(math.hypot(*residual.tolist()), s))
     if distance == math.inf:
         raise ValueError("the distance from x to the flat is too large to represent")
     return distance

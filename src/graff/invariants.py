@@ -29,9 +29,6 @@ __all__ = [
     "homotopy_group",
 ]
 
-INFINITY = math.inf
-
-
 class GroupDescriptor(Enum):
     """Isomorphism class of a homotopy group, or `unknown` outside the
     ranges for which a value is stated."""
@@ -211,7 +208,7 @@ def homotopy_group(k: int, n, r: int) -> GroupDescriptor:
       Z when r = 0, 4 (mod 8), Z2 when r = 1, 2 (mod 8), trivial otherwise.
     """
     k, r = _check_int(k, "k", 0), _check_int(r, "r", 1)
-    infinite = n == INFINITY
+    infinite = n == math.inf
     if not infinite:
         n = _check_int(n, "n", 1)
     if r == 1:

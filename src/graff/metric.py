@@ -133,7 +133,7 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
     """Full SVD of Y_F^T Y_G with angles, rotations, and principal vectors."""
     M, W = _overlap(flat1, flat2)
     thetas, sigmas = _angles(M, W)
-    U, _, Vt = _lapack.svd(M, full_matrices=True)
+    U, _, Vt = _lapack.svd(M)
     return PrincipalDecomposition(
         thetas=np.array(thetas),
         sigmas=np.array(sigmas),
@@ -267,7 +267,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     try:
         H = _lapack.solve(M.T, W.T).T
         beyond = _lapack.qr(np.concatenate((Y.Y, H), axis=1))[0][:, k + 1:]
-        Q_beyond, tangents, Ut = _lapack.svd(beyond.T @ H, full_matrices=True)
+        Q_beyond, tangents, Ut = _lapack.svd(beyond.T @ H)
     except np.linalg.LinAlgError:
         tangents = None
     if tangents is None or not tangents[0] <= 1e10:  # nan and inf included

@@ -19,16 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator
 
 from . import _lapack
-from .coords import (AffineFlat, _as_matrix, _flat_from_frame, _freeze, _orthogonal_part,
-                     _trusted, projection_coords, stiefel_coords,
+from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _freeze,
+                     _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
 from .errors import DimensionError, InternalError, NotAFlat
 from .invariants import _check_int, _check_positive
 
 __all__ = [
-    "RandomStream",
     "random_stream",
     "LangevinParams",
     "LangevinGaussianParams",
@@ -37,17 +37,12 @@ __all__ = [
     "langevin_log_density_unnormalized",
     "langevin_normalizer",
     "grassmann_normalizer",
-    "sample_langevin",
     "langevin_mh_run",
     "langevin_gaussian_log_density",
-    "sample_langevin_gaussian",
     "langevin_gaussian_run",
 ]
 
-RandomStream = np.random.Generator
-
-
-def random_stream(seed=None) -> RandomStream:
+def random_stream(seed=None) -> Generator:
     """A seedable random generator; equal seeds give equal sample sequences."""
     return np.random.default_rng(seed)
 
@@ -120,7 +115,7 @@ def _chain_length(config: MHConfig, count: int) -> int:
     return config.burn_in + 1 + (count - 1) * config.thin
 
 
-def sample_uniform(k: int, n: int, rng: RandomStream) -> AffineFlat:
+def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
     A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks, the
@@ -159,7 +154,7 @@ def langevin_log_density_unnormalized(flat: AffineFlat, params: LangevinParams) 
     return float(_trace_form(params.S, stiefel_coords(flat).Y))
 
 
-def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -> tuple[float, float]:
+def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: Generator) -> tuple[float, float]:
     """Normalizer of the Langevin density on k-planes in R^n (no affine part).
 
     Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
@@ -185,7 +180,7 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: RandomStream) -
 
 
 def langevin_normalizer(
-    params: LangevinParams, n_samples: int, rng: RandomStream
+    params: LangevinParams, n_samples: int, rng: Generator
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Langevin normalizing constant.
 
@@ -201,21 +196,21 @@ def langevin_normalizer(
 
 
 def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
-              rng: RandomStream, keep, require_flat: bool) -> float:
+              rng: Generator, keep, require_flat: bool) -> float:
     """Metropolis-Hastings chain on spans of orthonormal frames, target exp(tr(S Y Y^T)).
 
     Proposals are span(Y + step_size * G), G iid Gaussian, one QR each.  Their
     law depends only on span(Y) (GR has the law of G for orthogonal R) and is
     O(N)-equivariant, so by two-point homogeneity it is a symmetric function of
     the principal angles between the spans.  ``require_flat`` rejects spans
-    that are not flats (last row numerically zero).  ``keep(Y)`` gets the state
-    after steps burn_in, burn_in + thin, ..., so its draws interleave with the
-    chain's.  Returns the acceptance rate.
+    that ``_flat_from_frame`` refuses (last row of norm below ``_FLAT_TOL``).
+    ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
+    draws interleave with the chain's.  Returns the acceptance rate.
     """
     Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
     for step in range(n_steps):
         proposal, _ = _lapack.qr(Y + config.step_size * rng.standard_normal(Y.shape))
-        if not (require_flat and proposal[-1] @ proposal[-1] < 1e-20):
+        if not (require_flat and math.sqrt(proposal[-1] @ proposal[-1]) < _FLAT_TOL):
             new = float(_trace_form(S, proposal))
             if math.log(max(rng.uniform(), 1e-300)) <= new - current:
                 Y, current = proposal, new
@@ -229,7 +224,7 @@ def langevin_mh_run(
     params: LangevinParams,
     n_steps: int,
     step_size: float,
-    rng: RandomStream,
+    rng: Generator,
     burn_in: int = 0,
     thin: int = 1,
     init: AffineFlat | None = None,
@@ -252,27 +247,12 @@ def langevin_mh_run(
     return samples, rate
 
 
-def sample_langevin(
-    params: LangevinParams,
-    n_steps: int,
-    step_size: float,
-    rng: RandomStream,
-    init: AffineFlat | None = None,
-) -> AffineFlat:
-    """Final state of an ``n_steps``-long Metropolis-Hastings Langevin chain."""
-    n_steps = _check_int(n_steps, "n_steps", 1)
-    samples, _ = langevin_mh_run(
-        params, n_steps, step_size, rng, burn_in=n_steps - 1, thin=1, init=init
-    )
-    return samples[-1]
-
-
 def langevin_gaussian_log_density(
     flat: AffineFlat,
     params: LangevinGaussianParams,
     unnormalized: bool = False,
     n_samples: int = 2000,
-    rng: RandomStream | None = None,
+    rng: Generator | None = None,
 ) -> float:
     """Log density of the Langevin-Gaussian distribution at a flat.
 
@@ -295,7 +275,7 @@ def langevin_gaussian_log_density(
     return value
 
 
-def _conditional_displacement(A: np.ndarray, sigma2: float, rng: RandomStream) -> np.ndarray:
+def _conditional_displacement(A: np.ndarray, sigma2: float, rng: Generator) -> np.ndarray:
     """Spherical Gaussian on the orthogonal complement of span(A)."""
     return _orthogonal_part(A, math.sqrt(sigma2) * rng.standard_normal(A.shape[0]))
 
@@ -304,7 +284,7 @@ def langevin_gaussian_run(
     params: LangevinGaussianParams,
     count: int,
     config: MHConfig,
-    rng: RandomStream,
+    rng: Generator,
 ) -> list[AffineFlat]:
     """Draw ``count`` flats from the Langevin-Gaussian distribution.
 
@@ -327,14 +307,3 @@ def langevin_gaussian_run(
     Y0, _ = _lapack.qr(rng.standard_normal((n, k)))  # a uniform k-plane
     _mh_chain(params.S, Y0, _chain_length(config, count), config, rng, keep, require_flat=False)
     return flats
-
-
-def sample_langevin_gaussian(
-    params: LangevinGaussianParams,
-    config: MHConfig | None = None,
-    rng: RandomStream | None = None,
-) -> AffineFlat:
-    """Draw one flat from the Langevin-Gaussian distribution."""
-    if rng is None:
-        raise ValueError("a random stream is required")
-    return langevin_gaussian_run(params, 1, config or MHConfig(), rng)[0]

@@ -607,6 +607,14 @@ def test_module_entry_point_runs():
     assert result.stdout.strip() == "4"
 
 
+def test_console_script_target_exits_with_mains_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["graff", "invariant", "--what", "dim", "1", "3"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry_point()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 # Fuzzing cli.main in process: numeric flags and parameter fields take ints,
 # floats, +-inf, nan, 1e400 and 10**400.  --count, --burn-in and --thin get no
 # huge positive values, which are valid requests for unboundedly long runs.

@@ -64,6 +64,16 @@ class TestPointToFlatDistance:
             with pytest.raises(ValueError, match="too large to represent"):
                 point_to_flat_distance([1e308, 1e308], far_below)
 
+    def test_overflowing_projection_with_a_representable_distance(self):
+        # (I - a a^T) x has an entry near 2.3e308, past the floats; the distance is near 6e307.
+        a = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        x = np.full(3, 1.7e308)
+        quarter = x / 4.0 - a * (a @ (x / 4.0))
+        flat = AffineFlat(a[:, None], 4.0 * (0.785 * quarter))
+        expected = 4.0 * math.hypot(*(quarter - flat.b0 / 4.0).tolist())
+        assert point_to_flat_distance(x, flat) == pytest.approx(expected, rel=1e-14)
+        assert expected == pytest.approx(5.9686e307, rel=1e-4)
+
 
 class TestFitFlat:
     def test_exact_horizontal_line(self):

@@ -25,8 +25,6 @@ from graff import (
     pad_ambient,
     projection_coords,
     random_stream,
-    sample_langevin,
-    sample_langevin_gaussian,
     sample_uniform,
     stiefel_coords,
     unembed,
@@ -296,7 +294,7 @@ class TestLangevinSampler:
 
     def test_returns_valid_flat(self, rng):
         params = LangevinParams(S=np.diag([2.0, 0.0, 0.0, 0.0]), k=1, n=3)
-        flat = sample_langevin(params, 200, 0.1, rng)
+        [flat], _ = langevin_mh_run(params, 200, 0.1, rng, burn_in=199)
         assert flat.k == 1 and flat.n == 3
 
     def test_concentration_raises_leading_entry(self):
@@ -421,8 +419,6 @@ class TestLangevinGaussian:
         flat = random_flat(rng, 3, 1)
         with pytest.raises(ValueError):
             langevin_gaussian_log_density(flat, params)
-        with pytest.raises(ValueError, match="random stream"):
-            sample_langevin_gaussian(params)
 
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -468,8 +464,8 @@ class TestLangevinGaussian:
 
     def test_single_draw_api(self):
         params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1.0, k=1, n=3)
-        flat = sample_langevin_gaussian(
-            params, MHConfig(step_size=0.3, burn_in=50, thin=1), random_stream(53)
+        [flat] = langevin_gaussian_run(
+            params, 1, MHConfig(step_size=0.3, burn_in=50, thin=1), random_stream(53)
         )
         assert flat.k == 1 and flat.n == 3
 
@@ -574,8 +570,7 @@ class TestSharedChain:
     def test_one_qr_and_no_svd_per_step(self, monkeypatch):
         calls, qr, svd = [], _lapack.qr, _lapack.svd
         monkeypatch.setattr(_lapack, "qr", lambda M: calls.append("qr") or qr(M))
-        monkeypatch.setattr(_lapack, "svd", lambda M, full_matrices: calls.append("svd")
-                            or svd(M, full_matrices))
+        monkeypatch.setattr(_lapack, "svd", lambda M: calls.append("svd") or svd(M))
         Y0 = np.linalg.qr(random_stream(3).standard_normal((5, 2)))[0]
         probability._mh_chain(np.diag([1.0, 0.5, 0.0, 0.0, -1.0]), Y0, 40, MHConfig(0.3, 0, 1),
                               random_stream(5), lambda Y: None, require_flat=True)
@@ -600,7 +595,6 @@ _GAUSSIAN = LangevinGaussianParams(S=np.diag([1.0, 0.5, 0.0]), sigma2=1.0, k=1, 
 # Every public integer argument that is not a dimension, as a call on one value.
 _INTEGER_ARGUMENTS = {
     "langevin_mh_run n_steps": lambda v: langevin_mh_run(_PARAMS, v, 0.3, random_stream(1)),
-    "sample_langevin n_steps": lambda v: sample_langevin(_PARAMS, v, 0.3, random_stream(1)),
     "langevin_gaussian_run count": lambda v: langevin_gaussian_run(_GAUSSIAN, v, MHConfig(0.3, 2, 1),
                                                                     random_stream(1)),
     "grassmann_normalizer n_samples": lambda v: grassmann_normalizer(_GAUSSIAN.S, 1, 3, v,
@@ -609,6 +603,7 @@ _INTEGER_ARGUMENTS = {
     "langevin_gaussian_log_density n_samples": lambda v: langevin_gaussian_log_density(
         x_axis(3), _GAUSSIAN, n_samples=v, rng=random_stream(1)),
     "pad_ambient m": lambda v: pad_ambient(x_axis(3), v),
+    "MHConfig thin": lambda v: MHConfig(thin=v),
 }
 
 # Every public positive-real argument, as a setter of one value.
