@@ -73,14 +73,19 @@ def _as_vector(v, length: int, name: str) -> np.ndarray:
     return v
 
 
+def _unit_scale(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M * 2**-e, e), with e the power of two that brings M's largest entry into [1/2, 1)."""
+    e = math.frexp(float(np.abs(M).max()))[1]
+    return np.ldexp(M, -e), e
+
+
 def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked.
 
     M is first scaled by a power of two that brings its largest entry into
     [1/2, 1): exact, so Q is unchanged, and the QR of outside input cannot overflow.
     """
-    _, exponent = math.frexp(float(np.abs(M).max()))
-    Q, diag = _lapack.qr(np.ldexp(M, -exponent))
+    Q, diag = _lapack.qr(_unit_scale(M)[0])
     size = [abs(x) for x in diag.tolist()]
     largest = max(size)
     if largest == 0.0 or min(size) / largest < _RANK_TOL:
@@ -95,10 +100,7 @@ def _split_scale(b: np.ndarray) -> tuple[np.ndarray, int]:
     their bits; one of norm 2**500 or more is scaled to bring its largest
     entry into [1/2, 1).
     """
-    if math.hypot(*b.tolist()) < 2.0**500:
-        return b, 0
-    _, exponent = math.frexp(float(np.abs(b).max()))
-    return np.ldexp(b, -exponent), exponent
+    return (b, 0) if math.hypot(*b.tolist()) < 2.0**500 else _unit_scale(b)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -370,13 +372,10 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
     n, k = flat.n, flat.k
     u, e = _split_scale(flat.b0)
     scale = 1.0 / math.sqrt(math.ldexp(1.0, -2 * e) + float(u @ u))
-    corner = math.ldexp(scale, -e)
-    if not corner > 0.0:
-        raise ValueError("entry (n+1, k+1) must be strictly positive")
     Y = np.zeros((n + 1, k + 1))
     Y[:n, :k] = flat.A
     Y[:n, k] = u * scale
-    Y[n, k] = corner
+    Y[n, k] = math.ldexp(scale, -e)  # at least 2^-1024 / sqrt(n), so positive
     result = _trusted(StiefelMatrix, Y=Y)
     object.__setattr__(flat, "_stiefel", result)
     return result

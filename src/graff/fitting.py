@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part,
-                     _split_scale, _trusted, make_flat)
+                     _split_scale, _trusted, _unit_scale, make_flat)
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
 from .invariants import _check_int
 
@@ -103,8 +103,7 @@ def _scale_and_centre(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     of 2^-e X and C = 2^-e X - mean, in one new array.  Scaling before centring
     keeps the mean and C finite near 1.8e308 and, being exact, keeps their bits.
     """
-    e = math.frexp(max(float(X.max()), -float(X.min())))[1]
-    C = np.ldexp(X, -e)
+    C, e = _unit_scale(X)
     mean = C.mean(axis=0)
     C -= mean
     return C, mean, e
@@ -161,9 +160,8 @@ def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
     X = _as_matrix(X, "X")
     n_obs, p = X.shape
     y = _as_vector(y, n_obs, "y")
-    ex, ey = (math.frexp(float(np.abs(M).max()))[1] for M in (X, y))
-    design = np.column_stack([np.ldexp(X, -ex), np.ones(n_obs)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.ldexp(y, -ey), rcond=None)
+    (X, ex), (y, ey) = _unit_scale(X), _unit_scale(y)
+    coeffs, _, rank, _ = np.linalg.lstsq(np.column_stack([X, np.ones(n_obs)]), y, rcond=None)
     if rank < p + 1:
         raise RankDeficient(f"design matrix [X, 1] has rank {rank} < {p + 1}")
     with np.errstate(over="ignore"):  # refused below if past the floats
@@ -229,8 +227,7 @@ def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
         raise TypeError("svm_hyperplane expects a LabeledCloud")
     # The solve sees 2^-e2 (2^-e1 X - mean), its largest entry in [1/2, 1).
     X, mean, e1 = _scale_and_centre(data.X)
-    e2 = math.frexp(float(np.abs(X).max()))[1]
-    X = np.ldexp(X, -e2)
+    X, e2 = _unit_scale(X)
     plus, minus = _nearest_points(X[data.y > 0], X[data.y < 0])
     x = plus - minus
     if math.sqrt(x @ x) <= 1e-12:

@@ -243,8 +243,6 @@ class GeodesicCurve:
     U: np.ndarray
     Theta: np.ndarray
     Q: np.ndarray
-    n: int
-    k: int
 
 
 def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
@@ -277,8 +275,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     pad = k + 1 - len(thetas)
     Q = np.zeros((flat1.n + 1, k + 1))
     Q[:, pad:] = beyond @ Q_beyond[:, : len(thetas)][:, ::-1]
-    return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + thetas), Q=Q,
-                         n=flat1.n, k=k)
+    return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + thetas), Q=Q)
 
 
 def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:

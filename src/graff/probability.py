@@ -38,7 +38,7 @@ __all__ = [
     "langevin_normalizer",
     "grassmann_normalizer",
     "langevin_mh_run",
-    "langevin_gaussian_log_density",
+    "langevin_gaussian_log_density_unnormalized",
     "langevin_gaussian_run",
 ]
 
@@ -247,37 +247,18 @@ def langevin_mh_run(
     return samples, rate
 
 
-def langevin_gaussian_log_density(
-    flat: AffineFlat,
-    params: LangevinGaussianParams,
-    unnormalized: bool = False,
-    n_samples: int = 2000,
-    rng: Generator | None = None,
-) -> float:
-    """Log density of the Langevin-Gaussian distribution at a flat.
+def langevin_gaussian_log_density_unnormalized(flat: AffineFlat,
+                                               params: LangevinGaussianParams) -> float:
+    """Log of the Langevin-Gaussian density at a flat, without its Langevin normalizer.
 
-    The value is tr(S A A^T) - |b0|^2 / (2 sigma^2) - ((n-k)/2) log(2 pi
-    sigma^2) minus the log normalizer of the Langevin factor on linear
-    k-planes in R^n.  That normalizer is estimated by Monte Carlo, so a
-    generator must be supplied unless ``unnormalized`` is set; for S = 0 the
-    estimate is exactly 1.
+    The value is tr(S A A^T) - |b0|^2 / (2 sigma^2) - ((n-k)/2) log(2 pi sigma^2).
+    Subtracting log(grassmann_normalizer(params.S, params.k, params.n, ...)[0])
+    normalizes it; for S = 0 that estimate is exactly 1.
     """
     _check_params(flat, params)
-    n, k = params.n, params.k
-    value = float(_trace_form(params.S, flat.A))
-    value -= float(flat.b0 @ flat.b0) / (2.0 * params.sigma2)
-    value -= 0.5 * (n - k) * math.log(2.0 * math.pi * params.sigma2)
-    if not unnormalized:
-        if rng is None:
-            raise ValueError("a random stream is required to estimate the normalizer")
-        normalizer, _ = grassmann_normalizer(params.S, k, n, n_samples, rng)
-        value -= math.log(normalizer)
-    return value
-
-
-def _conditional_displacement(A: np.ndarray, sigma2: float, rng: Generator) -> np.ndarray:
-    """Spherical Gaussian on the orthogonal complement of span(A)."""
-    return _orthogonal_part(A, math.sqrt(sigma2) * rng.standard_normal(A.shape[0]))
+    return (float(_trace_form(params.S, flat.A))
+            - float(flat.b0 @ flat.b0) / (2.0 * params.sigma2)
+            - 0.5 * (params.n - params.k) * math.log(2.0 * math.pi * params.sigma2))
 
 
 def langevin_gaussian_run(
@@ -297,7 +278,7 @@ def langevin_gaussian_run(
     flats: list[AffineFlat] = []
 
     def keep(Y):
-        b0 = _conditional_displacement(Y, params.sigma2, rng)
+        b0 = _orthogonal_part(Y, math.sqrt(params.sigma2) * rng.standard_normal(n))
         flats.append(_trusted(AffineFlat, A=Y, b0=b0))
 
     if k == 0:

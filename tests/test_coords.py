@@ -24,6 +24,7 @@ from graff import (
     stiefel_coords,
     unembed,
 )
+from graff.coords import _unit_scale
 from graff.io import dumps_document, flat_from_document, flat_to_document
 from graff.metric import distance
 
@@ -180,12 +181,31 @@ class TestHugeDisplacement:
         expected = [[1.0, 0.0, 0.0], [0.0, 1.0, 1e-155], [0.0, 1e-155, 1e-310]]
         np.testing.assert_allclose(P, expected, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_largest_displacement_keeps_a_positive_corner(self, n):
+        # u = b0 2^-e has entries below 1, so the corner is at least 2^-1024 / sqrt(n).
+        b0 = np.full(n, 1.7976931348623157e308)
+        b0[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y = stiefel_coords(AffineFlat(np.eye(n)[:, :1], b0)).Y
+        assert Y[n, 1] >= 2.0**-1024 / math.sqrt(n)
+        graff.StiefelMatrix(Y)
+
     @pytest.mark.parametrize("b0", [[0.0, 3.0, 4.0], [0.0, 3e-200, 4e-200], [0.0, 3e100, 4e100]])
     def test_ordinary_displacements_keep_the_plain_formula(self, b0):
         flat = AffineFlat([[1.0], [0.0], [0.0]], b0)
         scale = 1.0 / math.sqrt(1.0 + float(flat.b0 @ flat.b0))
         np.testing.assert_array_equal(stiefel_coords(flat).Y[:3, 1], flat.b0 * scale)
         assert projection_coords(flat).P[3, 3] == 1.0 / (1.0 + float(flat.b0 @ flat.b0))
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-300, 0.75, 1.0, 3.0, 1e300, 1.7976931348623157e308])
+def test_unit_scale_is_an_exact_power_of_two(rng, scale):
+    M = scale * rng.uniform(-1.0, 1.0, (3, 2))
+    scaled, exponent = _unit_scale(M)
+    assert 0.5 <= np.abs(scaled).max() < 1.0
+    np.testing.assert_array_equal(np.ldexp(scaled, exponent), M)
 
 
 @pytest.mark.parametrize("cls, args, error, message", [

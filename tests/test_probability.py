@@ -17,7 +17,7 @@ from graff import (
     affine_principal_angles,
     equal_flats,
     grassmann_normalizer,
-    langevin_gaussian_log_density,
+    langevin_gaussian_log_density_unnormalized,
     langevin_gaussian_run,
     langevin_log_density_unnormalized,
     langevin_mh_run,
@@ -383,9 +383,9 @@ class TestLangevinGaussian:
 
         flat = AffineFlat(A, np.zeros(n))
         expected = -0.5 * (n - k) * math.log(2.0 * math.pi * sigma2)
-        assert langevin_gaussian_log_density(flat, params, rng=rng) == pytest.approx(
-            expected, abs=1e-12
-        )
+        normalizer, _ = grassmann_normalizer(params.S, params.k, params.n, 2000, rng)
+        value = langevin_gaussian_log_density_unnormalized(flat, params) - math.log(normalizer)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_density_ratio_in_displacement(self, rng):
         n, k = 5, 2
@@ -396,9 +396,8 @@ class TestLangevinGaussian:
         from graff import AffineFlat
 
         doubled = AffineFlat(flat.A, 2.0 * flat.b0)
-        ratio = langevin_gaussian_log_density(
-            flat, params, unnormalized=True
-        ) - langevin_gaussian_log_density(doubled, params, unnormalized=True)
+        ratio = (langevin_gaussian_log_density_unnormalized(flat, params)
+                 - langevin_gaussian_log_density_unnormalized(doubled, params))
         b2 = float(flat.b0 @ flat.b0)
         assert ratio == pytest.approx(3.0 * b2 / (2.0 * params.sigma2), abs=1e-10)
 
@@ -410,15 +409,20 @@ class TestLangevinGaussian:
         from graff import AffineFlat
 
         rotated = AffineFlat(flat.A @ Q, flat.b0)
-        a = langevin_gaussian_log_density(flat, params, unnormalized=True)
-        b = langevin_gaussian_log_density(rotated, params, unnormalized=True)
+        a = langevin_gaussian_log_density_unnormalized(flat, params)
+        b = langevin_gaussian_log_density_unnormalized(rotated, params)
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_normalizer_requires_rng(self, rng):
-        params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1.0, k=1, n=3)
-        flat = random_flat(rng, 3, 1)
-        with pytest.raises(ValueError):
-            langevin_gaussian_log_density(flat, params)
+    def test_trace_term_follows_s(self):
+        params = LangevinGaussianParams(S=np.diag([2.0, -1.0, 0.5]), sigma2=0.7, k=1, n=3)
+        from graff import AffineFlat
+
+        b0 = np.array([0.0, 0.0, 1.5])
+        on_x = AffineFlat([[1.0], [0.0], [0.0]], b0)
+        on_y = AffineFlat([[0.0], [1.0], [0.0]], b0)
+        difference = (langevin_gaussian_log_density_unnormalized(on_x, params)
+                      - langevin_gaussian_log_density_unnormalized(on_y, params))
+        assert difference == pytest.approx(3.0, abs=1e-12)
 
     def test_sigma2_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -427,7 +431,7 @@ class TestLangevinGaussian:
     def test_largest_sigma2_keeps_the_density_finite(self):
         # 2 pi sigma2 overflows past about 2.9e307; the bound 1e300 refuses 1e301.
         params = LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1e300, k=1, n=3)
-        value = langevin_gaussian_log_density(x_axis(3), params, unnormalized=True)
+        value = langevin_gaussian_log_density_unnormalized(x_axis(3), params)
         assert value == -math.log(2.0 * math.pi * 1e300)
         with pytest.raises(DimensionError, match=r"sigma2 must be a number in \(0, 1e\+300\]"):
             LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1e301, k=1, n=3)
@@ -509,35 +513,20 @@ CHAIN_PROPERTY = settings(deadline=None, derandomize=True, max_examples=30)
 
 
 class TestSharedChain:
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_gaussian_run_matches_the_interleaved_loop(self, k):
-        n = 4
-        G = random_stream(7 + k).standard_normal((n, n))
-        params = LangevinGaussianParams(S=(G + G.T) / 2.0, sigma2=0.6, k=k, n=n)
-        config = MHConfig(step_size=0.4, burn_in=30, thin=3)
-        rng, reference = random_stream(61), random_stream(61)
-        flats = langevin_gaussian_run(params, 25, config, rng)
-        expected = _gaussian_chain_one_by_one(params, 25, config, reference)
-        assert len(flats) == len(expected) == 25
+    @pytest.mark.parametrize("k, S, sigma2, config, count, seed", [
+        *[(k, random_stream(7 + k).standard_normal((4, 4)), 0.6, MHConfig(0.4, 30, 3), 25, 61)
+          for k in (0, 1, 2)],
+        *[(k, np.diag([2.0, 1.0, 0.5, 0.0, -1.0]), 3.0, MHConfig(0.3, 20, 2), 200, 17)
+          for k in (0, 1, 2, 3)],
+    ], ids=[f"n4-k{k}" for k in (0, 1, 2)] + [f"n5-k{k}" for k in (0, 1, 2, 3)])
+    def test_gaussian_run_matches_the_interleaved_loop(self, k, S, sigma2, config, count, seed):
+        params = LangevinGaussianParams(S=(S + S.T) / 2.0, sigma2=sigma2, k=k, n=S.shape[0])
+        rng, reference = random_stream(seed), random_stream(seed)
+        flats = langevin_gaussian_run(params, count, config, rng)
+        expected = _gaussian_chain_one_by_one(params, count, config, reference)
+        assert len(flats) == len(expected) == count
         for flat, (A, b0) in zip(flats, expected):
             assert np.array_equal(flat.A, A) and np.array_equal(flat.b0, b0)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_gaussian_displacements_match_one_plain_projection(self, monkeypatch, k):
-        def plain(A, sigma2, rng):
-            z = math.sqrt(sigma2) * rng.standard_normal(A.shape[0])
-            return z - A @ (A.T @ z) if A.shape[1] else z
-
-        params = LangevinGaussianParams(S=np.diag([2.0, 1.0, 0.5, 0.0, -1.0]), sigma2=3.0,
-                                        k=k, n=5)
-        config = MHConfig(step_size=0.3, burn_in=20, thin=2)
-        rng, reference = random_stream(17), random_stream(17)
-        flats = langevin_gaussian_run(params, 200, config, rng)
-        monkeypatch.setattr(probability, "_conditional_displacement", plain)
-        expected = langevin_gaussian_run(params, 200, config, reference)
-        for flat, other in zip(flats, expected, strict=True):
-            assert np.array_equal(flat.A, other.A) and np.array_equal(flat.b0, other.b0)
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @CHAIN_PROPERTY
@@ -600,8 +589,6 @@ _INTEGER_ARGUMENTS = {
     "grassmann_normalizer n_samples": lambda v: grassmann_normalizer(_GAUSSIAN.S, 1, 3, v,
                                                                       random_stream(1)),
     "langevin_normalizer n_samples": lambda v: langevin_normalizer(_PARAMS, v, random_stream(1)),
-    "langevin_gaussian_log_density n_samples": lambda v: langevin_gaussian_log_density(
-        x_axis(3), _GAUSSIAN, n_samples=v, rng=random_stream(1)),
     "pad_ambient m": lambda v: pad_ambient(x_axis(3), v),
     "MHConfig thin": lambda v: MHConfig(thin=v),
 }
