@@ -39,7 +39,6 @@ __all__ = [
     "projection_coords",
     "projection_affine_coords",
     "unembed",
-    "equal_flats",
     "pad_ambient",
     "deaffine",
     "flat_from_projection",
@@ -220,17 +219,6 @@ class StiefelMatrix:
             raise ValueError("entry (n+1, k+1) must be strictly positive")
         object.__setattr__(self, "Y", _freeze(Y))
 
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0] - 1
-
-    @property
-    def k(self) -> int:
-        return self.Y.shape[1] - 1
-
-    def __repr__(self) -> str:
-        return f"StiefelMatrix(k={self.k}, n={self.n})"
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
@@ -256,17 +244,6 @@ class ProjectionMatrix:
             raise ValueError("corner entry must be strictly positive for a flat")
         object.__setattr__(self, "P", _freeze(P))
 
-    @property
-    def n(self) -> int:
-        return self.P.shape[0] - 1
-
-    @property
-    def k(self) -> int:
-        return int(round(np.trace(self.P))) - 1
-
-    def __repr__(self) -> str:
-        return f"ProjectionMatrix(k={self.k}, n={self.n})"
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectionAffinePair:
@@ -287,14 +264,6 @@ class ProjectionAffinePair:
             raise ValueError("b does not lie in ker(P)")
         object.__setattr__(self, "P", _freeze(P))
         object.__setattr__(self, "b", _freeze(b))
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def k(self) -> int:
-        return int(round(np.trace(self.P)))
 
 
 def make_flat(A_raw, b_raw) -> AffineFlat:
@@ -332,8 +301,8 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
     b0 = _as_vector(b_raw, n, "b_raw")
     if k >= n:
         raise DimensionError(f"flat dimension k={k} must be smaller than ambient n={n}")
-    if k == 0:
-        return AffineFlat(np.zeros((n, 0)), b0)
+    if k == 0:  # _as_vector may return a view of the caller's array
+        return _trusted(AffineFlat, A=np.zeros((n, 0)), b0=b0.copy())
     A = _orthonormalize(A_raw, "basis")
     return _trusted(AffineFlat, A=A, b0=_orthogonal_part(A, b0))
 
@@ -456,19 +425,6 @@ def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
     return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])
 
 
-def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:
-    """Whether two flats coincide, up to ``tol`` in projection coordinates.
-
-    Projection coordinates are unique per flat, so the comparison is
-    invariant to basis rotation A -> AQ and to the coset freedom in the raw
-    displacement.  Flats of different dimensions simply compare unequal.
-    """
-    if flat1.n != flat2.n:
-        raise DimensionError(f"ambient dimensions differ: {flat1.n} vs {flat2.n}")
-    diff = projection_coords(flat1).P - projection_coords(flat2).P
-    return float(np.linalg.norm(diff)) <= tol
-
-
 def pad_ambient(flat: AffineFlat, m: int) -> AffineFlat:
     """Include a flat of R^n into R^m (m >= n) by zero-padding A and b0.
 
@@ -492,9 +448,10 @@ def deaffine(flat: AffineFlat) -> AffineFlat:
 def flat_from_projection(P) -> AffineFlat:
     """Recover a flat from its projection coordinates.
 
-    Accepts any matrix satisfying the ProjectionMatrix invariants; the flat
-    is obtained by unembedding an orthonormal basis of range(P).
+    Accepts any matrix satisfying the ProjectionMatrix invariants; the flat is obtained
+    by unembedding an orthonormal basis of range(P), so it raises ``NotAFlat`` past |b0|
+    of about 1e10, where that basis's last row (norm 1/sqrt(1 + |b0|^2)) is below 1e-10.
     """
     proj = P if isinstance(P, ProjectionMatrix) else ProjectionMatrix(P)
     _, eigvecs = np.linalg.eigh(proj.P)
-    return unembed(eigvecs[:, -(proj.k + 1):])
+    return unembed(eigvecs[:, -round(np.trace(proj.P)):])

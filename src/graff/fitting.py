@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part,
                      _split_scale, _trusted, _unit_scale, make_flat)
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
@@ -132,7 +133,7 @@ def fit_flat(cloud: PointCloud, k: int) -> AffineFlat:
     centered, mean, e = _scale_and_centre(cloud.X)
     mean = np.ldexp(mean, e)
     if k == 0:
-        return AffineFlat(np.zeros((cloud.d, 0)), mean)
+        return _trusted(AffineFlat, A=np.zeros((cloud.d, 0)), b0=mean)
     _, svals, Vt = np.linalg.svd(centered, full_matrices=False)
     if k < svals.shape[0] and svals[0] > 0 and svals[k - 1] - svals[k] < 1e-10 * svals[0]:
         warnings.warn(
@@ -234,7 +235,7 @@ def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
         raise NotSeparable("the class hulls meet; no hyperplane separates the classes strictly")
     w = (2.0 / (x @ x)) * x
     # Orthonormal basis of ker(w^T): all left singular vectors after w itself.
-    basis = _positive_leading_signs(np.linalg.svd(w[:, None], full_matrices=True)[0][:, 1:])
+    basis = _positive_leading_signs(_lapack.svd(w[:, None])[0][:, 1:])
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if past the floats
         beta = float(w @ (plus + minus) / 2.0 + np.ldexp(w @ mean, -e2))
         b0, w = np.ldexp((beta / (w @ w)) * w, e1 + e2), np.ldexp(w, -e1 - e2)  # b0 along w

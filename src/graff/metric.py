@@ -32,6 +32,7 @@ __all__ = [
     "distance",
     "delta_distance",
     "infinite_metric",
+    "equal_flats",
     "geodesic",
     "evaluate_geodesic",
 ]
@@ -225,6 +226,18 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
     return _formula(*_angles(*_overlap(flat1, flat2)), kind, abs(flat1.k - flat2.k))
 
 
+def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:
+    """Whether |P1 - P2|_F <= tol for the flats' projection coordinates, unique per flat.
+
+    Invariant to basis rotation A -> AQ and to the coset freedom in the raw displacement;
+    flats of different dimensions compare unequal.  No projection is formed: |P1 - P2|_F^2
+    = |W|_F^2 + |V|_F^2 with M = Y1^T Y2, W = Y2 - Y1 M, V = Y1 - Y2 M^T, in either order.
+    """
+    M, W = _overlap(flat1, flat2)
+    V = stiefel_coords(flat1).Y - stiefel_coords(flat2).Y @ M.T
+    return math.sqrt(float(np.vdot(W, W)) + float(np.vdot(V, V))) <= tol
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicCurve:
     """Data defining the minimizing geodesic between two equidimensional flats.
@@ -250,10 +263,12 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
 
     Raises ``SingularPair`` unless Y_F^T Y_G is invertible with every tangent of
     the angles at most 1e10 (cosines down to about 1e-10).  The curve has constant
-    speed and length the Grassmann distance; it leaves the space of flats at most
-    once (``evaluate_geodesic`` raises ``NotAFlat`` there).  Every angle is kept, so the
-    point at t = 1 is flat2 to rounding; angles of rounding size, as between a flat and
-    itself in another basis, move a point at t by about |t| eps.
+    speed and length the Grassmann distance.  ``evaluate_geodesic`` raises ``NotAFlat``
+    where the frame's last row has norm below 1e-10: where the curve leaves the space of
+    flats, and on an interval of t around an endpoint with |b0| above about 1e10 (t = 0
+    included for such a flat1).  Every angle is kept, so the point at t = 1 is flat2 to
+    rounding; angles of rounding size, as between a flat and itself in another basis,
+    move a point at t by about |t| eps.
     """
     M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
@@ -282,8 +297,9 @@ def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     """Point of a geodesic at parameter t (values outside [0, 1] extrapolate).
 
     The frame is orthonormal by construction and skips ``unembed``'s QR.  Raises
-    ``NotAFlat`` where the curve exits the image of Graff(k, n) (at most one t),
-    and ``ValueError`` when some angle t * theta_i is not finite.
+    ``NotAFlat`` where the frame's last row has norm below 1e-10: where the curve
+    exits the image of Graff(k, n), and near an endpoint with |b0| above about 1e10
+    (see :func:`geodesic`).  Raises ``ValueError`` when some angle t * theta_i is not finite.
     """
     t = float(t)
     if not math.isfinite(t * float(curve.Theta.max())):

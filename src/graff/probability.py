@@ -51,6 +51,8 @@ def _symmetric_matrix(S, size: int, name: str) -> np.ndarray:
     S = _as_matrix(S, name)
     if S.shape != (size, size):
         raise DimensionError(f"{name} must be {size} x {size}, got {S.shape}")
+    if (np.abs(S) > 1e300).any():  # the bound of sigma2 and step_size; keeps S + S^T finite
+        raise DimensionError(f"{name} entries must be at most 1e+300 in absolute value")
     return _freeze(0.5 * (S + S.T))
 
 
@@ -58,8 +60,8 @@ def _symmetric_matrix(S, size: int, name: str) -> np.ndarray:
 class LangevinParams:
     """Parameters of the Langevin (von Mises-Fisher) density on k-flats in R^n.
 
-    ``S`` is an (n+1) x (n+1) symmetric concentration matrix; it is
-    symmetrized on construction.  S = 0 gives the uniform distribution.
+    ``S`` is an (n+1) x (n+1) symmetric concentration matrix, entries at most 1e300
+    in absolute value; it is symmetrized on construction.  S = 0 gives the uniform law.
     """
 
     S: np.ndarray
@@ -78,8 +80,8 @@ class LangevinParams:
 class LangevinGaussianParams:
     """Parameters of the Langevin-Gaussian density on k-flats in R^n.
 
-    ``S`` is an n x n symmetric concentration matrix for the linear part and
-    ``sigma2`` the variance (at most 1e300) of the Gaussian on the displacement.
+    ``S`` is an n x n symmetric concentration matrix for the linear part and ``sigma2``
+    the variance of the Gaussian on the displacement; |S_ij| and sigma2 are at most 1e300.
     """
 
     S: np.ndarray
@@ -253,11 +255,14 @@ def langevin_gaussian_log_density_unnormalized(flat: AffineFlat,
 
     The value is tr(S A A^T) - |b0|^2 / (2 sigma^2) - ((n-k)/2) log(2 pi sigma^2).
     Subtracting log(grassmann_normalizer(params.S, params.k, params.n, ...)[0])
-    normalizes it; for S = 0 that estimate is exactly 1.
+    normalizes it; for S = 0 that estimate is exactly 1.  It is -inf once |b0|^2
+    is past the floats (|b0| of about 1.3e154 or more).
     """
     _check_params(flat, params)
+    with np.errstate(over="ignore"):  # an infinite |b0|^2 gives -inf
+        square = float(flat.b0 @ flat.b0)
     return (float(_trace_form(params.S, flat.A))
-            - float(flat.b0 @ flat.b0) / (2.0 * params.sigma2)
+            - square / (2.0 * params.sigma2)
             - 0.5 * (params.n - params.k) * math.log(2.0 * math.pi * params.sigma2))
 
 

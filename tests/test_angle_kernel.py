@@ -4,7 +4,7 @@ Angles are checked against a reference written here: cosines from the SVD of
 Y1^T Y2, sines from the SVD of an orthonormal complement of Y1 against Y2,
 paired and combined with atan2.  The pairs cover k != l, k = 0, k = n - 1,
 n up to 64 and near-equal twins (rotated basis, shifted displacement, 1e-8
-perturbation).
+perturbation); on the same pairs, ``equal_flats`` decides alike in either order.
 """
 
 import math
@@ -21,6 +21,7 @@ from graff import (
     affine_principal_angles,
     delta_distance,
     distance,
+    equal_flats,
     geodesic,
     make_flat,
     random_stream,
@@ -90,6 +91,13 @@ def test_distances_are_symmetric(pair):
     for kind in ANGLE_KINDS:
         value, swapped = delta_distance(flat1, flat2, kind), delta_distance(flat2, flat1, kind)
         assert value == swapped or abs(value - swapped) <= 1e-12
+
+
+@PROPERTY
+@given(pairs(), st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))
+def test_equal_flats_is_symmetric(pair, tol):
+    flat1, flat2 = pair
+    assert equal_flats(flat1, flat2, tol) == equal_flats(flat2, flat1, tol)
 
 
 @st.composite

@@ -572,8 +572,9 @@ def test_exit_code_contract(capsys, monkeypatch, error, code):
 
 
 def _graff(*args) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "graff", *args], capture_output=True, text=True,
-                          check=False, timeout=60)
+    """``python -m graff`` with every RuntimeWarning an error, as in process."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "graff", *args],
+                          capture_output=True, text=True, check=False, timeout=60)
 
 
 @pytest.mark.parametrize("where", ["flat", "params"])
@@ -647,14 +648,19 @@ def _fuzz_main(argv, allowed=()):
            "--count": _WORK, "--k": _FLAG, "--n": _FLAG,
            "--burn-in": _WORK, "--thin": _WORK, "--step-size": _FLAG}),
        k=st.one_of(st.just("1"), _FIELD), n=st.one_of(st.just("3"), _FIELD),
-       sigma2=st.one_of(st.just("0.5"), _FIELD))
-def test_fuzzed_sample_exits_cleanly(dist, flags, k, n, sigma2):
+       sigma2=st.one_of(st.just("0.5"), _FIELD), scale=st.sampled_from([1.0, 1e300, 1.7e308]))
+@example(dist="langevin", flags={}, k="1", n="3", sigma2="0.5", scale=1e300)
+@example(dist="langevin", flags={}, k="1", n="3", sigma2="0.5", scale=1.7e308)
+@example(dist="langevin-gaussian", flags={}, k="1", n="3", sigma2="0.5", scale=1e300)
+@example(dist="langevin-gaussian", flags={}, k="1", n="3", sigma2="0.5", scale=1.7e308)
+def test_fuzzed_sample_exits_cleanly(dist, flags, k, n, sigma2, scale):
+    """S is the identity times 1, 1e300 (the largest entry allowed) or 1.7e308 (refused)."""
     size = 4 if dist == "langevin" else 3
     flags = {"--k": "1", "--n": "3", "--burn-in": "5", "--thin": "2", **flags}
     with tempfile.TemporaryDirectory() as tmp:
         params = Path(tmp) / "params.json"
         params.write_text('{"k": %s, "n": %s, "sigma2": %s, "S": %s}'
-                          % (k, n, sigma2, json.dumps(np.eye(size).tolist())))
+                          % (k, n, sigma2, json.dumps((scale * np.eye(size)).tolist())))
         argv = ["sample", "--dist", dist, "--seed", "0", "--params", str(params)]
         _fuzz_main(argv + [token for pair in flags.items() for token in pair])
 

@@ -409,6 +409,13 @@ class TestEqualFlats:
         with pytest.raises(DimensionError):
             equal_flats(x_axis(2), x_axis(3), 1e-8)
 
+    def test_flats_far_from_the_origin_compare(self):
+        """Their projection corner 1/(1 + |b0|^2) underflows; the Stiefel overlap does not."""
+        far = make_flat([1.0, 0.0], [0.0, 1e200])
+        assert equal_flats(far, make_flat([-2.0, 0.0], [5.0, 1e200]), 1e-12)
+        assert not equal_flats(far, x_axis(), 1e-8)
+        assert not equal_flats(x_axis(), far, 1e-8)
+
 
 class TestPadAmbient:
     def test_pad_x_axis(self):

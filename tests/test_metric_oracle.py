@@ -23,7 +23,9 @@ replaced (np.arcsin/np.arccos and array sums) showed the same worst cases.
 Angles: 3.6 ulps for random 2-flats, 4.03 far from the origin, 0.7 for twins,
 1.5 for points, 9.2 for mixed dimensions and 14.4 for hyperplanes, whose
 5-column W carries more rounding from forming it in floats.  Distances: 3.9
-for martin, at most 2.6 for the rest.
+for martin, at most 2.6 for the rest.  ``equal_flats`` is checked on the same
+pairs against the 40-digit |P1 - P2|_F, P = Y Y^T, through its decisions at
+tolerances just above and just below that value.
 
 The geodesic oracle runs the equidimensional classes, 2-flat pairs whose
 smallest cosine sigma_min is 2e-10 or 1e-9, next to geodesic's refusal at about
@@ -55,7 +57,7 @@ import pytest
 from mpmath import mp
 
 from graff import (DistanceKind, affine_principal_angles, delta_distance, distance,
-                   evaluate_geodesic, geodesic, infinite_metric, make_flat,
+                   equal_flats, evaluate_geodesic, geodesic, infinite_metric, make_flat,
                    principal_decomposition, stiefel_coords, unembed)
 
 from conftest import orthonormal_drift
@@ -64,6 +66,8 @@ EPS = 2.0**-52
 N = 5
 PAIRS = 30
 INFINITE_KINDS = (DistanceKind.GRASSMANN, DistanceKind.CHORDAL, DistanceKind.PROCRUSTES)
+# equal_flats' error against the oracle |P1 - P2|_F, in units of eps (n + 1).
+EQUAL_FLATS_ULPS = 8
 
 # Worst angle error, in ulps of max(theta, 1), per class.
 ANGLE_ULPS = {"random": 5, "twins": 5, "far": 5, "points": 5, "hyperplanes": 16, "mixed": 16}
@@ -189,6 +193,21 @@ def test_every_distance_kind_within_its_ulp_bound(name):
     _, kinds = _worst(name)
     over = {key: round(ulps, 2) for key, ulps in kinds.items() if ulps > DISTANCE_ULPS[key]}
     assert not over, f"{name}: {over}"
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_equal_flats_decides_at_the_oracle_projection_distance(name):
+    """equal_flats accepts at tol = d + margin and refuses at d - margin, d the 40-digit
+    |P1 - P2|_F of the same float Stiefel coordinates, so the value it compares with tol
+    is d to within the margin, 8 eps (n + 1) (0.39 eps (n + 1) at worst on these pairs)."""
+    margin = EQUAL_FLATS_ULPS * EPS * (N + 1)
+    with mp.workdps(40):
+        for flat1, flat2 in _pairs(name):
+            Y1, Y2 = (mp.matrix(stiefel_coords(flat).Y.tolist()) for flat in (flat1, flat2))
+            d = float(mp.mnorm(Y1 * Y1.T - Y2 * Y2.T, "f"))
+            for pair in ((flat1, flat2), (flat2, flat1)):
+                assert equal_flats(*pair, d + margin)
+                assert not equal_flats(*pair, d - margin)
 
 
 def test_twins_read_angles_near_1e8_not_zero():

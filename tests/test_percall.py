@@ -5,7 +5,7 @@ import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OPERATIONS = ["make_flat", "distance", "distance (kind as a string)",
+OPERATIONS = ["make_flat", "distance", "equal_flats", "distance (kind as a string)",
               "affine_principal_angles (2-flat, 1-flat)", "infinite_metric (2-flat, 1-flat)",
               "sample_uniform", "geodesic", "evaluate_geodesic", "MH step", "normalizer per sample",
               "svm_hyperplane per point"]

@@ -22,6 +22,7 @@ from graff import (
     langevin_log_density_unnormalized,
     langevin_mh_run,
     langevin_normalizer,
+    make_flat,
     pad_ambient,
     projection_coords,
     random_stream,
@@ -166,6 +167,17 @@ class TestLangevinDensity:
         S = np.array([[0.0, 1.0], [0.0, 0.0]])
         params = LangevinParams(S=S, k=0, n=1)
         np.testing.assert_allclose(params.S, [[0.0, 0.5], [0.5, 0.0]])
+
+    def test_entries_past_1e300_are_refused(self, rng):
+        """S + S^T would overflow near 1.8e308; the bound is sigma2's and step_size's."""
+        assert LangevinParams(S=-1e300 * np.eye(3), k=1, n=2).S[0, 0] == -1e300
+        for S in (1.7e308 * np.eye(3), np.diag([0.0, 0.0, -1e301])):
+            with pytest.raises(DimensionError, match=r"S entries must be at most 1e\+300"):
+                LangevinParams(S=S, k=1, n=2)
+            with pytest.raises(DimensionError, match=r"S entries must be at most 1e\+300"):
+                LangevinGaussianParams(S=S, sigma2=1.0, k=1, n=3)
+            with pytest.raises(DimensionError, match=r"S entries must be at most 1e\+300"):
+                grassmann_normalizer(S, 1, 3, 100, rng)
 
 
 class TestLangevinNormalizer:
@@ -435,6 +447,16 @@ class TestLangevinGaussian:
         assert value == -math.log(2.0 * math.pi * 1e300)
         with pytest.raises(DimensionError, match=r"sigma2 must be a number in \(0, 1e\+300\]"):
             LangevinGaussianParams(S=np.zeros((3, 3)), sigma2=1e301, k=1, n=3)
+
+    def test_displacement_past_the_floats_gives_minus_infinity(self):
+        """|b0|^2 overflows from |b0| of about 1.3e154; the value is then -inf, quietly."""
+        params = LangevinGaussianParams(S=np.eye(2), sigma2=1.0, k=1, n=2)
+        assert langevin_gaussian_log_density_unnormalized(
+            make_flat([1.0, 0.0], [0.0, 1e200]), params) == -math.inf
+        near = make_flat([1.0, 0.0], [0.0, 1e154])
+        value = langevin_gaussian_log_density_unnormalized(near, params)
+        assert math.isfinite(value)
+        assert value == 1.0 - 1e154 * 1e154 / 2.0 - 0.5 * math.log(2.0 * math.pi)
 
     def test_draws_satisfy_orthogonality(self):
         params = LangevinGaussianParams(

@@ -59,6 +59,7 @@ def operations(graff):
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
         ("distance", lambda: graff.distance(flat, other), 1),
+        ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
         ("distance (kind as a string)", lambda: graff.distance(flat, other, "grassmann"), 1),
         ("affine_principal_angles (2-flat, 1-flat)",
          lambda: graff.affine_principal_angles(flat, line), 1),
