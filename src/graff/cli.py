@@ -86,8 +86,7 @@ def _cmd_distance(args) -> int:
     flat1 = _load_flat(args.flat1)
     flat2 = _load_flat(args.flat2)
     if args.verbose:
-        angles = affine_principal_angles(flat1, flat2)
-        print(dumps_document({"angles": [float(t) for t in angles]}))
+        print(dumps_document({"angles": affine_principal_angles(flat1, flat2)}))
     if args.infinite:
         value = infinite_metric(flat1, flat2, args.kind)
     elif flat1.k == flat2.k:
@@ -170,21 +169,22 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = load_cloud_csv(args.cloud)
+    coefficients = None
     if args.method == "flat":
         if args.k is None:
             raise ValueError("--method flat requires --k")
-        print(dumps_document(flat_to_document(fit_flat(PointCloud(data), args.k))))
-        return 0
-    if data.shape[1] < 2:
+        flat = fit_flat(PointCloud(data), args.k)
+    elif data.shape[1] < 2:
         raise ValueError(f"{args.method} needs at least one column before the last")
-    if args.method == "regression":
+    elif args.method == "regression":
         flat, beta = linear_regression(data[:, :-1], data[:, -1])
-        print(dumps_document(flat_to_document(flat)))
-        print(dumps_document({"beta": [float(b) for b in beta]}))
+        coefficients = {"beta": beta}
     else:
         flat, w, beta = svm_hyperplane(LabeledCloud(data[:, :-1], data[:, -1]))
-        print(dumps_document(flat_to_document(flat)))
-        print(dumps_document({"w": [float(v) for v in w], "beta": float(beta)}))
+        coefficients = {"w": w, "beta": beta}
+    print(dumps_document(flat_to_document(flat)))
+    if coefficients is not None:
+        print(dumps_document(coefficients))
     return 0
 
 

@@ -364,7 +364,8 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
     Y = stiefel_coords(flat).Y
     P = Y @ Y.T
     if not P[-1, -1] > 0.0:
-        raise ValueError("corner entry must be strictly positive for a flat")
+        raise ValueError("corner entry 1/(1 + |b0|^2) underflows: the flat is too far from the "
+                         "origin (|b0| beyond about 1e154) for projection coordinates")
     return _trusted(ProjectionMatrix, P=P)
 
 

@@ -8,7 +8,8 @@ where ``A`` holds the basis vectors as rows (k rows of n entries) and ``b``
 the displacement.  ``orthogonal`` marks coordinates already in canonical
 orthogonal affine form; without it the document is canonicalized through
 ``make_flat``.  All floats are printed with 17 significant digits so that
-documents round-trip bit-exactly.
+documents round-trip bit-exactly.  ``dumps_document`` takes numpy arrays and
+scalars as they are; it is the one place where numbers leave numpy.
 
 A cloud document is a CSV file with one point per row and an optional
 header; for labeled data the final column holds the labels.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -41,34 +43,31 @@ def fmt_float(x: float) -> str:
 
 
 def dumps_document(obj) -> str:
-    """Serialize a document as single-line JSON with 17-digit floats (nan, inf: ValueError)."""
+    """One JSON line, numpy values written as their ``tolist()`` (nan, ±inf: ValueError)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj} is not a JSON number")
+        return fmt_float(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError(f"{float(obj)} is not a JSON number")
-        return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         items = (f"{json.dumps(key)}: {dumps_document(value)}" for key, value in obj.items())
         return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_document(value) for value in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def flat_to_document(flat: AffineFlat) -> dict:
     """Flat document for a flat; basis vectors become rows."""
-    return {
-        "n": flat.n,
-        "k": flat.k,
-        "A": [[float(x) for x in row] for row in flat.A.T],
-        "b": [float(x) for x in flat.b0],
-        "orthogonal": True,
-    }
+    return {"n": flat.n, "k": flat.k, "A": flat.A.T.tolist(), "b": flat.b0.tolist(),
+            "orthogonal": True}
 
 
 def flat_from_document(doc) -> AffineFlat:
@@ -99,11 +98,7 @@ def flat_from_document(doc) -> AffineFlat:
 def matrix_document(M: np.ndarray) -> dict:
     """Document wrapping a dense matrix, row-major."""
     M = np.asarray(M, dtype=float)
-    return {
-        "rows": M.shape[0],
-        "cols": M.shape[1],
-        "data": [[float(x) for x in row] for row in M],
-    }
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.tolist()}
 
 
 def load_cloud_csv(path) -> np.ndarray:

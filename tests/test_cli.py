@@ -105,6 +105,17 @@ class TestConvert:
         assert (code, err) == (0, "")
         assert json.loads(out)["data"] == [[1.0, 0.0, 0.0], [0.0, 0.0, 1e200]]
 
+    def test_far_flat_projection_exits_2_blaming_the_distance(self, capsys, write_doc):
+        """Past |b0| ~ 1e162 the corner 1/(1 + |b0|^2) is 0: the flat is valid but too far."""
+        message = ("corner entry 1/(1 + |b0|^2) underflows: the flat is too far from the "
+                   "origin (|b0| beyond about 1e154) for projection coordinates")
+        with pytest.raises(ValueError) as refused:
+            graff.projection_coords(graff.make_flat([1.0, 0.0], [0.0, 1e200]))
+        assert str(refused.value) == message
+        far = write_doc({"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1e200]})
+        assert run_cli(capsys, "convert", far, "--to", "projection") == (
+            2, "", f"ValueError: {message}\n")
+
     def test_degenerate_basis_exits_2(self, capsys, write_doc):
         bad = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]}
         code, _, err = run_cli(capsys, "convert", write_doc(bad), "--to", "stiefel")
@@ -532,12 +543,24 @@ def test_flat_documents_round_trip_bit_exactly():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"),
-                                   np.float64("-inf")])
+                                   np.float64("-inf"), np.array([1.0, np.nan]),
+                                   np.float32("inf")])
 def test_dumps_document_refuses_non_finite_floats(value):
     from graff.io import dumps_document
 
     with pytest.raises(ValueError, match="is not a JSON number"):
         dumps_document({"data": [[1.0, value]]})
+
+
+def test_dumps_document_writes_numpy_values_as_their_tolist():
+    from graff.io import dumps_document
+
+    values = [np.array([[0.1, -0.0], [1e300, 2.0]]), np.float32(0.1), np.int64(-7), np.bool_(True)]
+    assert dumps_document(values) == dumps_document([v.tolist() for v in values]) == (
+        "[[[0.10000000000000001, -0], [1.0000000000000001e+300, 2]], "
+        "0.10000000149011612, -7, true]")
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_document({"data": {1.0}})
 
 
 def test_fmt_float_keeps_the_bare_inf():
