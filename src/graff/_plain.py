@@ -1,0 +1,25 @@
+"""The numpy-free names that the command line needs before any numerics:
+the distance kinds for ``--kind`` and the float format.  ``metric`` and ``io``
+re-export them, so ``graff invariant`` and the argument parser run without numpy.
+"""
+
+from enum import Enum
+
+
+class DistanceKind(str, Enum):
+    """The nine distances expressible in affine principal angles."""
+
+    GRASSMANN = "grassmann"
+    ASIMOV = "asimov"
+    BINET_CAUCHY = "binet_cauchy"
+    CHORDAL = "chordal"
+    FUBINI_STUDY = "fubini_study"
+    MARTIN = "martin"
+    PROCRUSTES = "procrustes"
+    PROJECTION = "projection"
+    SPECTRAL = "spectral"
+
+
+def fmt_float(x: float) -> str:
+    """Render a float with 17 significant digits (round-trips exactly; inf stays ``inf``)."""
+    return format(float(x), ".17g")

@@ -26,42 +26,40 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+import warnings
 
 from . import invariants
-from .coords import projection_affine_coords, projection_coords, stiefel_coords
+from ._plain import DistanceKind, fmt_float
 from .errors import GraffError, NotAFlat, NotSeparable, SingularPair
-from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
-from .io import (
-    dumps_document,
-    flat_from_document,
-    flat_to_document,
-    fmt_float,
-    load_cloud_csv,
-    matrix_document,
-)
-from .metric import (
-    DistanceKind,
-    affine_principal_angles,
-    delta_distance,
-    distance,
-    evaluate_geodesic,
-    geodesic,
-    infinite_metric,
-)
-from .probability import (
-    LangevinGaussianParams,
-    LangevinParams,
-    MHConfig,
-    _chain_length,
-    langevin_gaussian_run,
-    langevin_mh_run,
-    random_stream,
-    sample_uniform,
-)
 
 __all__ = ["main", "entry_point"]
+
+
+def _load_numerics() -> None:
+    """Bind the numpy-backed names below into this module (``main`` does for every command
+    but ``invariant``), keeping a name bound already, such as a caller's wrapper."""
+    import numpy as np
+
+    from .coords import projection_affine_coords, projection_coords, stiefel_coords
+    from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
+    from .io import (dumps_document, flat_from_document, flat_to_document, load_cloud_csv,
+                     matrix_document)
+    from .metric import (affine_principal_angles, delta_distance, distance, evaluate_geodesic,
+                         geodesic, infinite_metric)
+    from .probability import (LangevinGaussianParams, LangevinParams, MHConfig, _chain_length,
+                              langevin_gaussian_run, langevin_mh_run, random_stream,
+                              sample_uniform)
+
+    for name, value in list(locals().items()):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    if not name.startswith("__"):  # a dunder probe such as ``__path__`` loads nothing
+        _load_numerics()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_flat(path: str):
@@ -151,7 +149,8 @@ def _load_params(args):
 def _cmd_sample(args) -> int:
     count = invariants._check_int(args.count, "count", 1)
     rng = random_stream(args.seed)
-    config = MHConfig(step_size=args.step_size, burn_in=args.burn_in, thin=args.thin)
+    config = MHConfig(**{key: value for key, value in vars(args).items()  # flags given
+                         if key in ("step_size", "burn_in", "thin")})
     if args.dist == "uniform":
         if args.k is None or args.n is None:
             raise ValueError("--dist uniform requires --k and --n")
@@ -229,9 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="flat dimension (uniform)")
     p.add_argument("--n", type=int, help="ambient dimension (uniform)")
     p.add_argument("--params", help="JSON parameter file (langevin variants)")
-    p.add_argument("--step-size", type=float, default=MHConfig.step_size, dest="step_size")
-    p.add_argument("--burn-in", type=int, default=MHConfig.burn_in, dest="burn_in")
-    p.add_argument("--thin", type=int, default=MHConfig.thin)
+    p.add_argument("--step-size", type=float, default=argparse.SUPPRESS, dest="step_size")
+    p.add_argument("--burn-in", type=int, default=argparse.SUPPRESS, dest="burn_in")
+    p.add_argument("--thin", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit", help="fit a flat to a point cloud")
@@ -247,6 +246,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.command != "invariant":
+        _load_numerics()
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (NotSeparable, SingularPair, NotAFlat) as exc:
@@ -256,6 +258,13 @@ def main(argv=None) -> int:
             ArithmeticError, MemoryError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
+
+
+def _format_warning(message, category, *_) -> str:
+    """A printed warning as one line, ``Category: message``, without the code location."""
+    return f"{category.__name__}: {message}\n"
 
 
 def entry_point() -> None:

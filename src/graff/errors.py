@@ -1,5 +1,8 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["GraffError", "DimensionError", "RankDeficient", "NotAFlat", "SingularPair",
+           "UnsupportedKind", "InvalidFlag", "NotSeparable", "InternalError", "DegenerateSpectrum"]
+
 
 class GraffError(Exception):
     """Base class for all errors raised by this package."""

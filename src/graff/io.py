@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from ._plain import fmt_float
 from .coords import AffineFlat, make_flat
 from .errors import DimensionError
 from .invariants import _check_int
@@ -35,11 +36,6 @@ __all__ = [
     "matrix_document",
     "load_cloud_csv",
 ]
-
-
-def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trips exactly; inf stays ``inf``)."""
-    return format(float(x), ".17g")
 
 
 def dumps_document(obj) -> str:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import _lapack
+from ._plain import DistanceKind
 from .coords import (AffineFlat, StiefelMatrix, _flat_from_frame, stiefel_coords,
                      unembed)  # noqa: F401 (unembed: a crossing perfbench traces)
 from .errors import DimensionError, InternalError, SingularPair, UnsupportedKind
@@ -36,20 +36,6 @@ __all__ = [
     "geodesic",
     "evaluate_geodesic",
 ]
-
-
-class DistanceKind(str, Enum):
-    """The nine distances expressible in affine principal angles."""
-
-    GRASSMANN = "grassmann"
-    ASIMOV = "asimov"
-    BINET_CAUCHY = "binet_cauchy"
-    CHORDAL = "chordal"
-    FUBINI_STUDY = "fubini_study"
-    MARTIN = "martin"
-    PROCRUSTES = "procrustes"
-    PROJECTION = "projection"
-    SPECTRAL = "spectral"
 
 
 _KINDS = {kind.value: kind for kind in DistanceKind}  # a member hashes as its value

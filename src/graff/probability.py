@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator
 
 from . import _lapack
 from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _freeze,
@@ -27,6 +27,9 @@ from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _freez
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
 from .errors import DimensionError, InternalError, NotAFlat
 from .invariants import _check_int, _check_positive
+
+if TYPE_CHECKING:  # numpy.random loads on the first random_stream
+    from numpy.random import Generator
 
 __all__ = [
     "random_stream",

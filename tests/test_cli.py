@@ -639,6 +639,77 @@ def test_console_script_target_exits_with_mains_code(capsys, monkeypatch):
     assert capsys.readouterr().out == "4\n"
 
 
+def _imported(*args) -> tuple[subprocess.CompletedProcess, set]:
+    """``python -X importtime ARGS`` and the names of the modules it imported."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                            text=True, check=False, timeout=60)
+    modules = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert "graff" in modules, result.stderr[-500:]
+    return result, modules
+
+
+def test_import_graff_leaves_numpy_unloaded():
+    result, modules = _imported("-c", "import graff")
+    assert result.returncode == 0 and "numpy" not in modules
+
+
+@pytest.mark.parametrize("how", ["module", "console script"])
+def test_invariant_runs_without_numpy(how):
+    """``graff invariant`` needs only math; the console script runs ``cli.entry_point``."""
+    argv = ["invariant", "--what", "volume", "graff", "2", "5"]
+    args = (["-m", "graff", *argv] if how == "module" else
+            ["-c", f"import sys; sys.argv = {['graff', *argv]!r}; "
+                   "from graff.cli import entry_point; entry_point()"])
+    result, modules = _imported(*args)
+    assert (result.returncode, result.stdout) == (0, fmt_float(graff.volume_graff(2, 5)) + "\n")
+    assert {"graff.cli", "graff.invariants"} <= modules and "numpy" not in modules
+
+
+def test_distance_leaves_numpy_random_unloaded(write_doc):
+    result, modules = _imported("-m", "graff", "distance", write_doc(X_AXIS_DOC),
+                                write_doc(LINE_Y1_DOC))
+    expected = fmt_float(graff.distance(x_axis(), horizontal_line(1.0)))
+    assert (result.returncode, result.stdout) == (0, expected + "\n")
+    assert "numpy" in modules and "numpy.random" not in modules
+
+
+def test_star_import_brings_every_public_name():
+    namespace = {}
+    exec("from graff import *", namespace)
+    for module in (graff.coords, graff.errors, graff.fitting, graff.invariants, graff.metric,
+                   graff.probability):
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "__wrapped__", "_lapack_", "io_"])
+def test_unknown_package_attribute_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(graff, name)
+    assert not hasattr(cli, name)
+
+
+def test_a_name_set_on_cli_before_main_is_the_one_main_calls(write_doc):
+    """The numerics bind on ``main``'s first call and keep a name a caller set before."""
+    code = ("import sys, graff.cli as cli; cli.distance = lambda *args: 0.25; "
+            f"sys.exit(cli.main(['distance', {write_doc(X_AXIS_DOC)!r}, "
+            f"{write_doc(LINE_Y1_DOC)!r}]))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=False, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0.25\n", "")
+
+
+def test_a_leaked_warning_prints_one_line_without_its_location(tmp_path):
+    """A tie of singular values on a cloud of points on a line: stderr is one fixed line."""
+    cloud = _write_cloud(tmp_path, [[0.5 * i, 1.0 + i, -2.0 * i] for i in range(30)])
+    result = _graff("fit", "--method", "flat", "--k", "2", cloud)
+    assert (result.returncode, result.stdout.count("\n")) == (0, 1)
+    assert result.stderr.encode() == (b"DegenerateSpectrum: singular values 2 and 3 are tied; "
+                                      b"fitted flat is not unique\n")
+    assert warnings.formatwarning is not cli._format_warning  # main restores the format
+
+
 # Fuzzing cli.main in process: numeric flags and parameter fields take ints,
 # floats, +-inf, nan, 1e400 and 10**400.  --count, --burn-in and --thin get no
 # huge positive values, which are valid requests for unboundedly long runs.

@@ -22,7 +22,7 @@ def test_an_unchanged_tree_reports_nothing():
 def test_a_planted_fmt_float_change_is_caught(tmp_path):
     """fmt_float printing -0.0 as 0 changes only the documents that hold a -0."""
     shutil.copytree(ROOT / "src", tmp_path / "src")
-    module = tmp_path / "src" / "graff" / "io.py"
+    module = tmp_path / "src" / "graff" / "_plain.py"
     exact = 'return format(float(x), ".17g")'
     assert exact in module.read_text()
     module.write_text(module.read_text().replace(exact, 'return format(float(x) + 0.0, ".17g")'))

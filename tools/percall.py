@@ -10,7 +10,10 @@ its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, and a repeat runs ``--number`` steps, samples or points
-(at least one call).
+(at least one call).  Three fixed cold-start rows time whole child processes
+of the tree, the best of ``--repeat`` runs each: ``import graff``,
+``python -m graff invariant --what dim 2 5`` and ``python -m graff distance``
+on two lines in R^2; they include the interpreter's own start.
 
 The table gives, per operation and tree, the best time over all rounds and
 the range of the per-process bests, in microseconds.
@@ -75,9 +78,27 @@ def operations(graff):
     ]
 
 
+COLD_STARTS = [
+    ("cold: import graff", ["-c", "import graff"]),
+    ("cold: python -m graff invariant --what dim 2 5",
+     ["-m", "graff", "invariant", "--what", "dim", "2", "5"]),
+    ("cold: python -m graff distance", ["-m", "graff", "distance", "x.json", "y1.json"]),
+]
+LINES = {"x.json": '{"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 0.0]}',
+         "y1.json": '{"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}'}
+
+
+def cold_start(args: list, workdir: str) -> float:
+    """Wall time, in seconds, of one fresh interpreter running ``args``."""
+    start = timeit.default_timer()
+    subprocess.run([sys.executable, *args], cwd=workdir, check=True, capture_output=True)
+    return timeit.default_timer() - start
+
+
 def child(number: int, repeat: int) -> dict:
     """Best time per unit, in microseconds, of each operation in this process;
-    a repeat does about ``number`` units of work, and at least one call."""
+    a repeat does about ``number`` units of work, and at least one call.  Each
+    cold-start row is the best of ``repeat`` child processes."""
     import graff
 
     best = {}
@@ -85,6 +106,11 @@ def child(number: int, repeat: int) -> dict:
         calls = max(1, number // units)
         seconds = min(timeit.repeat(call, number=calls, repeat=repeat))
         best[name] = 1e6 * seconds / (calls * units)
+    with tempfile.TemporaryDirectory(prefix="percall-cold-") as workdir:
+        for file, text in LINES.items():
+            Path(workdir, file).write_text(text)
+        for name, args in COLD_STARTS:
+            best[name] = 1e6 * min(cold_start(args, workdir) for _ in range(repeat))
     return best
 
 
