@@ -108,8 +108,15 @@ def _parse_n(token: str):
     return int(token)
 
 
+_INVARIANT_ARGS = {"dim": "K N", "schubert-dim": "K [K ...]", "volume": "gr|graff K N",
+                   "relative-volume": "K L N", "betti": "K I", "homotopy": "K N|inf R"}
+
+
 def _cmd_invariant(args) -> int:
     what, values = args.what, args.args
+    names = _INVARIANT_ARGS[what]
+    if what != "schubert-dim" and len(values) != len(names.split()):
+        raise ValueError(f"--what {what} takes the arguments {names}; got {len(values)}")
     if what == "dim":
         k, n = (int(v) for v in values)
         print(invariants.dim_graff(k, n))
@@ -213,11 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("invariant", help="closed-form invariants")
-    p.add_argument(
-        "--what",
-        required=True,
-        choices=["dim", "schubert-dim", "volume", "relative-volume", "betti", "homotopy"],
-    )
+    p.add_argument("--what", required=True, choices=list(_INVARIANT_ARGS),
+                   help="; ".join(f"{what} {names}" for what, names in _INVARIANT_ARGS.items()))
     p.add_argument("args", nargs="+", help="arguments of the chosen invariant")
     p.set_defaults(func=_cmd_invariant)
 

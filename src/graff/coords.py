@@ -78,6 +78,15 @@ def _unit_scale(M: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(M, -e), e
 
 
+def _unscale(x, e, what: str):
+    """x * 2**e by ``np.ldexp``, e an int or one exponent per entry; ValueError unless finite."""
+    with np.errstate(over="ignore"):  # refused below
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} is too large to represent")
+    return x
+
+
 def _orthonormalize(M: np.ndarray, what: str) -> np.ndarray:
     """Orthonormal basis of span(M), Gram-Schmidt in column order, rank-checked.
 
@@ -309,19 +318,14 @@ def make_flat(A_raw, b_raw) -> AffineFlat:
 
 def _orthogonal_part(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b - A A^T b for orthonormal A, as a new array: projected twice when b lies
-    nearly in span(A) (one pass leaves an eps |b| residue), at a power-of-two
-    scale when b is huge; a result too large for a float raises ``ValueError``.
+    nearly in span(A) (one pass leaves an eps |b| residue), at a power-of-two scale
+    when b is huge, brought back by ``_unscale`` (``ValueError`` past the floats).
     """
     u, e = _split_scale(b)
     b0 = u - A @ (A.T @ u)
     if math.hypot(*b0.tolist()) < 1e-4 * math.hypot(*u.tolist()):
         b0 = b0 - A @ (A.T @ b0)
-    if e:
-        with np.errstate(over="ignore"):
-            b0 = np.ldexp(b0, e)
-        if not np.isfinite(b0).all():
-            raise ValueError("b0 orthogonal to the basis is too large to represent")
-    return b0
+    return _unscale(b0, e, "b0 orthogonal to the basis") if e else b0
 
 
 def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part,
-                     _split_scale, _trusted, _unit_scale, make_flat)
+from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part, _trusted,
+                     _unit_scale, _unscale, make_flat)
 from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
 from .invariants import _check_int
 
@@ -72,20 +72,14 @@ class LabeledCloud(PointCloud):
 
 
 def point_to_flat_distance(x, flat: AffineFlat) -> float:
-    """Euclidean distance from a point to a flat: |(I - A A^T)(x - b0)|.
-
-    Raises ``ValueError`` if the distance does not fit in a float.
+    """Euclidean distance from a point to a flat: |(I - A A^T)(x - b0)|, with x and b0
+    at one power-of-two scale; ``_unscale`` brings it back and raises ``ValueError``
+    if it does not fit in a float.
     """
     x = _as_vector(x, flat.n, "x")
-    u, e = _split_scale(x)
-    part = _orthogonal_part(flat.A, u)  # 2^-e (I - A A^T) x
-    s = max(0, e + math.frexp(float(np.abs(part).max()))[1] - 1024)  # 0 unless 2^e part overflows
-    with np.errstate(over="ignore"):  # an infinite distance is refused below
-        residual = np.ldexp(part, e - s) - np.ldexp(flat.b0, -s)
-        distance = float(np.ldexp(math.hypot(*residual.tolist()), s))
-    if distance == math.inf:
-        raise ValueError("the distance from x to the flat is too large to represent")
-    return distance
+    (u, c), e = _unit_scale(np.stack([x, flat.b0]))
+    d = math.hypot(*(_orthogonal_part(flat.A, u) - c).tolist())
+    return float(_unscale(d, e, "the distance from x to the flat"))
 
 
 def _positive_leading_signs(A: np.ndarray) -> np.ndarray:
@@ -165,10 +159,7 @@ def linear_regression(X, y) -> tuple[AffineFlat, np.ndarray]:
     coeffs, _, rank, _ = np.linalg.lstsq(np.column_stack([X, np.ones(n_obs)]), y, rcond=None)
     if rank < p + 1:
         raise RankDeficient(f"design matrix [X, 1] has rank {rank} < {p + 1}")
-    with np.errstate(over="ignore"):  # refused below if past the floats
-        coeffs = np.ldexp(coeffs, [ey - ex] * p + [ey])
-    if not np.isfinite(coeffs).all():
-        raise ValueError("beta or the intercept is too large to represent")
+    coeffs = _unscale(coeffs, [ey - ex] * p + [ey], "beta or the intercept")
     beta, intercept = coeffs[:p], coeffs[p]
     graph_basis = np.vstack([np.eye(p), beta[None, :]])
     displacement = np.zeros(p + 1)
@@ -236,9 +227,6 @@ def svm_hyperplane(data: LabeledCloud) -> tuple[AffineFlat, np.ndarray, float]:
     w = (2.0 / (x @ x)) * x
     # Orthonormal basis of ker(w^T): all left singular vectors after w itself.
     basis = _positive_leading_signs(_lapack.svd(w[:, None])[0][:, 1:])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if past the floats
-        beta = float(w @ (plus + minus) / 2.0 + np.ldexp(w @ mean, -e2))
-        b0, w = np.ldexp((beta / (w @ w)) * w, e1 + e2), np.ldexp(w, -e1 - e2)  # b0 along w
-    if not (math.isfinite(beta) and np.all(np.isfinite(w)) and np.all(np.isfinite(b0))):
-        raise ValueError("w, beta or b0 is too large to represent")
-    return _trusted(AffineFlat, A=basis, b0=b0), w, beta
+    beta = float(w @ (plus + minus) / 2.0 + _unscale(w @ mean, -e2, "w, beta or b0"))
+    b0 = _unscale((beta / (w @ w)) * w, e1 + e2, "w, beta or b0")  # finite beta: no inf * 0
+    return _trusted(AffineFlat, A=basis, b0=b0), _unscale(w, -e1 - e2, "w, beta or b0"), beta

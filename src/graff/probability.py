@@ -210,8 +210,11 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
     the principal angles between the spans.  ``require_flat`` rejects spans
     that ``_flat_from_frame`` refuses (last row of norm below ``_FLAT_TOL``).
     ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
-    draws interleave with the chain's.  Returns the acceptance rate.
+    draws interleave with the chain's.  Returns the acceptance rate.  It runs on S - s I,
+    s the midpoint of the diagonal's extremes: the log density moves by a constant only,
+    and S = c I gives s = c exactly, so its chain is the uniform one even at c = 1e300.
     """
+    S = S - 0.5 * (S.diagonal().max() + S.diagonal().min()) * np.eye(len(S))
     Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
     for step in range(n_steps):
         proposal, _ = _lapack.qr(Y + config.step_size * rng.standard_normal(Y.shape))

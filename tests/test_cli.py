@@ -306,6 +306,23 @@ class TestInvariant:
         assert code == 2
         assert "DimensionError" in err
 
+    @pytest.mark.parametrize("args, names", [
+        (("dim", "1"), "K N; got 1"),
+        (("dim", "1", "3", "5"), "K N; got 3"),
+        (("volume", "gr", "1"), "gr|graff K N; got 2"),
+        (("volume", "gr", "1", "2", "3"), "gr|graff K N; got 4"),
+        (("relative-volume", "1", "2"), "K L N; got 2"),
+        (("relative-volume", "1", "2", "3", "4"), "K L N; got 4"),
+        (("betti", "2"), "K I; got 1"),
+        (("betti", "2", "4", "1"), "K I; got 3"),
+        (("homotopy", "1", "2"), "K N|inf R; got 2"),
+        (("homotopy", "1", "3", "1", "9"), "K N|inf R; got 4"),
+    ])
+    def test_wrong_argument_count_names_the_arguments(self, capsys, args, names):
+        code, out, err = run_cli(capsys, "invariant", "--what", *args)
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: --what {args[0]} takes the arguments {names}\n"
+
     def test_unknown_volume_space_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "invariant", "--what", "volume", "sphere", "1", "2")
         assert (code, out) == (2, "")
@@ -561,6 +578,13 @@ def test_dumps_document_writes_numpy_values_as_their_tolist():
         "0.10000000149011612, -7, true]")
     with pytest.raises(TypeError, match="cannot serialize set"):
         dumps_document({"data": {1.0}})
+
+
+def test_dumps_document_writes_strings_as_json():
+    from graff.io import dumps_document
+
+    assert dumps_document({"kind": "grassmann", "note": 'a "b"'}) == (
+        '{"kind": "grassmann", "note": "a \\"b\\""}')
 
 
 def test_fmt_float_keeps_the_bare_inf():

@@ -155,6 +155,10 @@ class TestMakeFlat:
             np.testing.assert_allclose(A[:, 0], direction, rtol=0.0, atol=1e-15)
 
 
+def test_affine_flat_repr_names_its_dimensions():
+    assert repr(make_flat(np.ones((3, 1)), np.zeros(3))) == "AffineFlat(k=1, n=3)"
+
+
 class TestHugeDisplacement:
     """|b0| beyond 1.3e154, where |b0|^2 overflows but the coordinates do not."""
 
@@ -222,6 +226,9 @@ def test_unit_scale_is_an_exact_power_of_two(rng, scale):
     # |b| overflows a plain norm; b is scaled before the comparison.
     (graff.ProjectionAffinePair, (np.diag([1.0, 0.0, 0.0]), [1.7e308] * 3), ValueError,
      "not lie in ker"),
+    (graff.AffineFlat, (np.zeros((3, 1, 1)), np.zeros(3)), DimensionError,
+     "A must be a matrix, got ndim=3"),
+    (unembed, (np.eye(3),), DimensionError, r"expected an \(n\+1\) x \(k\+1\) matrix with k < n"),
 ])
 def test_public_coordinate_constructors_refuse_invalid_matrices(cls, args, error, message):
     with pytest.raises(error, match=message):

@@ -75,6 +75,12 @@ class TestPointToFlatDistance:
         assert expected == pytest.approx(5.9686e307, rel=1e-4)
 
 
+@pytest.mark.parametrize("X", [np.ones(3), np.zeros((0, 2)), np.zeros((2, 0))])
+def test_point_cloud_refuses_a_vector_or_an_empty_matrix(X):
+    with pytest.raises(DimensionError, match="X must be a nonempty n_points x d matrix"):
+        PointCloud(X)
+
+
 class TestFitFlat:
     def test_exact_horizontal_line(self):
         cloud = PointCloud(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
@@ -162,6 +168,12 @@ class TestFitFlat:
         square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.warns(DegenerateSpectrum):
             fit_flat(PointCloud(square), 1)
+
+    def test_raw_array_is_read_as_a_point_cloud(self, rng):
+        X = rng.standard_normal((6, 3))
+        raw, cloud = fit_flat(X, 1), fit_flat(PointCloud(X), 1)
+        np.testing.assert_array_equal(raw.A, cloud.A)
+        np.testing.assert_array_equal(raw.b0, cloud.b0)
 
     def test_preconditions(self, rng):
         X = rng.standard_normal((5, 3))
@@ -379,6 +391,10 @@ class TestSvmHyperplane:
         data = LabeledCloud(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0]))
         with pytest.raises(NotSeparable):
             svm_hyperplane(data)
+
+    def test_refuses_an_unlabeled_cloud(self):
+        with pytest.raises(TypeError, match="svm_hyperplane expects a LabeledCloud"):
+            svm_hyperplane(PointCloud(np.array([[0.0], [1.0]])))
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

@@ -594,6 +594,30 @@ class TestSharedChain:
             samples, _ = langevin_mh_run(params, 200, 1e300, random_stream(5))
         assert len(samples) == 200
 
+    @pytest.mark.parametrize("c", [1e300, -1e300])
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 6), (2, 5)])
+    def test_isotropic_concentration_accepts_every_step(self, k, n, c):
+        # Unshifted, the rounding of tr(S Y Y^T) near 1e300 swamps log(u): about 1 % accepted.
+        params = LangevinParams(S=c * np.eye(n + 1), k=k, n=n)
+        _, rate = langevin_mh_run(params, 2000, 0.3, random_stream(0))
+        assert rate == 1.0
+
+    @pytest.mark.parametrize("c", [3.7, -2.5, 1e300])
+    def test_isotropic_concentration_keeps_the_flats_of_the_uniform_law(self, c):
+        def mh(s):
+            params = LangevinParams(S=s * np.eye(6), k=2, n=5)
+            return langevin_mh_run(params, 300, 0.3, random_stream(0), burn_in=10, thin=3)[0]
+
+        def gaussian(s):
+            params = LangevinGaussianParams(S=s * np.eye(5), sigma2=2.0, k=2, n=5)
+            return langevin_gaussian_run(params, 50, MHConfig(0.3, 10, 2), random_stream(0))
+
+        for run in (mh, gaussian):
+            shifted, uniform = run(c), run(0.0)
+            assert len(shifted) == len(uniform) > 0
+            for flat, other in zip(shifted, uniform):
+                assert np.array_equal(flat.A, other.A) and np.array_equal(flat.b0, other.b0)
+
     def test_integral_float_settings_are_stored_as_int(self):
         config = MHConfig(burn_in=4.0, thin=2.0)
         assert (config.burn_in, config.thin) == (4, 2)
