@@ -108,37 +108,31 @@ def _parse_n(token: str):
     return int(token)
 
 
-_INVARIANT_ARGS = {"dim": "K N", "schubert-dim": "K [K ...]", "volume": "gr|graff K N",
-                   "relative-volume": "K L N", "betti": "K I", "homotopy": "K N|inf R"}
+def _volume(space: str, k: str, n: str) -> str:
+    k, n = int(k), int(n)
+    if space not in ("gr", "graff"):
+        raise ValueError(f"volume expects 'gr' or 'graff', got {space!r}")
+    return fmt_float((invariants.volume_gr if space == "gr" else invariants.volume_graff)(k, n))
+
+
+# --what: its argument names (``...`` repeats the last) and the call giving the printed value.
+_INVARIANTS = {
+    "dim": ("K N", lambda k, n: invariants.dim_graff(int(k), int(n))),
+    "schubert-dim": ("K [K ...]", lambda *d: invariants.dim_schubert_affine([int(v) for v in d])),
+    "volume": ("gr|graff K N", _volume),
+    "relative-volume": ("K L N", lambda k, l, n: fmt_float(
+        invariants.relative_volume(int(k), int(l), int(n)))),
+    "betti": ("K I", lambda k, i: invariants.betti(int(k), int(i))),
+    "homotopy": ("K N|inf R", lambda k, n, r: invariants.homotopy_group(
+        int(k), _parse_n(n), int(r)).value),
+}
 
 
 def _cmd_invariant(args) -> int:
-    what, values = args.what, args.args
-    names = _INVARIANT_ARGS[what]
-    if what != "schubert-dim" and len(values) != len(names.split()):
-        raise ValueError(f"--what {what} takes the arguments {names}; got {len(values)}")
-    if what == "dim":
-        k, n = (int(v) for v in values)
-        print(invariants.dim_graff(k, n))
-    elif what == "schubert-dim":
-        print(invariants.dim_schubert_affine([int(v) for v in values]))
-    elif what == "volume":
-        space, k, n = values[0], int(values[1]), int(values[2])
-        if space == "gr":
-            print(fmt_float(invariants.volume_gr(k, n)))
-        elif space == "graff":
-            print(fmt_float(invariants.volume_graff(k, n)))
-        else:
-            raise ValueError(f"volume expects 'gr' or 'graff', got {space!r}")
-    elif what == "relative-volume":
-        k, l, n = (int(v) for v in values)
-        print(fmt_float(invariants.relative_volume(k, l, n)))
-    elif what == "betti":
-        k, i = (int(v) for v in values)
-        print(invariants.betti(k, i))
-    else:
-        k, n, r = int(values[0]), _parse_n(values[1]), int(values[2])
-        print(invariants.homotopy_group(k, n, r).value)
+    names, call = _INVARIANTS[args.what]
+    if "..." not in names and len(args.args) != len(names.split()):
+        raise ValueError(f"--what {args.what} takes the arguments {names}; got {len(args.args)}")
+    print(call(*args.args))
     return 0
 
 
@@ -220,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("invariant", help="closed-form invariants")
-    p.add_argument("--what", required=True, choices=list(_INVARIANT_ARGS),
-                   help="; ".join(f"{what} {names}" for what, names in _INVARIANT_ARGS.items()))
+    p.add_argument("--what", required=True, choices=list(_INVARIANTS),
+                   help="; ".join(f"{what} {names}" for what, (names, _) in _INVARIANTS.items()))
     p.add_argument("args", nargs="+", help="arguments of the chosen invariant")
     p.set_defaults(func=_cmd_invariant)
 

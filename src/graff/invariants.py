@@ -111,6 +111,19 @@ def dim_psi_minus(k: int, l: int, n: int) -> int:
     return (k + 1) * (l - k)
 
 
+def _in_floats(name: str, args: tuple, log_value, log: bool = False) -> float:
+    """``log_value()``, or its exp unless ``log``; DimensionError where that is past the floats."""
+    value = math.inf
+    try:
+        value = log_value()
+        if value < math.inf:  # neither inf nor nan, the inf - inf of terms past the floats
+            return value if log else math.exp(value)
+    except OverflowError:  # an int past the floats, or the value of lgamma or exp
+        pass
+    hint = f"; log=True gives its log, {value!r}" if value < math.inf else ", and so is its log"
+    raise DimensionError(f"{name}({', '.join(map(str, args))}) is past the floats{hint}")
+
+
 def _log_unit_ball_volume(m: int) -> float:
     return 0.5 * m * math.log(math.pi) - math.lgamma(1.0 + 0.5 * m)
 
@@ -118,7 +131,7 @@ def _log_unit_ball_volume(m: int) -> float:
 def unit_ball_volume(m: int) -> float:
     """Volume pi^(m/2) / Gamma(1 + m/2) of the unit ball in R^m (1 for m = 0)."""
     m = _check_int(m, "m", 0)
-    return math.exp(_log_unit_ball_volume(m))
+    return _in_floats("unit_ball_volume", (m,), lambda: _log_unit_ball_volume(m))
 
 
 def _log_volume_gr(k: int, n: int) -> float:
@@ -138,19 +151,18 @@ def volume_gr(k: int, n: int, log: bool = False) -> float:
     """Volume of the Grassmannian of k-planes in R^n.
 
     With ``log=True`` the natural logarithm is returned instead, which stays
-    finite far beyond the range where the volume itself overflows.
+    finite far beyond the range where the volume itself raises DimensionError.
     """
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k)
-    value = _log_volume_gr(k, n)
-    return value if log else math.exp(value)
+    return _in_floats("volume_gr", (k, n), lambda: _log_volume_gr(k, n), log)
 
 
 def volume_graff(k: int, n: int, log: bool = False) -> float:
     """Volume of the space of k-flats in R^n; equals volume_gr(k+1, n+1)."""
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k + 1)
-    return volume_gr(k + 1, n + 1, log=log)
+    return _in_floats("volume_graff", (k, n), lambda: _log_volume_gr(k + 1, n + 1), log)
 
 
 def relative_volume(k: int, l: int, n: int, log: bool = False) -> float:
@@ -174,8 +186,8 @@ def relative_volume(k: int, l: int, n: int, log: bool = False) -> float:
     n = _check_int(n, "n", l)
     if k + l < n:
         raise DimensionError(f"need k + l >= n, got k={k}, l={l}, n={n}")
-    total = _log_volume_gr(k + 1, l + 1) - _log_volume_gr(k + 1, n + 1)
-    return total if log else math.exp(total)
+    return _in_floats("relative_volume", (k, l, n),
+                      lambda: _log_volume_gr(k + 1, l + 1) - _log_volume_gr(k + 1, n + 1), log)
 
 
 def betti(k: int, i: int) -> int:
@@ -202,22 +214,20 @@ def homotopy_group(k: int, n, r: int) -> GroupDescriptor:
     ``n`` may be a positive integer or ``math.inf``.  Returns the stated
     isomorphism class within the ranges below and ``UNKNOWN`` elsewhere:
 
-    * r = 1: Z when (k, n) = (1, 2); Z2 for n >= k+2 and 0 < k < n/2, and
-      for every k when n is infinite.
-    * r >= 2 with 0 <= k < n/2 and r < n - 2k (any r when n is infinite):
-      Z when r = 0, 4 (mod 8), Z2 when r = 1, 2 (mod 8), trivial otherwise.
+    * r = 1: Z when (k, n) = (1, 2); Z2 when 0 < 2k < n, and for every k when n
+      is infinite.
+    * r >= 2 with r < n - 2k (any r when n is infinite): Z when r = 0, 4 (mod 8),
+      Z2 when r = 1, 2 (mod 8), trivial otherwise.
     """
     k, r = _check_int(k, "k", 0), _check_int(r, "r", 1)
     infinite = n == math.inf
     if not infinite:
         n = _check_int(n, "n", 1)
     if r == 1:
-        if not infinite and k == 1 and n == 2:
+        if not infinite and (k, n) == (1, 2):
             return GroupDescriptor.Z
-        if infinite or (n >= k + 2 and 0 < k < n / 2):
-            return GroupDescriptor.Z2
-        return GroupDescriptor.UNKNOWN
-    if infinite or (0 <= k < n / 2 and 2 <= r < n - 2 * k):
+        return GroupDescriptor.Z2 if infinite or 0 < 2 * k < n else GroupDescriptor.UNKNOWN
+    if infinite or r < n - 2 * k:
         residue = r % 8
         if residue in (0, 4):
             return GroupDescriptor.Z

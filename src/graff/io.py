@@ -99,24 +99,19 @@ def matrix_document(M: np.ndarray) -> dict:
 
 def load_cloud_csv(path) -> np.ndarray:
     """Read a rectangular numeric CSV, skipping one header row if present."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty cloud file")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1
-    if start == len(rows):
-        raise ValueError(f"{path}: no data rows")
-    width = len(rows[start])
-    data = []
-    for index, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {index} has {len(row)} fields, expected {width}")
+    data = []  # a first row that does not convert is the header; the first data row sets the width
+    for index, row in enumerate(rows, start=1):
+        if data and len(row) != len(data[0]):
+            raise ValueError(f"{path}: row {index} has {len(row)} fields, expected {len(data[0])}")
         try:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
-            raise ValueError(f"{path}: row {index}: {exc}") from None
+            if index > 1:
+                raise ValueError(f"{path}: row {index}: {exc}") from None
+    if not data:
+        raise ValueError(f"{path}: no data rows")
     return np.asarray(data, dtype=float)

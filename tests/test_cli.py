@@ -240,6 +240,8 @@ class TestInvariant:
             (("homotopy", "1", "4", "1"), "Z2"),
             (("homotopy", "3", "inf", "4"), "Z"),
             (("homotopy", "2", "5", "4"), "unknown"),
+            (("homotopy", str(2**59), str(2**60 + 1), "1"), "Z2"),
+            (("homotopy", "1", str(10**400), "3"), "trivial"),
         ],
     )
     def test_integer_and_tag_outputs(self, capsys, args, expected):
@@ -299,7 +301,29 @@ class TestInvariant:
         args = ("invariant", "--what", "relative-volume", "200", "200", "300")
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
-        assert err == "OverflowError: math range error\n"
+        assert err == ("DimensionError: relative_volume(200, 200, 300) is past the floats; "
+                       "log=True gives its log, 30596.769741924\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (("relative-volume", "31", "31", "62"), "relative_volume(31, 31, 62) is past the floats; "
+                                                "log=True gives its log, 732.6483811275582"),
+        (("volume", "gr", "1", str(10**306)),
+         f"volume_gr(1, {10**306}) is past the floats, and so is its log"),
+        (("volume", "graff", "0", str(10**400)),
+         f"volume_graff(0, {10**400}) is past the floats, and so is its log"),
+    ], ids=["relative-log-fits", "gr-1e306", "graff-1e400"])
+    def test_values_past_the_floats_exit_2_with_one_line(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "invariant", "--what", *args)
+        assert (code, out, err) == (2, "", f"DimensionError: {message}\n")
+
+    def test_help_names_every_invariant_with_its_arguments(self, capsys):
+        code, out, _ = run_cli(capsys, "invariant", "--help")
+        help_text = " ".join(out.split())
+        assert code == 0
+        for what, names in [("dim", "K N"), ("schubert-dim", "K [K ...]"),
+                            ("volume", "gr|graff K N"), ("relative-volume", "K L N"),
+                            ("betti", "K I"), ("homotopy", "K N|inf R")]:
+            assert f"{what} {names}" in help_text
 
     def test_bad_arguments_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariant", "--what", "dim", "3", "3")
@@ -423,6 +447,22 @@ class TestFit:
         code, out, _ = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
         assert code == 0
         assert graff.equal_flats(flat_from_document(out), horizontal_line(1.0), 1e-10)
+
+    def test_byte_order_mark_keeps_the_first_point(self, capsys, tmp_path):
+        # Spreadsheets' "CSV UTF-8" starts the file with U+FEFF.
+        text = "1,2,3\n4,5,6.5\n7,8,9\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        fits = [run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(path))
+                for path in (plain, marked)]
+        assert fits[0] == fits[1] and fits[0][0] == 0
+        assert graff.io.load_cloud_csv(marked).shape == (3, 3)
+
+    def test_header_width_is_ignored(self, tmp_path):
+        csv = tmp_path / "cloud.csv"
+        csv.write_text("x,y,z\n1,2\n3,4\n")
+        np.testing.assert_array_equal(graff.io.load_cloud_csv(csv), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_eiv_method_is_a_usage_error(self, capsys, tmp_path):
         # Errors-in-variables regression is --method flat --k 1.

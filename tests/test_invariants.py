@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -170,6 +171,34 @@ class TestVolumes:
                 assert volume_gr(k, n, log=True) == pytest.approx(
                     math.fsum(terms), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("function, args, message", [
+        (relative_volume, (31, 31, 62), "relative_volume(31, 31, 62) is past the floats; "
+                                        "log=True gives its log, 732.6483811275582"),
+        (volume_gr, (1, 10**306), f"volume_gr(1, {10**306}) is past the floats, and so is its log"),
+        (volume_graff, (0, 10**306),
+         f"volume_graff(0, {10**306}) is past the floats, and so is its log"),
+        (unit_ball_volume, (10**306,),
+         f"unit_ball_volume({10**306}) is past the floats, and so is its log"),
+        (volume_gr, (1, 10**400), f"volume_gr(1, {10**400}) is past the floats, and so is its log"),
+        (volume_graff, (0, 10**400),
+         f"volume_graff(0, {10**400}) is past the floats, and so is its log"),
+        (unit_ball_volume, (10**400,),
+         f"unit_ball_volume({10**400}) is past the floats, and so is its log"),
+        (relative_volume, (1000, 10**304 - 1000, 10**304),  # its log is inf - inf
+         f"relative_volume(1000, {10**304 - 1000}, {10**304}) is past the floats, "
+         "and so is its log"),
+    ], ids=["relative-log-fits", "gr-1e306", "graff-1e306", "ball-1e306", "gr-1e400",
+            "graff-1e400", "ball-1e400", "relative-nan-log"])
+    def test_values_past_the_floats_are_refused(self, function, args, message):
+        with pytest.raises(DimensionError) as info:
+            function(*args)
+        assert str(info.value) == message
+
+    def test_a_volume_whose_log_fits_still_underflows_to_zero(self):
+        assert volume_gr(1, 10**305) == 0.0
+        assert volume_gr(1, 10**305, log=True) == pytest.approx(-3.497e307, rel=1e-3)
+        assert relative_volume(31, 31, 62, log=True) == pytest.approx(732.648381127558, rel=1e-12)
+
     def test_complement_symmetry(self):
         for n in range(1, 9):
             for k in range(n + 1):
@@ -289,6 +318,33 @@ class TestHomotopyGroups:
         assert homotopy_group(1, 10, 7) is GroupDescriptor.TRIVIAL  # r = 7 < n - 2k = 8
         assert homotopy_group(1, 10, 8) is GroupDescriptor.UNKNOWN
         assert homotopy_group(1, 10, 6) is GroupDescriptor.TRIVIAL
+
+    def test_ranges_are_decided_on_exact_integers(self):
+        # Past 2**53, n / 2 rounds: the float test put 2**59 < (2**60 + 1) / 2 out of range.
+        assert homotopy_group(2**59, 2**60 + 1, 1) is GroupDescriptor.Z2
+        assert homotopy_group(2**59, 2**60 + 3, 2) is GroupDescriptor.Z2
+        assert homotopy_group(2**59, 2**60, 1) is GroupDescriptor.UNKNOWN
+        assert homotopy_group(2**59, 2**60 + 2, 2) is GroupDescriptor.UNKNOWN
+        assert homotopy_group(1, 10**400, 3) is GroupDescriptor.TRIVIAL  # n / 2 overflows
+
+    def test_matches_the_stated_ranges(self):
+        # The ranges as first stated, with n/2 exact: r = 1 gives Z2 for n >= k + 2 and
+        # 0 < k < n/2; r >= 2 gives the Bott value for 0 <= k < n/2 and 2 <= r < n - 2k.
+        bott = {0: "Z", 1: "Z2", 2: "Z2", 4: "Z"}
+        for n in [*range(1, 130), math.inf]:
+            half = math.inf if n == math.inf else Fraction(n, 2)
+            for k in range(60):
+                for r in range(1, 40):
+                    if r == 1 and (k, n) == (1, 2):
+                        expected = "Z"
+                    elif r == 1:
+                        stated = n == math.inf or n >= k + 2 and 0 < k < half
+                        expected = "Z2" if stated else "unknown"
+                    elif k < half and r < n - 2 * k:
+                        expected = bott.get(r % 8, "trivial")
+                    else:
+                        expected = "unknown"
+                    assert homotopy_group(k, n, r).value == expected, (k, n, r)
 
     def test_preconditions(self):
         with pytest.raises(DimensionError):
