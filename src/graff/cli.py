@@ -42,13 +42,13 @@ def _load_numerics() -> None:
 
     from .coords import projection_affine_coords, projection_coords, stiefel_coords
     from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
-    from .io import (dumps_document, flat_from_document, flat_to_document, load_cloud_csv,
-                     matrix_document)
+    from .io import dumps_document, dumps_flats, flat_from_document, load_cloud_csv, matrix_document
     from .metric import (affine_principal_angles, delta_distance, distance, evaluate_geodesic,
                          geodesic, infinite_metric)
     from .probability import (LangevinGaussianParams, LangevinParams, MHConfig, _chain_length,
-                              langevin_gaussian_run, langevin_mh_run, random_stream,
-                              sample_uniform)
+                              _uniform_flats, langevin_gaussian_run, langevin_mh_run,
+                              random_stream,
+                              sample_uniform)  # noqa: F401 (perfbench traces it in cli)
 
     for name, value in list(locals().items()):
         globals().setdefault(name, value)
@@ -60,6 +60,12 @@ def __getattr__(name):
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _write_flats(flats) -> None:
+    """The flats' documents on stdout, one write per 4096 flats to bound the text held."""
+    for start in range(0, len(flats), 4096):
+        sys.stdout.write(dumps_flats(flats[start:start + 4096]))
 
 
 def _load_flat(path: str):
@@ -97,8 +103,12 @@ def _cmd_distance(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     curve = geodesic(_load_flat(args.flat1), _load_flat(args.flat2))
-    for t in args.t:
-        print(dumps_document(flat_to_document(evaluate_geodesic(curve, t))))
+    flats = []
+    try:
+        for t in args.t:
+            flats.append(evaluate_geodesic(curve, t))
+    finally:  # the points before a t that fails are printed
+        _write_flats(flats)
     return 0
 
 
@@ -155,15 +165,14 @@ def _cmd_sample(args) -> int:
     if args.dist == "uniform":
         if args.k is None or args.n is None:
             raise ValueError("--dist uniform requires --k and --n")
-        flats = [sample_uniform(args.k, args.n, rng) for _ in range(count)]
+        flats = _uniform_flats(args.k, args.n, count, rng)
     elif args.dist == "langevin":
         params = _load_params(args)
         flats, _ = langevin_mh_run(params, _chain_length(config, count), config.step_size,
                                    rng, burn_in=config.burn_in, thin=config.thin)
     else:
         flats = langevin_gaussian_run(_load_params(args), count, config, rng)
-    for flat in flats:
-        print(dumps_document(flat_to_document(flat)))
+    _write_flats(flats)
     return 0
 
 
@@ -182,7 +191,7 @@ def _cmd_fit(args) -> int:
     else:
         flat, w, beta = svm_hyperplane(LabeledCloud(data[:, :-1], data[:, -1]))
         coefficients = {"w": w, "beta": beta}
-    print(dumps_document(flat_to_document(flat)))
+    _write_flats([flat])
     if coefficients is not None:
         print(dumps_document(coefficients))
     return 0

@@ -430,6 +430,25 @@ def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
     return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])
 
 
+def _flats_from_frames(Q: np.ndarray) -> list[AffineFlat]:
+    """:func:`_flat_from_frame` of each frame of an (m, n+1, k+1) stack, bit for bit.
+
+    The products are stacked matmuls over explicit axes, which round as the
+    scalar dot products do; the sign rule is ``np.where``, which sends -0.0 to +r
+    as the scalar ``>=`` does (``copysign`` would not).  Raises ``NotAFlat`` if
+    any frame spans no flat; Q is left unchanged.
+    """
+    n, k = Q.shape[1] - 1, Q.shape[2] - 1
+    u = Q[:, -1, :].copy()
+    r = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+    if (r < _FLAT_TOL).any():
+        raise NotAFlat("span lies in the hyperplane x_{n+1} = 0 (a linear subspace, not a flat)")
+    u[:, -1] += np.where(u[:, -1] >= 0.0, r, -r)
+    Q = Q - (Q @ u[:, :, None]) * u[:, None, :] * (2.0 / (u[:, None, :] @ u[:, :, None]))
+    b0 = Q[:, :n, k] / Q[:, n, k, None]
+    return [_trusted(AffineFlat, A=frame[:n, :k], b0=b) for frame, b in zip(Q, b0)]
+
+
 def pad_ambient(flat: AffineFlat, m: int) -> AffineFlat:
     """Include a flat of R^n into R^m (m >= n) by zero-padding A and b0.
 

@@ -116,11 +116,12 @@ def _in_floats(name: str, args: tuple, log_value, log: bool = False) -> float:
     value = math.inf
     try:
         value = log_value()
-        if value < math.inf:  # neither inf nor nan, the inf - inf of terms past the floats
+        # neither inf nor nan (the inf - inf of terms past the floats), nor a log of -inf
+        if value < math.inf and (value > -math.inf or not log):
             return value if log else math.exp(value)
     except OverflowError:  # an int past the floats, or the value of lgamma or exp
         pass
-    hint = f"; log=True gives its log, {value!r}" if value < math.inf else ", and so is its log"
+    hint = f"; log=True gives its log, {value!r}" if math.isfinite(value) else ", and so is its log"
     raise DimensionError(f"{name}({', '.join(map(str, args))}) is past the floats{hint}")
 
 

@@ -9,7 +9,8 @@ the displacement.  ``orthogonal`` marks coordinates already in canonical
 orthogonal affine form; without it the document is canonicalized through
 ``make_flat``.  All floats are printed with 17 significant digits so that
 documents round-trip bit-exactly.  ``dumps_document`` takes numpy arrays and
-scalars as they are; it is the one place where numbers leave numpy.
+scalars as they are; ``dumps_flats`` writes the same bytes for many flats of
+one shape at once.
 
 A cloud document is a CSV file with one point per row and an optional
 header; for labeled data the final column holds the labels.
@@ -32,6 +33,7 @@ __all__ = [
     "fmt_float",
     "dumps_document",
     "flat_to_document",
+    "dumps_flats",
     "flat_from_document",
     "matrix_document",
     "load_cloud_csv",
@@ -66,6 +68,28 @@ def flat_to_document(flat: AffineFlat) -> dict:
             "orthogonal": True}
 
 
+def dumps_flats(flats) -> str:
+    """The documents of flats of one (k, n), each ``dumps_document(flat_to_document(f))``
+    and a newline.
+
+    The line template, fmt_float's ``%.17g`` in each place of a number, is built
+    once and filled with all the values at once; nan and +-inf raise the
+    ``ValueError`` that ``dumps_document`` raises for the first of them.
+    """
+    if not flats:
+        return ""
+    n, k = flats[0].n, flats[0].k
+    values = np.concatenate([np.stack([f.A.T for f in flats]).reshape(len(flats), k * n),
+                             np.stack([f.b0 for f in flats])], axis=1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{float(values[~finite][0])} is not a JSON number")
+    row = "[" + ", ".join(["%.17g"] * n) + "]"
+    template = (f'{{"n": {n}, "k": {k}, "A": [{", ".join([row] * k)}], "b": {row}, '
+                '"orthogonal": true}\n')
+    return (template * len(flats)) % tuple(values.ravel().tolist())
+
+
 def flat_from_document(doc) -> AffineFlat:
     """Parse a flat document (a dict or a JSON string) into a flat."""
     if isinstance(doc, (str, bytes)):
@@ -98,11 +122,36 @@ def matrix_document(M: np.ndarray) -> dict:
 
 
 def load_cloud_csv(path) -> np.ndarray:
-    """Read a rectangular numeric CSV, skipping one header row if present."""
+    """Read a rectangular numeric CSV, skipping one header row if present.
+
+    The first row that is not blank is the header unless every cell of it is a
+    number, and the first data row sets the width.  The data rows are read by
+    one ``np.loadtxt``; input it refuses, such as blank rows among the data,
+    quoted cells, ``1_0`` or a ragged row, is read again row by row, which
+    accepts what ``float`` accepts and numbers the rows in its messages.
+    """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
-    if not rows:
+        lines = handle.readlines()
+    reader = csv.reader(lines)
+    first = next((row for row in reader if any(cell.strip() for cell in row)), None)
+    if first is None:
         raise ValueError(f"{path}: empty cloud file")
+    try:
+        [float(cell) for cell in first]
+        data = lines
+    except ValueError:  # the header
+        data = lines[reader.line_num:]
+    if not any(line.strip() for line in data):  # np.loadtxt warns on empty input
+        raise ValueError(f"{path}: no data rows")
+    try:
+        return np.loadtxt(data, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return _read_rows(path, lines)
+
+
+def _read_rows(path, lines: list[str]) -> np.ndarray:
+    """``load_cloud_csv`` one row at a time, through ``csv`` and ``float``."""
+    rows = [row for row in csv.reader(lines) if any(cell.strip() for cell in row)]
     data = []  # a first row that does not convert is the header; the first data row sets the width
     for index, row in enumerate(rows, start=1):
         if data and len(row) != len(data[0]):

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _lapack
-from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _freeze,
-                     _orthogonal_part, _trusted, projection_coords, stiefel_coords,
+from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _flats_from_frames,
+                     _freeze, _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
 from .errors import DimensionError, InternalError, NotAFlat
 from .invariants import _check_int, _check_positive
@@ -138,6 +138,34 @@ def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
+
+
+def _uniform_flats(k: int, n: int, count: int, rng: Generator) -> list[AffineFlat]:
+    """``count`` calls of :func:`sample_uniform`, one Gaussian draw and one QR per block.
+
+    A block holds at most 2**17 Gaussian entries (1 MiB), as in
+    :func:`grassmann_normalizer`.  Its (m, n+1, k+1) draw reads the stream as m
+    scalar draws do, and the stacked QR and reflection give their flats bit for
+    bit.  A frame that spans no flat (probability zero) is redrawn by
+    ``sample_uniform`` after its block; only this event moves the stream
+    position against the scalar draws.
+    """
+    k = _check_int(k, "k", 0)
+    n = _check_int(n, "n", k + 1)
+    block = max(1, 2**17 // ((n + 1) * (k + 1)))
+    flats = []
+    for start in range(0, count, block):
+        Q, diag = _lapack.qr(rng.standard_normal((min(block, count - start), n + 1, k + 1)))
+        frames = np.multiply(Q, np.sign(diag)[:, None, :], out=Q)
+        try:
+            flats += _flats_from_frames(frames)
+        except NotAFlat:
+            for frame in frames:
+                try:
+                    flats.append(_flat_from_frame(frame))
+                except NotAFlat:
+                    flats.append(sample_uniform(k, n, rng))
+    return flats
 
 
 def _trace_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -365,6 +365,17 @@ class TestSample:
         assert len(flats) == 5
         assert all(f.k == 1 and f.n == 3 for f in flats)
 
+    def test_uniform_count_gives_the_scalar_draws_documents(self, capsys):
+        # 5000 points in R^31 span two stacked draws of 4096 frames and two writes.
+        from graff.io import dumps_document, flat_to_document
+        from graff.probability import random_stream, sample_uniform
+
+        code, out, _ = run_cli(capsys, "sample", "--dist", "uniform", "--k", "0", "--n", "31",
+                               "--seed", "3", "--count", "5000")
+        rng = random_stream(3)
+        assert (code, out) == (0, "".join(dumps_document(flat_to_document(
+            sample_uniform(0, 31, rng))) + "\n" for _ in range(5000)))
+
     def test_uniform_requires_dimensions(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--dist", "uniform", "--seed", "1")
         assert code == 2
@@ -404,7 +415,7 @@ class TestSample:
         params.write_text(json.dumps({"k": 1, "n": 3, "sigma2": 0.5,
                                       "S": np.zeros((4, 4) if dist == "langevin" else (3, 3))
                                       .tolist()}))
-        for name in ("sample_uniform", "langevin_mh_run", "langevin_gaussian_run"):
+        for name in ("_uniform_flats", "sample_uniform", "langevin_mh_run", "langevin_gaussian_run"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("sampled"))
         code, out, err = run_cli(capsys, "sample", "--dist", dist, "--k", "1", "--n", "3",
                                  "--params", str(params), "--seed", "1", "--count", count,

@@ -199,6 +199,13 @@ class TestVolumes:
         assert volume_gr(1, 10**305, log=True) == pytest.approx(-3.497e307, rel=1e-3)
         assert relative_volume(31, 31, 62, log=True) == pytest.approx(732.648381127558, rel=1e-12)
 
+    def test_a_log_past_the_floats_is_refused(self):
+        # The unit-ball terms of the log sum past -1.8e308; the volume itself is 0.0.
+        assert volume_gr(10, 10**305) == 0.0
+        with pytest.raises(DimensionError) as info:
+            volume_gr(10, 10**305, log=True)
+        assert str(info.value) == f"volume_gr(10, {10**305}) is past the floats, and so is its log"
+
     def test_complement_symmetry(self):
         for n in range(1, 9):
             for k in range(n + 1):

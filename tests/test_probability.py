@@ -32,7 +32,8 @@ from graff import (
 )
 
 from graff import _lapack, probability
-from graff.probability import _chain_length
+from graff.coords import _flat_from_frame, _flats_from_frames
+from graff.probability import _chain_length, _uniform_flats
 
 from conftest import random_flat, x_axis
 
@@ -130,6 +131,81 @@ class TestSampleUniform:
     def test_rejects_bad_dimensions(self, rng):
         with pytest.raises(DimensionError):
             sample_uniform(3, 3, rng)
+
+
+class _PlantedStream:
+    """A stream whose first Gaussian stack has a zero last row in frame ``frame``."""
+
+    def __init__(self, seed, frame):
+        self.rng, self.frame = random_stream(seed), frame
+
+    def standard_normal(self, shape):
+        G = self.rng.standard_normal(shape)
+        if self.frame is not None:
+            G[self.frame, -1] = 0.0
+            self.frame = None
+        return G
+
+
+def _same_flats(flats, expected):
+    assert len(flats) == len(expected)
+    for flat, other in zip(flats, expected):
+        assert flat.A.shape == other.A.shape
+        assert flat.A.tobytes() == other.A.tobytes()
+        assert flat.b0.tobytes() == other.b0.tobytes()
+
+
+class TestStackedUniform:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 3), (1, 2), (2, 5), (4, 5), (4, 12), (8, 32)])
+    def test_equals_one_scalar_draw_at_a_time(self, k, n, seed):
+        rng, reference = random_stream(seed), random_stream(seed)
+        flats = _uniform_flats(k, n, 60, rng)
+        _same_flats(flats, [sample_uniform(k, n, reference) for _ in range(60)])
+        assert rng.standard_normal() == reference.standard_normal()
+
+    def test_one_draw_and_one_qr_per_block_of_2_17_entries(self, monkeypatch):
+        shapes, qr = [], _lapack.qr
+        monkeypatch.setattr(_lapack, "qr", lambda M: shapes.append(M.shape) or qr(M))
+        rng, reference = random_stream(9), random_stream(9)
+        flats = _uniform_flats(8, 32, 1000, rng)
+        assert shapes == [(441, 33, 9), (441, 33, 9), (118, 33, 9)]
+        _same_flats(flats, [sample_uniform(8, 32, reference) for _ in range(1000)])
+        assert rng.standard_normal() == reference.standard_normal()
+
+    @pytest.mark.parametrize("k, n", [(0, 3), (1, 2), (2, 5), (4, 5), (8, 32)])
+    def test_reflection_equals_the_scalar_one_frame_by_frame(self, k, n):
+        Q, _ = _lapack.qr(random_stream(k + n).standard_normal((40, n + 1, k + 1)))
+        if k:  # frames whose last row ends in +0.0 and -0.0: the sign rule sends both to +r
+            Q[0, :, -1], Q[1, :, -1] = Q[0, :, 0], Q[1, :, 0]
+            Q[0, -1, -1], Q[1, -1, -1] = 0.0, -0.0
+        before = Q.copy()
+        _same_flats(_flats_from_frames(Q), [_flat_from_frame(frame) for frame in Q])
+        assert Q.tobytes() == before.tobytes()
+
+    def test_a_frame_in_the_hyperplane_is_refused(self):
+        Q, _ = _lapack.qr(random_stream(4).standard_normal((3, 4, 2)))
+        Q[1, -1] = 0.0
+        with pytest.raises(NotAFlat):
+            _flats_from_frames(Q)
+
+    @pytest.mark.parametrize("k, n, frame", [(1, 3, 2), (0, 2, 0), (2, 5, 4)])
+    def test_a_refused_frame_is_redrawn_after_the_stack(self, k, n, frame):
+        # Probability zero: the other flats keep their draws, and the refused
+        # one is the scalar draw that follows its block.
+        flats = _uniform_flats(k, n, 5, _PlantedStream(7, frame))
+        reference = random_stream(7)
+        expected = [sample_uniform(k, n, reference) for _ in range(5)]
+        expected[frame] = sample_uniform(k, n, reference)
+        _same_flats(flats, expected)
+
+    def test_rejects_bad_dimensions_as_the_scalar_draw_does(self):
+        for k, n in [(3, 3), (-1, 2), (1.5, 3)]:
+            with pytest.raises(DimensionError) as scalar:
+                sample_uniform(k, n, random_stream(0))
+            with pytest.raises(DimensionError) as stacked:
+                _uniform_flats(k, n, 4, random_stream(0))
+            assert str(stacked.value) == str(scalar.value)
 
 
 class TestLangevinDensity:

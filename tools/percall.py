@@ -9,8 +9,10 @@ process per tree, alternating which goes first; a process imports graff from
 its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
-planted-margin cloud, and a repeat runs ``--number`` steps, samples or points
-(at least one call).  Three fixed cold-start rows time whole child processes
+planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
+header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
+stdout captured in memory; a repeat runs ``--number`` steps, samples, points,
+rows or flats (at least one call).  Three fixed cold-start rows time whole child processes
 of the tree, the best of ``--repeat`` runs each: ``import graff``,
 ``python -m graff invariant --what dim 2 5`` and ``python -m graff distance``
 on two lines in R^2; they include the interpreter's own start.
@@ -22,6 +24,8 @@ the range of the per-process bests, in microseconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -34,6 +38,7 @@ import numpy
 from bench_pairs import _git, copy_parent, copy_working_tree
 
 MH_STEPS, NORMALIZER_SAMPLES, SVM_POINTS = 100, 2000, 1000
+CSV_ROWS, CSV_COLS, SAMPLE_COUNT = 10_000, 16, 2000
 
 
 def svm_cloud(graff):
@@ -46,8 +51,27 @@ def svm_cloud(graff):
     return graff.LabeledCloud(X[keep], numpy.sign(margin[keep]))
 
 
-def operations(graff):
-    """(name, callable, units of work per call): flats, steps or samples."""
+def write_cloud(path: Path) -> None:
+    """perfbench cli_batch's fit cloud: a header, then rank 3 plus noise, written ``%.17g``."""
+    rng = numpy.random.default_rng(2025)
+    data = rng.standard_normal((CSV_ROWS, 3)) @ rng.standard_normal((3, CSV_COLS))
+    data += 0.1 * rng.standard_normal((CSV_ROWS, CSV_COLS))
+    lines = [",".join(f"x{i}" for i in range(CSV_COLS))]
+    lines += [",".join(format(x, ".17g") for x in row) for row in data.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def quiet_main(cli, argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"graff {' '.join(argv)} failed")
+
+
+def operations(graff, workdir: Path):
+    """(name, callable, units of work per call): flats, steps, samples or rows."""
+    from graff import cli
+    from graff.io import load_cloud_csv
+
     rng = graff.random_stream(20260811)
     k, n = 2, 5
     A_raw, b_raw = rng.standard_normal((n, k)), rng.standard_normal(n)
@@ -59,6 +83,9 @@ def operations(graff):
     line = graff.sample_uniform(1, n, rng)
     graff.delta_distance(flat, line)  # caches the line's Stiefel coordinates
     cloud = svm_cloud(graff)
+    write_cloud(workdir / "cloud.csv")
+    sample = ["sample", "--dist", "uniform", "--k", str(k), "--n", str(n), "--seed", "1",
+              "--count", str(SAMPLE_COUNT)]
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
         ("distance", lambda: graff.distance(flat, other), 1),
@@ -75,6 +102,8 @@ def operations(graff):
         ("normalizer per sample", lambda: graff.langevin_normalizer(params, NORMALIZER_SAMPLES, rng),
          NORMALIZER_SAMPLES),
         ("svm_hyperplane per point", lambda: graff.svm_hyperplane(cloud), SVM_POINTS),
+        ("load_cloud_csv per row", lambda: load_cloud_csv(workdir / "cloud.csv"), CSV_ROWS),
+        ("cli sample --count 2000 per flat", lambda: quiet_main(cli, sample), SAMPLE_COUNT),
     ]
 
 
@@ -102,11 +131,11 @@ def child(number: int, repeat: int) -> dict:
     import graff
 
     best = {}
-    for name, call, units in operations(graff):
-        calls = max(1, number // units)
-        seconds = min(timeit.repeat(call, number=calls, repeat=repeat))
-        best[name] = 1e6 * seconds / (calls * units)
-    with tempfile.TemporaryDirectory(prefix="percall-cold-") as workdir:
+    with tempfile.TemporaryDirectory(prefix="percall-child-") as workdir:
+        for name, call, units in operations(graff, Path(workdir)):
+            calls = max(1, number // units)
+            seconds = min(timeit.repeat(call, number=calls, repeat=repeat))
+            best[name] = 1e6 * seconds / (calls * units)
         for file, text in LINES.items():
             Path(workdir, file).write_text(text)
         for name, args in COLD_STARTS:

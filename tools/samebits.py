@@ -11,7 +11,9 @@ process per copy, with that copy's ``src`` first on ``sys.path``:
 - ``graff.cli.main`` for every subcommand, ``convert`` target, ``distance``
   kind (also with ``--verbose`` and ``--infinite``), ``fit`` method and
   ``sample`` law, over a few seeds, and over the edge documents (points,
-  hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input).  The
+  hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input) and
+  the CSV edge files (byte-order mark, CRLF, blank, ``#`` and quoted rows,
+  ``1_0``, nan, inf, ragged rows, one column, no data rows).  The
   exit code, stdout and stderr of each call are three outputs.  A warning the
   call leaks lands in its stderr as ``Category: message``, without the code
   location that any edit of the calling module moves.
@@ -129,6 +131,33 @@ def _clouds(rng) -> dict:
             for name, data in clouds.items()}
 
 
+# CSV files on which a bulk reader and a row-by-row one could part.
+CSV_EDGES = {
+    "edge-header": b"x,y,z\n1,2,3\n4,5,6.5\n2,0,1\n",
+    "edge-bom": b"\xef\xbb\xbf1,2\n3,4\n5,7\n",
+    "edge-bom-header": b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,7\n",
+    "edge-crlf": b"x,y\r\n1,2\r\n3,4\r\n5,7\r\n",
+    "edge-cr": b"1,2\r3,4\r5,7\r",
+    "edge-blank-rows": b"\n1,2\n\n3,4\n5,7\n\n",
+    "edge-whitespace-rows": b"1,2\n   \n3,4\n , \n5,7\n\t\n",
+    "edge-hash-row": b"1,2\n#3,4\n5,7\n",
+    "edge-hash-header": b"#x,y\n1,2\n3,4\n5,7\n",
+    "edge-quoted": b'"1","2"\n3,"4"\n5,7\n',
+    "edge-underscore": b"1_0,2\n3,4\n5,7\n",
+    "edge-nan": b"nan,1\n2,3\n4,5\n",
+    "edge-infinity": b"1,-Infinity\n2,3\n4,5\n",
+    "edge-1e500": b"1,2\n1e500,3\n4,5\n",
+    "edge-one-column": b"x\n1\n2\n4\n",
+    "edge-header-only": b"x,y\n",
+    "edge-no-data": b"x,y\n\n  \n , \n",
+    "edge-empty": b"",
+    "edge-ragged": b"x,y\n1,2\n\n3,4,5\n",
+    "edge-trailing-comma": b"1,2,\n3,4,\n5,7,\n",
+    "edge-word": b"x,y\n1,2\n3,abc\n",
+    "edge-not-utf-8": b"1,2\n\xff,3\n",
+}
+
+
 def _cli_calls(work: Path, docs: dict) -> list[list[str]]:
     def path(name: str) -> str:
         return str(work / f"{name}.json")
@@ -170,6 +199,9 @@ def _cli_calls(work: Path, docs: dict) -> list[list[str]]:
                           "--count", "5", "--seed", seed])
     calls.append(["sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "2000",
                   "--seed", "1"])
+    for k, n in [(0, 3), (4, 12), (8, 32)]:
+        calls.append(["sample", "--dist", "uniform", "--k", str(k), "--n", str(n),
+                      "--count", "500", "--seed", "4"])
     calls.append(["sample", "--dist", "uniform", "--k", "2", "--n", "5", "--count", "0",
                   "--seed", "1"])
     for params in ("langevin", "concentrated", "overflowing"):
@@ -197,6 +229,9 @@ def _cli_calls(work: Path, docs: dict) -> list[list[str]]:
               ["fit", "--method", "flat", "--k", "1", cloud("header")],
               ["fit", "--method", "regression", cloud("ragged")],
               ["fit", "--method", "svm", cloud("missing")]]
+    for name in CSV_EDGES:
+        calls.append(["fit", "--method", "flat", "--k", "0", cloud(name)])
+        calls.append(["fit", "--method", "regression", cloud(name)])
     return calls
 
 
@@ -221,6 +256,8 @@ def _write_inputs(work: Path, rng) -> dict:
     (work / "header.csv").write_text("x,y,z\n" + (work / "line.csv").read_text())
     (work / "ragged.csv").write_text("1,2,3\n4,5\n")
     (work / "missing.csv").write_text("")
+    for name, data in CSV_EDGES.items():
+        (work / f"{name}.csv").write_bytes(data)
     return docs
 
 
