@@ -415,7 +415,8 @@ class TestSample:
         params.write_text(json.dumps({"k": 1, "n": 3, "sigma2": 0.5,
                                       "S": np.zeros((4, 4) if dist == "langevin" else (3, 3))
                                       .tolist()}))
-        for name in ("_uniform_flats", "sample_uniform", "langevin_mh_run", "langevin_gaussian_run"):
+        for name in ("_uniform_flats", "sample_uniform", "langevin_mh_run",
+                     "langevin_gaussian_run"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("sampled"))
         code, out, err = run_cli(capsys, "sample", "--dist", dist, "--k", "1", "--n", "3",
                                  "--params", str(params), "--seed", "1", "--count", count,

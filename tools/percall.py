@@ -12,8 +12,8 @@ normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
 header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
 stdout captured in memory; a repeat runs ``--number`` steps, samples, points,
-rows or flats (at least one call).  Three fixed cold-start rows time whole child processes
-of the tree, the best of ``--repeat`` runs each: ``import graff``,
+rows or flats (at least one call).  Three fixed cold-start rows time whole
+child processes of the tree, the best of ``--repeat`` runs each: ``import graff``,
 ``python -m graff invariant --what dim 2 5`` and ``python -m graff distance``
 on two lines in R^2; they include the interpreter's own start.
 
@@ -52,7 +52,7 @@ def svm_cloud(graff):
 
 
 def write_cloud(path: Path) -> None:
-    """perfbench cli_batch's fit cloud: a header, then rank 3 plus noise, written ``%.17g``."""
+    """A cloud shaped like perfbench cli_batch's fit cloud: a header, then rank 3 plus noise."""
     rng = numpy.random.default_rng(2025)
     data = rng.standard_normal((CSV_ROWS, 3)) @ rng.standard_normal((3, CSV_COLS))
     data += 0.1 * rng.standard_normal((CSV_ROWS, CSV_COLS))
