@@ -336,8 +336,8 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
         [ A   b0 / sqrt(1 + |b0|^2) ]
         [ 0    1 / sqrt(1 + |b0|^2) ]
 
-    whose span realizes the flat as a (k+1)-plane in R^(n+1).  Flats are
-    immutable, so the result is computed once and cached on the instance.
+    whose span realizes the flat as a (k+1)-plane in R^(n+1).  Computed once and cached
+    on the (immutable) flat, beside the principal angles to its last partner (graff.metric).
     """
     cached = getattr(flat, "_stiefel", None)
     if cached is not None:
@@ -363,7 +363,7 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
         [ A A^T + b0 b0^T / (1 + |b0|^2)   b0 / (1 + |b0|^2) ]
         [ b0^T / (1 + |b0|^2)               1 / (1 + |b0|^2) ].
 
-    P is recomputed on each call; only the Stiefel coordinates are cached.
+    P is recomputed on each call; only Stiefel coordinates and last-partner angles are cached.
     """
     Y = stiefel_coords(flat).Y
     P = Y @ Y.T

@@ -133,7 +133,7 @@ def load_cloud_csv(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8-sig") as handle:
         lines = handle.readlines()
     reader = csv.reader(lines)
-    first = next((row for row in reader if any(cell.strip() for cell in row)), None)
+    first = next(_rows(path, reader), None)
     if first is None:
         raise ValueError(f"{path}: empty cloud file")
     try:
@@ -149,9 +149,17 @@ def load_cloud_csv(path) -> np.ndarray:
         return _read_rows(path, lines)
 
 
+def _rows(path, reader):
+    """The rows of ``reader`` that are not blank; ``csv.Error`` (a long field) as ValueError."""
+    try:
+        yield from (row for row in reader if any(cell.strip() for cell in row))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_rows(path, lines: list[str]) -> np.ndarray:
     """``load_cloud_csv`` one row at a time, through ``csv`` and ``float``."""
-    rows = [row for row in csv.reader(lines) if any(cell.strip() for cell in row)]
+    rows = list(_rows(path, csv.reader(lines)))
     data = []  # a first row that does not convert is the header; the first data row sets the width
     for index, row in enumerate(rows, start=1):
         if data and len(row) != len(data[0]):

@@ -7,7 +7,8 @@ Equidimensional flats get the full family of classical subspace distances;
 flats of different dimensions get the same formulas on the min(k,l)+1
 angles (the distance from one flat to the nearest flat of the other's
 dimension containing/contained in it), and three of the distances extend to
-genuine metrics across dimensions with an extra |k - l| penalty term.
+genuine metrics across dimensions with an extra |k - l| penalty term.  A flat keeps the
+angles to its last partner: several distances of one pair, in one order, cost one SVD.
 """
 
 from __future__ import annotations
@@ -105,6 +106,17 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
     return thetas, sigmas
 
 
+def _pair_angles(flat1: AffineFlat, flat2: AffineFlat) -> tuple[list[float], list[float]]:
+    """``_angles(*_overlap(flat1, flat2))``, kept on flat1 as ``_pair`` keyed by flat2's Stiefel
+    coordinates (held, so not reused; flat2 can be freed); directional: M^T's bits may differ."""
+    key = stiefel_coords(flat2)
+    pair = getattr(flat1, "_pair", None)
+    if pair is None or pair[0] is not key:
+        pair = (key, _angles(*_overlap(flat1, flat2)))
+        object.__setattr__(flat1, "_pair", pair)
+    return pair[1]
+
+
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     """Affine principal angles between two flats of any dimensions.
 
@@ -113,21 +125,21 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    return np.array(_angles(*_overlap(flat1, flat2))[0])
+    return np.array(_pair_angles(flat1, flat2)[0])
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
     """Full SVD of Y_F^T Y_G with angles, rotations, and principal vectors."""
-    M, W = _overlap(flat1, flat2)
-    thetas, sigmas = _angles(M, W)
-    U, _, Vt = _lapack.svd(M)
+    thetas, sigmas = _pair_angles(flat1, flat2)
+    Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
+    U, _, Vt = _lapack.svd(Y1.T @ Y2)
     return PrincipalDecomposition(
         thetas=np.array(thetas),
         sigmas=np.array(sigmas),
         U=U,
         V=Vt.T,
-        P_vecs=stiefel_coords(flat1).Y @ U,
-        Q_vecs=stiefel_coords(flat2).Y @ Vt.T,
+        P_vecs=Y1 @ U,
+        Q_vecs=Y2 @ Vt.T,
     )
 
 
@@ -168,8 +180,7 @@ def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASS
     arguments, and identical to :func:`distance` when k = l.
     """
     kind = _as_kind(kind)
-    thetas, sigmas = _angles(*_overlap(flat1, flat2))
-    return _formula(thetas, sigmas, kind)
+    return _formula(*_pair_angles(flat1, flat2), kind)
 
 
 def distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASSMANN) -> float:
@@ -209,7 +220,7 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
             f"no cross-dimension metric for kind {kind.value!r};"
             " choose grassmann, chordal, or procrustes"
         )
-    return _formula(*_angles(*_overlap(flat1, flat2)), kind, abs(flat1.k - flat2.k))
+    return _formula(*_pair_angles(flat1, flat2), kind, abs(flat1.k - flat2.k))
 
 
 def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:

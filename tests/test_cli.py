@@ -539,6 +539,17 @@ class TestFit:
         code, out, err = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
         assert (code, out, err) == (2, "", f"ValueError: {csv}: {message}\n")
 
+    # A field past the csv module's limit: the first, or one in a quoted row that np.loadtxt
+    # refuses, so that the row-by-row reader meets it.
+    @pytest.mark.parametrize("head, tail, line", [("", ",1\n", 1), ('x,y\n1,2\n"', '1",3\n', 3)],
+                             ids=["first row", "later row"])
+    def test_overlong_field_exits_2(self, capsys, tmp_path, head, tail, line):
+        csv = tmp_path / "data.csv"
+        csv.write_text(head + "0" * 140_000 + tail)
+        code, out, err = run_cli(capsys, "fit", "--method", "flat", "--k", "1", str(csv))
+        assert (code, out, err) == (
+            2, "", f"ValueError: {csv}: line {line}: field larger than field limit (131072)\n")
+
 
 _NEARLY_DOC = {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]], "b": [0.0, 0.0, 0.0]}
 

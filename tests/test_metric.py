@@ -1,8 +1,14 @@
+import copy
+import gc
 import math
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graff import (
     AffineFlat,
@@ -328,6 +334,90 @@ class TestInfiniteMetric:
             gap = abs(flat1.k - flat2.k)
             for kind, formula in formulas.items():
                 assert infinite_metric(flat1, flat2, kind) == formula(gap, thetas)
+
+
+def _fresh(flat: AffineFlat) -> AffineFlat:
+    return AffineFlat(flat.A, flat.b0)
+
+
+def _bits(value) -> bytes:
+    """Exact bytes of a float, an array or a principal decomposition."""
+    if isinstance(value, float):
+        return value.hex().encode()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return b"|".join(_bits(getattr(value, name))
+                     for name in ("thetas", "sigmas", "U", "V", "P_vecs", "Q_vecs"))
+
+
+# Every call that reads the angles of a pair, as (name, call, accepts (flat1, flat2)).
+PAIR_CALLS = [
+    ("affine_principal_angles", affine_principal_angles, lambda f, g: True),
+    ("principal_decomposition", principal_decomposition, lambda f, g: True),
+    *((f"distance {kind.value}", lambda f, g, kind=kind: distance(f, g, kind),
+       lambda f, g: f.k == g.k) for kind in ALL_KINDS),
+    *((f"delta_distance {kind.value}", lambda f, g, kind=kind: delta_distance(f, g, kind),
+       lambda f, g: True) for kind in ALL_KINDS),
+    *((f"infinite_metric {kind.value}", lambda f, g, kind=kind: infinite_metric(f, g, kind),
+       lambda f, g: True) for kind in METRIC_KINDS),
+]
+
+
+class TestPairCache:
+    """Each flat keeps the angles to its last partner; every answer stays bit for bit
+    the answer on fresh copies of the two flats."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           calls=st.lists(st.tuples(st.integers(0, len(PAIR_CALLS) - 1), st.integers(0, 3),
+                                    st.integers(0, 3)), min_size=1, max_size=30))
+    def test_interleaved_calls_match_fresh_copies(self, seed, n, calls):
+        rng = np.random.default_rng(seed)
+        flats = [random_flat(rng, n, int(rng.integers(0, n))) for _ in range(3)]
+        flats.append(make_flat(flats[0].A + 1e-8 * rng.standard_normal(flats[0].A.shape),
+                               flats[0].b0))  # a near-equal twin of the first
+        for index, i, j in calls:
+            name, call, accepts = PAIR_CALLS[index]
+            f, g = flats[i], flats[j]
+            if accepts(f, g):
+                assert _bits(call(f, g)) == _bits(call(_fresh(f), _fresh(g))), name
+
+    def test_swapped_pair_is_not_served_from_the_first_order(self, rng):
+        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
+        while distance(_fresh(a), _fresh(b)) == distance(_fresh(b), _fresh(a)):
+            a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
+        forward = distance(a, b)
+        assert _bits(distance(b, a)) == _bits(distance(_fresh(b), _fresh(a)))
+        assert _bits(distance(a, b)) == _bits(forward)
+
+    def test_a_measured_flat_pickles_and_copies(self, rng):
+        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
+        expected = _bits(distance(a, b, "chordal"))
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+            assert _bits(distance(twin, b, "chordal")) == expected
+            assert _bits(distance(twin, _fresh(b), "chordal")) == expected
+
+    def test_a_partner_can_be_collected(self, rng):
+        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 1)
+        delta_distance(a, b)
+        partner = weakref.ref(b)
+        del b
+        gc.collect()
+        assert partner() is None
+
+    @pytest.mark.parametrize("call", [
+        lambda a, rng: distance(a, random_flat(rng, 5, 1)),
+        lambda a, rng: distance(a, random_flat(rng, 5, 2), "nope"),
+        lambda a, rng: infinite_metric(a, random_flat(rng, 5, 1), "asimov"),
+        lambda a, rng: delta_distance(a, random_flat(rng, 4, 2)),
+        lambda a, rng: affine_principal_angles(a, random_flat(rng, 6, 2)),
+    ], ids=["k mismatch", "unknown kind", "no cross-dimension metric", "n mismatch",
+            "n mismatch for the angles"])
+    def test_a_call_that_raises_stores_nothing(self, rng, call):
+        a = random_flat(rng, 5, 2)
+        with pytest.raises((DimensionError, UnsupportedKind)):
+            call(a, rng)
+        assert not hasattr(a, "_pair")
 
 
 class TestGeodesic:

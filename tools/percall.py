@@ -7,7 +7,10 @@ directory, made by ``tools/bench_pairs.py``'s helpers: the parent commit from
 ``git archive``, the change from the working tree.  Each round runs one
 process per tree, alternating which goes first; a process imports graff from
 its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
-the best of ``--repeat`` repeats of ``--number`` calls.  The chain and the
+the best of ``--repeat`` repeats of ``--number`` calls.  A flat keeps the
+principal angles to its last partner, so the metric rows alternate between two
+partners and every call computes its angles; ``distance (same pair again)``
+repeats one pair and times the stored angles.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
 header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -76,24 +80,27 @@ def operations(graff, workdir: Path):
     k, n = 2, 5
     A_raw, b_raw = rng.standard_normal((n, k)), rng.standard_normal(n)
     flat, other = graff.sample_uniform(k, n, rng), graff.sample_uniform(k, n, rng)
-    graff.distance(flat, other)  # caches both flats' Stiefel coordinates
     curve = graff.geodesic(flat, other)
     S = rng.standard_normal((n + 1, n + 1))
     params = graff.LangevinParams(S + S.T, k, n)
     line = graff.sample_uniform(1, n, rng)
-    graff.delta_distance(flat, line)  # caches the line's Stiefel coordinates
+    other2, line2 = graff.sample_uniform(k, n, rng), graff.sample_uniform(1, n, rng)
+    for partner in (other, other2, line, line2):  # caches every flat's Stiefel coordinates
+        graff.delta_distance(flat, partner)
+    others, lines = itertools.cycle((other, other2)), itertools.cycle((line, line2))
     cloud = svm_cloud(graff)
     write_cloud(workdir / "cloud.csv")
     sample = ["sample", "--dist", "uniform", "--k", str(k), "--n", str(n), "--seed", "1",
               "--count", str(SAMPLE_COUNT)]
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
-        ("distance", lambda: graff.distance(flat, other), 1),
+        ("distance", lambda: graff.distance(flat, next(others)), 1),
+        ("distance (same pair again)", lambda: graff.distance(flat, other), 1),
         ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
-        ("distance (kind as a string)", lambda: graff.distance(flat, other, "grassmann"), 1),
+        ("distance (kind as a string)", lambda: graff.distance(flat, next(others), "grassmann"), 1),
         ("affine_principal_angles (2-flat, 1-flat)",
-         lambda: graff.affine_principal_angles(flat, line), 1),
-        ("infinite_metric (2-flat, 1-flat)", lambda: graff.infinite_metric(flat, line), 1),
+         lambda: graff.affine_principal_angles(flat, next(lines)), 1),
+        ("infinite_metric (2-flat, 1-flat)", lambda: graff.infinite_metric(flat, next(lines)), 1),
         ("sample_uniform", lambda: graff.sample_uniform(k, n, rng), 1),
         ("geodesic", lambda: graff.geodesic(flat, other), 1),
         ("evaluate_geodesic", lambda: graff.evaluate_geodesic(curve, 0.3), 1),

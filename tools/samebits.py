@@ -13,10 +13,11 @@ process per copy, with that copy's ``src`` first on ``sys.path``:
   ``sample`` law, over a few seeds, and over the edge documents (points,
   hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input) and
   the CSV edge files (byte-order mark, CRLF, blank, ``#`` and quoted rows,
-  ``1_0``, nan, inf, ragged rows, one column, no data rows).  The
-  exit code, stdout and stderr of each call are three outputs.  A warning the
-  call leaks lands in its stderr as ``Category: message``, without the code
-  location that any edit of the calling module moves.
+  ``1_0``, nan, inf, ragged rows, one column, no data rows, fields past the
+  ``csv`` module's limit).  The exit code, stdout and stderr of each call are
+  three outputs.  A warning the call leaks lands in its stderr as
+  ``Category: message``, without the code location that any edit of the
+  calling module moves.
 - seeded library calls: chains, normalizers, the builders, the metric and the
   estimators.  Each result, or the exception raised, is one output.
 
@@ -155,6 +156,8 @@ CSV_EDGES = {
     "edge-trailing-comma": b"1,2,\n3,4,\n5,7,\n",
     "edge-word": b"x,y\n1,2\n3,abc\n",
     "edge-not-utf-8": b"1,2\n\xff,3\n",
+    "edge-long-first-field": b"0" * 140_000 + b",1\n3,4\n5,7\n",
+    "edge-long-quoted-field": b'x,y\n1,2\n"' + b"0" * 140_000 + b'1",3\n5,7\n',
 }
 
 
