@@ -28,8 +28,8 @@ def qr(M):
 
 
 @_errstate("SVD did not converge")
-def svdvals(M):
-    return _svd(M, signature="d->d")
+def svdvals(*matrices):  # one errstate entry for all of them; a list of arrays
+    return [_svd(M, signature="d->d") for M in matrices]
 
 
 @_errstate("SVD did not converge")

@@ -206,6 +206,9 @@ class AffineFlat:
     def __repr__(self) -> str:
         return f"AffineFlat(k={self.k}, n={self.n})"
 
+    def __getstate__(self):  # pickle and copy keep A and b0, not the caches beside them
+        return {"A": self.A, "b0": self.b0}
+
 
 @dataclass(frozen=True, eq=False)
 class StiefelMatrix:
@@ -337,7 +340,7 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
         [ 0    1 / sqrt(1 + |b0|^2) ]
 
     whose span realizes the flat as a (k+1)-plane in R^(n+1).  Computed once and cached
-    on the (immutable) flat, beside the principal angles to its last partner (graff.metric).
+    on the (immutable) flat, beside its last partner's record (graff.metric); not pickled.
     """
     cached = getattr(flat, "_stiefel", None)
     if cached is not None:
@@ -363,7 +366,7 @@ def projection_coords(flat: AffineFlat) -> ProjectionMatrix:
         [ A A^T + b0 b0^T / (1 + |b0|^2)   b0 / (1 + |b0|^2) ]
         [ b0^T / (1 + |b0|^2)               1 / (1 + |b0|^2) ].
 
-    P is recomputed on each call; only Stiefel coordinates and last-partner angles are cached.
+    P is recomputed on each call; only Stiefel coordinates and the last-partner record are cached.
     """
     Y = stiefel_coords(flat).Y
     P = Y @ Y.T

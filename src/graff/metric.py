@@ -7,8 +7,9 @@ Equidimensional flats get the full family of classical subspace distances;
 flats of different dimensions get the same formulas on the min(k,l)+1
 angles (the distance from one flat to the nearest flat of the other's
 dimension containing/contained in it), and three of the distances extend to
-genuine metrics across dimensions with an extra |k - l| penalty term.  A flat keeps the
-angles to its last partner: several distances of one pair, in one order, cost one SVD.
+genuine metrics across dimensions with an extra |k - l| penalty term.  A flat keeps a record
+of its last partner, M = Y_F^T Y_G, W = Y_G - Y_F M and the angles (two unpadded SVDs): the
+distances, principal decomposition and geodesic of one pair, in one order, share them.
 """
 
 from __future__ import annotations
@@ -90,31 +91,32 @@ def _overlap(flat1: AffineFlat, flat2: AffineFlat) -> tuple[np.ndarray, np.ndarr
 def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
     """Angles (nondecreasing) and cosines, as float lists, from M = Y1^T Y2, W = Y2 - Y1 M.
 
-    The cosines are the singular values of M, the sines the smallest of W: one
-    batched SVD of M padded with zero rows (same singular values) and W, read
-    once with ``tolist``.  Angles below pi/4 come from ``math.asin`` of the sines,
-    as arccos near 1 loses half the digits; ``min(x, 1.0)`` keeps a nan a nan.
+    The cosines are the singular values of M, the sines the smallest of W: two SVDs,
+    of M itself and of W, under one errstate entry, each read once with ``tolist``.
+    Angles below pi/4 come from ``math.asin`` of the sines, as arccos near 1 loses
+    half the digits; ``min(x, 1.0)`` keeps a nan a nan.
     """
-    stack = np.zeros((2,) + W.shape)
-    stack[0, : M.shape[0]], stack[1] = M, W
-    cosines, sines = _lapack.svdvals(stack).tolist()
+    cosines, sines = (values.tolist() for values in _lapack.svdvals(M, W))
     if cosines[0] > 1.0 + 1e-8:
         raise InternalError(f"singular value {cosines[0]} exceeds 1 beyond rounding")
-    sigmas = [min(s, 1.0) for s in cosines[: min(M.shape)]]
+    sigmas = [min(s, 1.0) for s in cosines]
     thetas = [math.asin(min(t, 1.0)) if s * s >= 0.5 else math.acos(s)
               for s, t in zip(sigmas, sines[::-1])]
     return thetas, sigmas
 
 
-def _pair_angles(flat1: AffineFlat, flat2: AffineFlat) -> tuple[list[float], list[float]]:
-    """``_angles(*_overlap(flat1, flat2))``, kept on flat1 as ``_pair`` keyed by flat2's Stiefel
-    coordinates (held, so not reused; flat2 can be freed); directional: M^T's bits may differ."""
+def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
+    """[key, M, W, _angles(M, W)] of ``_overlap(flat1, flat2)``, kept on flat1 as ``_pair`` keyed
+    by flat2's Stiefel coordinates (held, so not reused; flat2 can be freed); the angles are None
+    until a call wants them; directional: M^T's bits may differ."""
     key = stiefel_coords(flat2)
     pair = getattr(flat1, "_pair", None)
     if pair is None or pair[0] is not key:
-        pair = (key, _angles(*_overlap(flat1, flat2)))
+        pair = [key, *_overlap(flat1, flat2), None]
         object.__setattr__(flat1, "_pair", pair)
-    return pair[1]
+    if angles and pair[3] is None:
+        pair[3] = _angles(pair[1], pair[2])
+    return pair
 
 
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
@@ -125,14 +127,14 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    return np.array(_pair_angles(flat1, flat2)[0])
+    return np.array(_pair(flat1, flat2)[3][0])
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
-    """Full SVD of Y_F^T Y_G with angles, rotations, and principal vectors."""
-    thetas, sigmas = _pair_angles(flat1, flat2)
+    """Full SVD of Y_F^T Y_G (the pair's stored M) with angles, rotations, and principal vectors."""
+    _, M, _, (thetas, sigmas) = _pair(flat1, flat2)
     Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
-    U, _, Vt = _lapack.svd(Y1.T @ Y2)
+    U, _, Vt = _lapack.svd(M)
     return PrincipalDecomposition(
         thetas=np.array(thetas),
         sigmas=np.array(sigmas),
@@ -180,7 +182,7 @@ def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASS
     arguments, and identical to :func:`distance` when k = l.
     """
     kind = _as_kind(kind)
-    return _formula(*_pair_angles(flat1, flat2), kind)
+    return _formula(*_pair(flat1, flat2)[3], kind)
 
 
 def distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASSMANN) -> float:
@@ -220,7 +222,7 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
             f"no cross-dimension metric for kind {kind.value!r};"
             " choose grassmann, chordal, or procrustes"
         )
-    return _formula(*_pair_angles(flat1, flat2), kind, abs(flat1.k - flat2.k))
+    return _formula(*_pair(flat1, flat2)[3], kind, abs(flat1.k - flat2.k))
 
 
 def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:
@@ -242,17 +244,22 @@ class GeodesicCurve:
     The curve is gamma(t) = span(Y_start U cos(t Theta) + Q sin(t Theta)),
     where Q, tan(Theta) and U are the factors of the thin SVD
 
-        (Y' - Y Y^T Y') (Y^T Y')^{-1} = Q tan(Theta) U^T
+        H = W M^{-1} = Q tan(Theta) U^T,   M = Y^T Y',  W = Y' - Y M,
 
-    with Theta nondecreasing.  Where n - k < k + 1 the k + 1 - (n - k) directions with no
-    room beyond span(Y_start) get angle 0 and a zero column of Q; the other columns are
-    orthonormal and orthogonal to span(Y_start) to rounding, so every frame is orthonormal.
+    with Theta nondecreasing, in a basis of span(Y, W) beyond span(Y).  Where n - k < k + 1
+    the k + 1 - (n - k) directions with no room beyond span(Y_start) get angle 0 and a zero
+    column of Q; the other columns are orthonormal and orthogonal to span(Y_start) to
+    rounding, so every frame is orthonormal.  ``evaluate_geodesic`` keeps Y_start U and the
+    angles on the curve, which pickle and copy leave behind.
     """
 
     Y_start: StiefelMatrix
     U: np.ndarray
     Theta: np.ndarray
     Q: np.ndarray
+
+    def __getstate__(self):
+        return {"Y_start": self.Y_start, "U": self.U, "Theta": self.Theta, "Q": self.Q}
 
 
 def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
@@ -265,19 +272,18 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     flats, and on an interval of t around an endpoint with |b0| above about 1e10 (t = 0
     included for such a flat1).  Every angle is kept, so the point at t = 1 is flat2 to
     rounding; angles of rounding size, as between a flat and itself in another basis,
-    move a point at t by about |t| eps.
+    move a point at t by about |t| eps.  M and W come from the pair's record; Q from a basis
+    of span(Y_F, W) beyond span(Y_F), with M inverted on the (k+1)-square block only.
     """
-    M, W = _overlap(flat1, flat2)
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
+    _, M, W, _ = _pair(flat1, flat2, angles=False)
     Y, k = stiefel_coords(flat1), flat1.k
-    # H = W M^{-1} = Q tan(Theta) U^T; unlike M's, its SVD keeps the directions when every
-    # cosine rounds to 1.  Taken in a basis of span(Y, H) beyond span(Y), it gives a Q that
-    # is orthonormal and orthogonal to span(Y) to rounding however small the cosines.
+    # H = W M^{-1} keeps, unlike M's SVD, the directions when every cosine rounds to 1; as
+    # span(H) = span(W), Q is orthogonal to span(Y) to rounding however small the cosines.
     try:
-        H = _lapack.solve(M.T, W.T).T
-        beyond = _lapack.qr(np.concatenate((Y.Y, H), axis=1))[0][:, k + 1:]
-        Q_beyond, tangents, Ut = _lapack.svd(beyond.T @ H)
+        beyond = _lapack.qr(np.concatenate((Y.Y, W), axis=1))[0][:, k + 1:]
+        Q_beyond, tangents, Ut = _lapack.svd(_lapack.solve(M.T, W.T @ beyond).T)
     except np.linalg.LinAlgError:
         tangents = None
     if tangents is None or not tangents[0] <= 1e10:  # nan and inf included
@@ -299,8 +305,12 @@ def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     (see :func:`geodesic`).  Raises ``ValueError`` when some angle t * theta_i is not finite.
     """
     t = float(t)
-    if not math.isfinite(t * float(curve.Theta.max())):
+    if getattr(curve, "_base", None) is None:  # kept after the first call
+        base = (curve.Y_start.Y @ curve.U, curve.Theta.diagonal(), float(curve.Theta.max()))
+        object.__setattr__(curve, "_base", base)
+    start, thetas, largest = curve._base
+    if not math.isfinite(t * largest):
         raise ValueError(f"geodesic parameter t={t} gives a non-finite angle")
-    angles = t * curve.Theta.diagonal()
-    frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
+    angles = t * thetas
+    frame = start * np.cos(angles) + curve.Q * np.sin(angles)
     return _flat_from_frame(frame)

@@ -32,7 +32,10 @@ def test_qr_matches_numpy_bit_for_bit(M):
 
 @pytest.mark.parametrize("M", MATRICES, ids=IDS)
 def test_svd_matches_numpy_bit_for_bit(M):
-    assert_same_bits([_lapack.svdvals(M)], [np.linalg.svd(M, compute_uv=False)])
+    assert_same_bits(_lapack.svdvals(M), [np.linalg.svd(M, compute_uv=False)])
+    flipped = np.swapaxes(M, -1, -2)  # several shapes in one call, one array each
+    assert_same_bits(_lapack.svdvals(M, flipped),
+                     [np.linalg.svd(A, compute_uv=False) for A in (M, flipped)])
     assert_same_bits(_lapack.svd(M), np.linalg.svd(M))
 
 
@@ -84,6 +87,6 @@ def test_tiny_entries_under_a_strict_caller_errstate():
     with np.errstate(all="raise"):
         Q, R = np.linalg.qr(tiny)
         assert_same_bits(_lapack.qr(tiny), (Q, R.diagonal()))
-        assert_same_bits([_lapack.svdvals(tiny)], [np.linalg.svd(tiny, compute_uv=False)])
+        assert_same_bits(_lapack.svdvals(tiny), [np.linalg.svd(tiny, compute_uv=False)])
         assert_same_bits(_lapack.svd(tiny), np.linalg.svd(tiny))
         assert_same_bits([_lapack.solve(square, tiny[:3])], [np.linalg.solve(square, tiny[:3])])

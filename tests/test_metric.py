@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graff.metric
 from graff import (
     AffineFlat,
     DimensionError,
     DistanceKind,
+    GeodesicCurve,
     NotAFlat,
     SingularPair,
     UnsupportedKind,
@@ -341,19 +343,21 @@ def _fresh(flat: AffineFlat) -> AffineFlat:
 
 
 def _bits(value) -> bytes:
-    """Exact bytes of a float, an array or a principal decomposition."""
+    """Exact bytes of a float, an array, a principal decomposition or a geodesic curve."""
     if isinstance(value, float):
         return value.hex().encode()
     if isinstance(value, np.ndarray):
         return value.tobytes()
-    return b"|".join(_bits(getattr(value, name))
-                     for name in ("thetas", "sigmas", "U", "V", "P_vecs", "Q_vecs"))
+    names = (("U", "Theta", "Q") if isinstance(value, GeodesicCurve)
+             else ("thetas", "sigmas", "U", "V", "P_vecs", "Q_vecs"))
+    return b"|".join(_bits(getattr(value, name)) for name in names)
 
 
-# Every call that reads the angles of a pair, as (name, call, accepts (flat1, flat2)).
+# Every call that reads the record of a pair, as (name, call, accepts (flat1, flat2)).
 PAIR_CALLS = [
     ("affine_principal_angles", affine_principal_angles, lambda f, g: True),
     ("principal_decomposition", principal_decomposition, lambda f, g: True),
+    ("geodesic", geodesic, lambda f, g: f.k == g.k),
     *((f"distance {kind.value}", lambda f, g, kind=kind: distance(f, g, kind),
        lambda f, g: f.k == g.k) for kind in ALL_KINDS),
     *((f"delta_distance {kind.value}", lambda f, g, kind=kind: delta_distance(f, g, kind),
@@ -397,6 +401,28 @@ class TestPairCache:
             assert _bits(distance(twin, b, "chordal")) == expected
             assert _bits(distance(twin, _fresh(b), "chordal")) == expected
 
+    def test_measured_flats_and_curves_pickle_as_fresh_ones(self, rng):
+        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
+        fresh = (_fresh(a), _fresh(b), geodesic(_fresh(a), _fresh(b)))
+        distance(a, b)
+        curve = geodesic(a, b)
+        point = evaluate_geodesic(curve, 0.5)
+        measured = (a, b, curve)
+        assert [len(pickle.dumps(x)) for x in measured] == [len(pickle.dumps(x)) for x in fresh]
+        assert set(vars(copy.copy(a))) == {"A", "b0"}
+        assert set(vars(copy.copy(curve))) == {"Y_start", "U", "Theta", "Q"}
+        for twin in (pickle.loads(pickle.dumps(curve)), copy.copy(curve)):
+            assert _bits(evaluate_geodesic(twin, 0.5).A) == _bits(point.A)
+
+    def test_one_overlap_per_ordered_pair(self, rng, monkeypatch):
+        overlap, calls = graff.metric._overlap, []
+        monkeypatch.setattr(graff.metric, "_overlap", lambda f, g: calls.append(1) or overlap(f, g))
+        a, b = random_flat(rng, 6, 2), random_flat(rng, 6, 2)
+        affine_principal_angles(a, b)
+        principal_decomposition(a, b)
+        geodesic(a, b)
+        assert len(calls) == 1
+
     def test_a_partner_can_be_collected(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 1)
         delta_distance(a, b)
@@ -411,8 +437,10 @@ class TestPairCache:
         lambda a, rng: infinite_metric(a, random_flat(rng, 5, 1), "asimov"),
         lambda a, rng: delta_distance(a, random_flat(rng, 4, 2)),
         lambda a, rng: affine_principal_angles(a, random_flat(rng, 6, 2)),
+        lambda a, rng: geodesic(a, random_flat(rng, 5, 1)),
+        lambda a, rng: geodesic(a, random_flat(rng, 6, 2)),
     ], ids=["k mismatch", "unknown kind", "no cross-dimension metric", "n mismatch",
-            "n mismatch for the angles"])
+            "n mismatch for the angles", "k mismatch for a geodesic", "n mismatch for a geodesic"])
     def test_a_call_that_raises_stores_nothing(self, rng, call):
         a = random_flat(rng, 5, 2)
         with pytest.raises((DimensionError, UnsupportedKind)):
@@ -479,6 +507,40 @@ class TestGeodesic:
             b = flat1.b0 + flat1.A @ rng.standard_normal(k) + 1e-8 * rng.standard_normal(n)
             flat2 = make_flat(A, b)
             assert equal_flats(evaluate_geodesic(geodesic(flat1, flat2), 1.0), flat2, 1e-8)
+
+    @pytest.mark.parametrize("k, n", [(8, 64), (32, 128), (2, 4), (4, 6), (31, 32)])
+    def test_wide_and_roomless_sizes(self, rng, k, n):
+        # (2, 4), (4, 6) and (31, 32) have n - k < k + 1: 2k + 1 - n directions have no room.
+        flat1, flat2 = random_flat(rng, n, k), random_flat(rng, n, k)
+        curve = geodesic(flat1, flat2)
+        assert np.abs(stiefel_coords(flat1).Y.T @ curve.Q).max() <= 1e-14
+        pad = max(0, 2 * k + 1 - n)
+        assert not curve.Q[:, :pad].any() and not curve.Theta.diagonal()[:pad].any()
+        assert np.all(np.linalg.norm(curve.Q[:, pad:], axis=0) > 0.5)
+        for t in (0.3, 1.0, 2.5):
+            angles = t * curve.Theta.diagonal()
+            frame = (curve.Y_start.Y @ curve.U) * np.cos(angles) + curve.Q * np.sin(angles)
+            assert np.abs(frame.T @ frame - np.eye(k + 1)).max() <= 1e-13
+            assert orthonormal_drift(evaluate_geodesic(curve, t)) <= 1e-13
+        assert equal_flats(evaluate_geodesic(curve, 1.0), flat2, 1e-10)
+
+    @pytest.mark.parametrize("k, n", [(8, 64), (32, 128), (2, 4), (4, 6), (31, 32)])
+    @pytest.mark.parametrize("c, singular", [(1e-11, True), (1e-3, False)])
+    def test_singular_pair_rejected_at_every_size(self, rng, k, n, c, singular):
+        # Flats through the origin; flat2 turns one direction of flat1 to within c of a
+        # right angle, into the complement of span(A1): sigma_min(Y1^T Y2) is c.
+        A1 = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        u = rng.standard_normal(n)
+        u -= A1 @ (A1.T @ u)
+        A2 = A1.copy()
+        A2[:, 0] = c * A1[:, 0] + math.sqrt(1.0 - c * c) * u / np.linalg.norm(u)
+        rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        flat1, flat2 = make_flat(A1, np.zeros(n)), make_flat(A2 @ rotation, np.zeros(n))
+        if singular:
+            with pytest.raises(SingularPair):
+                geodesic(flat1, flat2)
+        else:
+            assert equal_flats(evaluate_geodesic(geodesic(flat1, flat2), 1.0), flat2, 1e-10)
 
     def test_singular_pair_rejected(self):
         # Vertical line: its direction is orthogonal to the x-axis and the

@@ -8,7 +8,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OPERATIONS = ["make_flat", "distance", "distance (same pair again)", "equal_flats",
               "distance (kind as a string)", "affine_principal_angles (2-flat, 1-flat)",
               "infinite_metric (2-flat, 1-flat)",
-              "sample_uniform", "geodesic", "evaluate_geodesic", "MH step", "normalizer per sample",
+              "sample_uniform", "geodesic", "evaluate_geodesic",
+              "distance (32, 128)", "principal_decomposition (32, 128)", "geodesic (32, 128)",
+              "MH step", "normalizer per sample",
               "svm_hyperplane per point", "load_cloud_csv per row",
               "cli sample --count 2000 per flat", "cold: import graff",
               "cold: python -m graff invariant --what dim 2 5", "cold: python -m graff distance"]

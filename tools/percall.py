@@ -8,9 +8,13 @@ directory, made by ``tools/bench_pairs.py``'s helpers: the parent commit from
 process per tree, alternating which goes first; a process imports graff from
 its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  A flat keeps the
-principal angles to its last partner, so the metric rows alternate between two
-partners and every call computes its angles; ``distance (same pair again)``
-repeats one pair and times the stored angles.  The chain and the
+overlap and principal angles of its last partner, so the metric rows alternate
+between two partners and every call computes its angles; ``distance (same
+pair again)`` repeats one pair and times the stored angles.  Three rows run at
+(k, n) = (32, 128), perfbench metric_sweep's widest class: ``distance``
+alternating between two partners (every call computes the principal-angle
+kernel), then ``principal_decomposition`` and ``geodesic`` of one pair, which
+read the pair's stored overlap as metric_sweep's calls do.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
 header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
@@ -88,6 +92,11 @@ def operations(graff, workdir: Path):
     for partner in (other, other2, line, line2):  # caches every flat's Stiefel coordinates
         graff.delta_distance(flat, partner)
     others, lines = itertools.cycle((other, other2)), itertools.cycle((line, line2))
+    wide_rng = graff.random_stream(20260812)  # leaves the other rows' draws as they were
+    wide, *wide_others = (graff.sample_uniform(32, 128, wide_rng) for _ in range(3))
+    for partner in wide_others:
+        graff.distance(wide, partner)
+    wide_partners = itertools.cycle(wide_others)
     cloud = svm_cloud(graff)
     write_cloud(workdir / "cloud.csv")
     sample = ["sample", "--dist", "uniform", "--k", str(k), "--n", str(n), "--seed", "1",
@@ -104,6 +113,10 @@ def operations(graff, workdir: Path):
         ("sample_uniform", lambda: graff.sample_uniform(k, n, rng), 1),
         ("geodesic", lambda: graff.geodesic(flat, other), 1),
         ("evaluate_geodesic", lambda: graff.evaluate_geodesic(curve, 0.3), 1),
+        ("distance (32, 128)", lambda: graff.distance(wide, next(wide_partners)), 1),
+        ("principal_decomposition (32, 128)",
+         lambda: graff.principal_decomposition(wide, wide_others[0]), 1),
+        ("geodesic (32, 128)", lambda: graff.geodesic(wide, wide_others[0]), 1),
         ("MH step", lambda: graff.langevin_mh_run(params, MH_STEPS, 0.1, rng, burn_in=MH_STEPS - 1,
                                                   init=flat), MH_STEPS),
         ("normalizer per sample", lambda: graff.langevin_normalizer(params, NORMALIZER_SAMPLES, rng),
