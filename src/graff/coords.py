@@ -209,6 +209,9 @@ class AffineFlat:
     def __getstate__(self):  # pickle and copy keep A and b0, not the caches beside them
         return {"A": self.A, "b0": self.b0}
 
+    def __setstate__(self, state):  # pickle restores writeable arrays; _trusted freezes them
+        vars(self).update(vars(_trusted(AffineFlat, **state)))
+
 
 @dataclass(frozen=True, eq=False)
 class StiefelMatrix:

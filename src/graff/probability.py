@@ -16,7 +16,7 @@ hidden global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -232,27 +232,33 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
               rng: Generator, keep, require_flat: bool) -> float:
     """Metropolis-Hastings chain on spans of orthonormal frames, target exp(tr(S Y Y^T)).
 
-    Proposals are span(Y + step_size * G), G iid Gaussian, one QR each.  Their
-    law depends only on span(Y) (GR has the law of G for orthogonal R) and is
-    O(N)-equivariant, so by two-point homogeneity it is a symmetric function of
-    the principal angles between the spans.  ``require_flat`` rejects spans
-    that ``_flat_from_frame`` refuses (last row of norm below ``_FLAT_TOL``).
-    ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
-    draws interleave with the chain's.  Returns the acceptance rate.  It runs on S - s I,
-    s the midpoint of the diagonal's extremes: the log density moves by a constant only,
-    and S = c I gives s = c exactly, so its chain is the uniform one even at c = 1e300.
+    Proposals are span(Y + step_size * G), G iid Gaussian, one QR each.  Their law depends only
+    on span(Y) (GR has the law of G for orthogonal R) and is O(N)-equivariant, so by two-point
+    homogeneity it is a symmetric function of the principal angles between the spans.
+    ``require_flat`` rejects spans that ``_flat_from_frame`` refuses (last row of norm below
+    ``_FLAT_TOL``).  ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
+    draws interleave with the chain's.  Returns the acceptance rate.  It runs on S - s I, s the
+    midpoint of the diagonal's extremes: the log density moves by a constant only, and S = c I
+    gives s = c exactly, so its chain is the uniform one even at c = 1e300.  The loop and ``keep``
+    run in one QR errstate per chain; G * step_size + Y is factored in place, and ``random()``
+    is the draw of ``uniform()``, which returns 0.0 + 1.0 * random(): the same bits.
     """
     S = S - 0.5 * (S.diagonal().max() + S.diagonal().min()) * np.eye(len(S))
     Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
-    for step in range(n_steps):
-        proposal, _ = _lapack.qr(Y + config.step_size * rng.standard_normal(Y.shape))
-        if not (require_flat and math.sqrt(proposal[-1] @ proposal[-1]) < _FLAT_TOL):
-            new = float(_trace_form(S, proposal))
-            if math.log(max(rng.uniform(), 1e-300)) <= new - current:
-                Y, current = proposal, new
-                accepted += 1
-        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            keep(Y)
+    step_size, burn_in, thin, normal, random = *astuple(config), rng.standard_normal, rng.random
+    with _lapack.errstate(_lapack.QR_FAILED):
+        for step in range(n_steps):
+            proposal = normal(Y0.shape)
+            proposal *= step_size
+            proposal += Y
+            proposal = _lapack.qr_in_place(proposal)
+            if not (require_flat and math.sqrt(proposal[-1] @ proposal[-1]) < _FLAT_TOL):
+                new = float(_trace_form(S, proposal))
+                if math.log(max(random(), 1e-300)) <= new - current:
+                    Y, current = proposal, new
+                    accepted += 1
+            if step >= burn_in and (step - burn_in) % thin == 0:
+                keep(Y)
     return accepted / n_steps
 
 
@@ -313,11 +319,11 @@ def langevin_gaussian_run(
     independent Gaussian displacement in its orthogonal complement.
     """
     count = _check_int(count, "count", 1)
-    n, k = params.n, params.k
+    n, k, scale = params.n, params.k, math.sqrt(params.sigma2)
     flats: list[AffineFlat] = []
 
     def keep(Y):
-        b0 = _orthogonal_part(Y, math.sqrt(params.sigma2) * rng.standard_normal(n))
+        b0 = _orthogonal_part(Y, scale * rng.standard_normal(n))
         flats.append(_trusted(AffineFlat, A=Y, b0=b0))
 
     if k == 0:

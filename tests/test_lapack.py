@@ -31,6 +31,21 @@ def test_qr_matches_numpy_bit_for_bit(M):
 
 
 @pytest.mark.parametrize("M", MATRICES, ids=IDS)
+def test_qr_in_place_gives_the_q_of_qr_and_overwrites_its_argument(M):
+    a = M.copy()
+    with _lapack.errstate(_lapack.QR_FAILED):
+        Q = _lapack.qr_in_place(a)
+    assert_same_bits([Q], [np.linalg.qr(M)[0]])
+    assert a.tobytes() != M.tobytes()
+
+
+def test_the_qr_errstate_turns_an_invalid_operation_into_linalgerror():
+    with _lapack.errstate(_lapack.QR_FAILED), pytest.raises(np.linalg.LinAlgError) as info:
+        np.sqrt(np.array([-1.0]))
+    assert str(info.value) == "Incorrect argument found while performing QR factorization"
+
+
+@pytest.mark.parametrize("M", MATRICES, ids=IDS)
 def test_svd_matches_numpy_bit_for_bit(M):
     assert_same_bits(_lapack.svdvals(M), [np.linalg.svd(M, compute_uv=False)])
     flipped = np.swapaxes(M, -1, -2)  # several shapes in one call, one array each

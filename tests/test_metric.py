@@ -401,6 +401,16 @@ class TestPairCache:
             assert _bits(distance(twin, b, "chordal")) == expected
             assert _bits(distance(twin, _fresh(b), "chordal")) == expected
 
+    def test_restored_flats_hold_read_only_arrays(self, rng):
+        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
+        expected = _bits(distance(a, b))
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            for array in (twin.A, twin.b0):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 5.0
+            assert _bits(distance(twin, b)) == expected
+
     def test_measured_flats_and_curves_pickle_as_fresh_ones(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
         fresh = (_fresh(a), _fresh(b), geodesic(_fresh(a), _fresh(b)))

@@ -10,7 +10,8 @@ OPERATIONS = ["make_flat", "distance", "distance (same pair again)", "equal_flat
               "infinite_metric (2-flat, 1-flat)",
               "sample_uniform", "geodesic", "evaluate_geodesic",
               "distance (32, 128)", "principal_decomposition (32, 128)", "geodesic (32, 128)",
-              "MH step", "normalizer per sample",
+              "MH step", "MH step (burn-in 100, thin 5)", "Langevin-Gaussian step (2, 5)",
+              "normalizer per sample",
               "svm_hyperplane per point", "load_cloud_csv per row",
               "cli sample --count 2000 per flat", "cold: import graff",
               "cold: python -m graff invariant --what dim 2 5", "cold: python -m graff distance"]

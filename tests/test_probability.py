@@ -32,8 +32,8 @@ from graff import (
 )
 
 from graff import _lapack, probability
-from graff.coords import _flat_from_frame, _flats_from_frames
-from graff.probability import _chain_length, _uniform_flats
+from graff.coords import _FLAT_TOL, _flat_from_frame, _flats_from_frames
+from graff.probability import _chain_length, _trace_form, _uniform_flats
 
 from conftest import random_flat, x_axis
 
@@ -610,6 +610,41 @@ def _gaussian_chain_one_by_one(params, count, config, rng):
 CHAIN_PROPERTY = settings(deadline=None, derandomize=True, max_examples=30)
 
 
+def _step_by_step_chain(S, Y0, n_steps, config, rng, keep, require_flat):
+    """``probability._mh_chain`` with one ``_lapack.qr`` (and its errstate), a copied
+    proposal Y + step_size * G and one ``rng.uniform()`` per step: the reference that
+    the chain's single-errstate loop matches bit for bit."""
+    S = S - 0.5 * (S.diagonal().max() + S.diagonal().min()) * np.eye(len(S))
+    Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
+    for step in range(n_steps):
+        proposal, _ = _lapack.qr(Y + config.step_size * rng.standard_normal(Y.shape))
+        if not (require_flat and math.sqrt(proposal[-1] @ proposal[-1]) < _FLAT_TOL):
+            new = float(_trace_form(S, proposal))
+            if math.log(max(rng.uniform(), 1e-300)) <= new - current:
+                Y, current = proposal, new
+                accepted += 1
+        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            keep(Y)
+    return accepted / n_steps
+
+
+def _run_chain(chain, S, Y0, n_steps, config, seed, require_flat):
+    """(kept frames with the draws ``keep`` interleaves, rate, final stream state)."""
+    rng, kept = random_stream(seed), []
+    rate = chain(S, Y0, n_steps, config, rng, lambda Y: kept.append((Y, rng.standard_normal(2))),
+                 require_flat=require_flat)
+    return kept, rate, rng.bit_generator.state
+
+
+def _assert_same_runs(run, expected):
+    (kept, rate, state), (expected_kept, expected_rate, expected_state) = run, expected
+    assert len(kept) == len(expected_kept)
+    for (Y, z), (expected_Y, expected_z) in zip(kept, expected_kept):
+        assert np.array_equal(Y, expected_Y) and np.array_equal(z, expected_z)
+    assert rate == expected_rate
+    assert state == expected_state
+
+
 class TestSharedChain:
     @pytest.mark.parametrize("k, S, sigma2, config, count, seed", [
         *[(k, random_stream(7 + k).standard_normal((4, 4)), 0.6, MHConfig(0.4, 30, 3), 25, 61)
@@ -655,13 +690,62 @@ class TestSharedChain:
             langevin_mh_run(params, 20, rng=random_stream(1), **{"step_size": 0.1, **settings_})
 
     def test_one_qr_and_no_svd_per_step(self, monkeypatch):
-        calls, qr, svd = [], _lapack.qr, _lapack.svd
-        monkeypatch.setattr(_lapack, "qr", lambda M: calls.append("qr") or qr(M))
+        # The step factors in place with qr_in_place; _lapack.qr (which calls it) is counted
+        # too, so a step through qr would show up twice.
+        calls, qr, qr_in_place, svd = [], _lapack.qr, _lapack.qr_in_place, _lapack.svd
+        monkeypatch.setattr(_lapack, "qr_in_place", lambda M: calls.append("qr") or qr_in_place(M))
+        monkeypatch.setattr(_lapack, "qr", lambda M: calls.append("_lapack.qr") or qr(M))
         monkeypatch.setattr(_lapack, "svd", lambda M: calls.append("svd") or svd(M))
         Y0 = np.linalg.qr(random_stream(3).standard_normal((5, 2)))[0]
         probability._mh_chain(np.diag([1.0, 0.5, 0.0, 0.0, -1.0]), Y0, 40, MHConfig(0.3, 0, 1),
                               random_stream(5), lambda Y: None, require_flat=True)
         assert calls == ["qr"] * 40
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(k=st.integers(0, 3), extra=st.integers(0, 2), require_flat=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 60),
+           burn_in=st.integers(0, 40), thin=st.integers(1, 9),
+           step_size=st.floats(1e-300, 1e300), S=st.sampled_from(["random", 1e300, -1e300]))
+    def test_the_chain_keeps_the_bits_of_the_step_by_step_loop(
+            self, k, extra, require_flat, seed, n_steps, burn_in, thin, step_size, S):
+        n = k + 1 + extra
+        rng = random_stream(seed)
+        G = rng.standard_normal((n + 1, n + 1))
+        S = (G + G.T) / 2.0 if S == "random" else S * np.eye(n + 1)
+        Y0 = np.linalg.qr(rng.standard_normal((n + 1, k + 1)))[0]
+        config = MHConfig(step_size, burn_in, thin)
+        _assert_same_runs(_run_chain(probability._mh_chain, S, Y0, n_steps, config, seed + 1,
+                                     require_flat),
+                          _run_chain(_step_by_step_chain, S, Y0, n_steps, config, seed + 1,
+                                     require_flat))
+
+    @pytest.mark.parametrize("step_size", [0.35, 1e300])
+    def test_a_strict_caller_errstate_keeps_the_bits(self, step_size):
+        S = np.diag([1.0, 0.5, 0.0, -0.25, -1.0])
+        Y0 = np.linalg.qr(random_stream(3).standard_normal((5, 2)))[0]
+        config = MHConfig(step_size, 10, 3)
+        outside = _run_chain(probability._mh_chain, S, Y0, 100, config, 7, True)
+        with np.errstate(all="raise"):
+            inside = _run_chain(probability._mh_chain, S, Y0, 100, config, 7, True)
+            params = LangevinGaussianParams(S=S[:4, :4], sigma2=0.5, k=2, n=4)
+            flats = langevin_gaussian_run(params, 20, config, random_stream(7))
+        _assert_same_runs(inside, outside)
+        for flat, other in zip(flats, langevin_gaussian_run(params, 20, config, random_stream(7))):
+            assert np.array_equal(flat.A, other.A) and np.array_equal(flat.b0, other.b0)
+
+    @pytest.mark.parametrize("caller", [{}, {"all": "raise", "call": print}],
+                             ids=["default", "strict"])
+    def test_a_keep_that_raises_leaves_the_callers_errstate(self, caller):
+        def keep(Y):
+            raise KeyError("stop")
+
+        Y0 = np.linalg.qr(random_stream(3).standard_normal((5, 2)))[0]
+        with np.errstate(**caller):
+            before = np.geterr(), np.geterrcall()
+            with pytest.raises(KeyError):
+                probability._mh_chain(np.diag([1.0, 0.5, 0.0, 0.0, -1.0]), Y0, 40,
+                                      MHConfig(0.3, 5, 1), random_stream(5), keep, True)
+            assert (np.geterr(), np.geterrcall()) == before
 
     def test_largest_step_size_runs_without_warnings(self):
         params = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=1, n=3)

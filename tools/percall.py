@@ -19,7 +19,11 @@ normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
 header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
 stdout captured in memory; a repeat runs ``--number`` steps, samples, points,
-rows or flats (at least one call).  Three fixed cold-start rows time whole
+rows or flats (at least one call).  ``MH step`` keeps one state of its chain;
+``MH step (burn-in 100, thin 5)`` and ``Langevin-Gaussian step (2, 5)`` run
+at perfbench sampling's schedule (600 steps, and 40 kept flats, at step size
+0.35) on their own stream, so they also time each kept state's flat and
+displacement.  Three fixed cold-start rows time whole
 child processes of the tree, the best of ``--repeat`` runs each: ``import graff``,
 ``python -m graff invariant --what dim 2 5`` and ``python -m graff distance``
 on two lines in R^2; they include the interpreter's own start.
@@ -46,6 +50,7 @@ import numpy
 from bench_pairs import _git, copy_parent, copy_working_tree
 
 MH_STEPS, NORMALIZER_SAMPLES, SVM_POINTS = 100, 2000, 1000
+CHAIN_STEPS, BURN_IN, THIN, STEP_SIZE, GAUSSIAN_COUNT = 600, 100, 5, 0.35, 40  # perfbench sampling
 CSV_ROWS, CSV_COLS, SAMPLE_COUNT = 10_000, 16, 2000
 
 
@@ -97,6 +102,10 @@ def operations(graff, workdir: Path):
     for partner in wide_others:
         graff.distance(wide, partner)
     wide_partners = itertools.cycle(wide_others)
+    chain_rng = graff.random_stream(20260813)
+    S = chain_rng.standard_normal((n, n))
+    gaussian = graff.LangevinGaussianParams(S + S.T, 0.5, k, n)
+    config = graff.MHConfig(STEP_SIZE, BURN_IN, THIN)
     cloud = svm_cloud(graff)
     write_cloud(workdir / "cloud.csv")
     sample = ["sample", "--dist", "uniform", "--k", str(k), "--n", str(n), "--seed", "1",
@@ -119,6 +128,12 @@ def operations(graff, workdir: Path):
         ("geodesic (32, 128)", lambda: graff.geodesic(wide, wide_others[0]), 1),
         ("MH step", lambda: graff.langevin_mh_run(params, MH_STEPS, 0.1, rng, burn_in=MH_STEPS - 1,
                                                   init=flat), MH_STEPS),
+        ("MH step (burn-in 100, thin 5)",
+         lambda: graff.langevin_mh_run(params, CHAIN_STEPS, STEP_SIZE, chain_rng, burn_in=BURN_IN,
+                                       thin=THIN, init=flat), CHAIN_STEPS),
+        ("Langevin-Gaussian step (2, 5)",
+         lambda: graff.langevin_gaussian_run(gaussian, GAUSSIAN_COUNT, config, chain_rng),
+         BURN_IN + 1 + (GAUSSIAN_COUNT - 1) * THIN),
         ("normalizer per sample", lambda: graff.langevin_normalizer(params, NORMALIZER_SAMPLES, rng),
          NORMALIZER_SAMPLES),
         ("svm_hyperplane per point", lambda: graff.svm_hyperplane(cloud), SVM_POINTS),
