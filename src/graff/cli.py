@@ -151,15 +151,18 @@ def _load_params(args):
         raise ValueError(f"--dist {args.dist} requires --params FILE")
     with open(args.params) as handle:
         doc = json.load(handle)
-    S, k, n = doc["S"], doc["k"], doc["n"]
-    if args.dist == "langevin":
-        return LangevinParams(S=S, k=k, n=n)
-    return LangevinGaussianParams(S=S, sigma2=doc["sigma2"], k=k, n=n)
+    fields = ("S", "k", "n") + (("sigma2",) if args.dist == "langevin-gaussian" else ())
+    missing = [name for name in fields if name not in doc] if isinstance(doc, dict) else fields
+    if missing:
+        raise ValueError(f"params document {args.params} must be a JSON object with the fields"
+                         f" {', '.join(fields)}; it lacks {', '.join(missing)}")
+    params = LangevinParams if args.dist == "langevin" else LangevinGaussianParams
+    return params(**{name: doc[name] for name in fields})
 
 
 def _cmd_sample(args) -> int:
     count = invariants._check_int(args.count, "count", 1)
-    rng = random_stream(args.seed)
+    rng = random_stream(invariants._check_int(args.seed, "seed", 0))
     config = MHConfig(**{key: value for key, value in vars(args).items()  # flags given
                          if key in ("step_size", "burn_in", "thin")})
     if args.dist == "uniform":

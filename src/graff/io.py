@@ -19,6 +19,7 @@ header; for labeled data the final column holds the labels.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -127,26 +128,28 @@ def load_cloud_csv(path) -> np.ndarray:
     The first row that is not blank is the header unless every cell of it is a
     number, and the first data row sets the width.  The data rows are read by
     one ``np.loadtxt``; input it refuses, such as blank rows among the data,
-    quoted cells, ``1_0`` or a ragged row, is read again row by row, which
-    accepts what ``float`` accepts and numbers the rows in its messages.
+    quoted cells, ``1_0`` or a ragged row, is read row by row from the rest of
+    the same csv reader, which accepts what ``float`` accepts and numbers the
+    rows in its messages.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         lines = handle.readlines()
     reader = csv.reader(lines)
-    first = next(_rows(path, reader), None)
+    rows = _rows(path, reader)
+    first = next(rows, None)
     if first is None:
         raise ValueError(f"{path}: empty cloud file")
     try:
         [float(cell) for cell in first]
-        data = lines
+        data, rows, start = lines, itertools.chain([first], rows), 1
     except ValueError:  # the header
-        data = lines[reader.line_num:]
+        data, start = lines[reader.line_num:], 2
     if not any(line.strip() for line in data):  # np.loadtxt warns on empty input
         raise ValueError(f"{path}: no data rows")
     try:
         return np.loadtxt(data, delimiter=",", comments=None, quotechar=None, ndmin=2)
     except ValueError:
-        return _read_rows(path, lines)
+        return _read_rows(path, rows, start)
 
 
 def _rows(path, reader):
@@ -157,18 +160,17 @@ def _rows(path, reader):
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_rows(path, lines: list[str]) -> np.ndarray:
-    """``load_cloud_csv`` one row at a time, through ``csv`` and ``float``."""
-    rows = list(_rows(path, csv.reader(lines)))
-    data = []  # a first row that does not convert is the header; the first data row sets the width
-    for index, row in enumerate(rows, start=1):
+def _read_rows(path, rows, start: int) -> np.ndarray:
+    """``load_cloud_csv`` one row at a time, through ``float``: ``rows`` are the data rows that
+    are not blank, numbered from ``start``; the first of them sets the width."""
+    data = []
+    for index, row in enumerate(rows, start=start):
         if data and len(row) != len(data[0]):
             raise ValueError(f"{path}: row {index} has {len(row)} fields, expected {len(data[0])}")
         try:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
-            if index > 1:
-                raise ValueError(f"{path}: row {index}: {exc}") from None
+            raise ValueError(f"{path}: row {index}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(data, dtype=float)

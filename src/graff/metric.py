@@ -9,7 +9,7 @@ angles (the distance from one flat to the nearest flat of the other's
 dimension containing/contained in it), and three of the distances extend to
 genuine metrics across dimensions with an extra |k - l| penalty term.  A flat keeps a record
 of its last partner, M = Y_F^T Y_G, W = Y_G - Y_F M and the angles (two unpadded SVDs): the
-distances, principal decomposition and geodesic of one pair, in one order, share them.
+distances, principal decomposition, geodesic and ``equal_flats`` of one ordered pair share it.
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class PrincipalDecomposition:
     Q_vecs: np.ndarray
 
 
-def _overlap(flat1: AffineFlat, flat2: AffineFlat) -> tuple[np.ndarray, np.ndarray]:
-    """M = Y1^T Y2 and W = Y2 - Y1 M for the Stiefel coordinates of two flats."""
-    if flat1.n != flat2.n:
-        raise DimensionError(
-            f"ambient dimensions differ ({flat1.n} vs {flat2.n}); pad_ambient first"
-        )
-    Y1 = stiefel_coords(flat1).Y
-    Y2 = stiefel_coords(flat2).Y
-    M = Y1.T @ Y2
-    return M, Y2 - Y1 @ M
-
-
 def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
     """Angles (nondecreasing) and cosines, as float lists, from M = Y1^T Y2, W = Y2 - Y1 M.
 
@@ -106,13 +94,18 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
 
 
 def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
-    """[key, M, W, _angles(M, W)] of ``_overlap(flat1, flat2)``, kept on flat1 as ``_pair`` keyed
-    by flat2's Stiefel coordinates (held, so not reused; flat2 can be freed); the angles are None
+    """[key, M, W, _angles(M, W)], kept on flat1 as ``_pair``: key is flat2's Stiefel coordinates
+    (held, so not reused; flat2 can be freed), M = Y1^T Y2, W = Y2 - Y1 M; the angles are None
     until a call wants them; directional: M^T's bits may differ."""
     key = stiefel_coords(flat2)
     pair = getattr(flat1, "_pair", None)
     if pair is None or pair[0] is not key:
-        pair = [key, *_overlap(flat1, flat2), None]
+        if flat1.n != flat2.n:
+            raise DimensionError(f"ambient dimensions differ ({flat1.n} vs {flat2.n});"
+                                 " pad_ambient first")
+        Y1 = stiefel_coords(flat1).Y
+        M = Y1.T @ key.Y
+        pair = [key, M, key.Y - Y1 @ M, None]
         object.__setattr__(flat1, "_pair", pair)
     if angles and pair[3] is None:
         pair[3] = _angles(pair[1], pair[2])
@@ -231,9 +224,10 @@ def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool
     Invariant to basis rotation A -> AQ and to the coset freedom in the raw displacement;
     flats of different dimensions compare unequal.  No projection is formed: |P1 - P2|_F^2
     = |W|_F^2 + |V|_F^2 with M = Y1^T Y2, W = Y2 - Y1 M, V = Y1 - Y2 M^T, in either order.
+    M and W come from flat1's pair record, shared with the distances; a new partner replaces it.
     """
-    M, W = _overlap(flat1, flat2)
-    V = stiefel_coords(flat1).Y - stiefel_coords(flat2).Y @ M.T
+    key, M, W, _ = _pair(flat1, flat2, angles=False)
+    V = stiefel_coords(flat1).Y - key.Y @ M.T
     return math.sqrt(float(np.vdot(W, W)) + float(np.vdot(V, V))) <= tol
 
 

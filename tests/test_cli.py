@@ -384,6 +384,38 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--dist", "langevin", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551616"])
+    @pytest.mark.parametrize("dist", ["uniform", "langevin"])
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys, tmp_path, dist, seed):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"k": 1, "n": 3, "S": np.zeros((4, 4)).tolist()}))
+        code, out, err = run_cli(capsys, "sample", "--dist", dist, "--k", "1", "--n", "3",
+                                 "--params", str(params), "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == f"DimensionError: seed must be an integer >= 0, got {seed}\n"
+
+    @pytest.mark.parametrize("dist, doc, lacks", [
+        ("langevin", {"k": 1, "n": 3}, "S"),
+        ("langevin", {"S": np.zeros((4, 4)).tolist(), "n": 3}, "k"),
+        ("langevin", {"S": np.zeros((4, 4)).tolist(), "k": 1}, "n"),
+        ("langevin-gaussian", {"S": np.zeros((3, 3)).tolist(), "k": 1, "n": 3}, "sigma2"),
+        ("langevin-gaussian", {"sigma2": 0.5}, "S, k, n"),
+        ("langevin", [1, 2], "S, k, n"),
+        ("langevin-gaussian", [], "S, k, n, sigma2"),
+        ("langevin", "S k n", "S, k, n"),
+    ], ids=["no S", "no k", "no n", "no sigma2", "only sigma2", "array", "empty array",
+            "string"])
+    def test_params_document_lacking_a_field_exits_2_naming_it(self, capsys, tmp_path, dist,
+                                                               doc, lacks):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sample", "--dist", dist, "--params", str(params),
+                                 "--seed", "1")
+        fields = "S, k, n" + (", sigma2" if dist == "langevin-gaussian" else "")
+        assert (code, out) == (2, "")
+        assert err == (f"ValueError: params document {params} must be a JSON object with the"
+                       f" fields {fields}; it lacks {lacks}\n")
+
     def test_langevin_with_params(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"k": 1, "n": 3, "S": np.diag([2.0, 0, 0, 0]).tolist()}))

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graff.metric
 from graff import (
     AffineFlat,
     DimensionError,
@@ -358,6 +357,7 @@ PAIR_CALLS = [
     ("affine_principal_angles", affine_principal_angles, lambda f, g: True),
     ("principal_decomposition", principal_decomposition, lambda f, g: True),
     ("geodesic", geodesic, lambda f, g: f.k == g.k),
+    ("equal_flats", lambda f, g: float(equal_flats(f, g)), lambda f, g: True),
     *((f"distance {kind.value}", lambda f, g, kind=kind: distance(f, g, kind),
        lambda f, g: f.k == g.k) for kind in ALL_KINDS),
     *((f"delta_distance {kind.value}", lambda f, g, kind=kind: delta_distance(f, g, kind),
@@ -424,14 +424,17 @@ class TestPairCache:
         for twin in (pickle.loads(pickle.dumps(curve)), copy.copy(curve)):
             assert _bits(evaluate_geodesic(twin, 0.5).A) == _bits(point.A)
 
-    def test_one_overlap_per_ordered_pair(self, rng, monkeypatch):
-        overlap, calls = graff.metric._overlap, []
-        monkeypatch.setattr(graff.metric, "_overlap", lambda f, g: calls.append(1) or overlap(f, g))
+    @pytest.mark.parametrize("calls", [
+        (affine_principal_angles, principal_decomposition, geodesic, equal_flats),
+        (equal_flats, geodesic, distance, principal_decomposition),
+    ], ids=["angles first", "equal_flats first"])
+    def test_one_overlap_per_ordered_pair(self, rng, calls):
         a, b = random_flat(rng, 6, 2), random_flat(rng, 6, 2)
-        affine_principal_angles(a, b)
-        principal_decomposition(a, b)
-        geodesic(a, b)
-        assert len(calls) == 1
+        calls[0](a, b)
+        pair, M, W = a._pair, a._pair[1], a._pair[2]
+        for call in calls[1:]:  # the record and its M and W stay the objects the first call made
+            call(a, b)
+            assert a._pair is pair and pair[1] is M and pair[2] is W, call.__name__
 
     def test_a_partner_can_be_collected(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 1)
@@ -449,8 +452,10 @@ class TestPairCache:
         lambda a, rng: affine_principal_angles(a, random_flat(rng, 6, 2)),
         lambda a, rng: geodesic(a, random_flat(rng, 5, 1)),
         lambda a, rng: geodesic(a, random_flat(rng, 6, 2)),
+        lambda a, rng: equal_flats(a, random_flat(rng, 4, 2)),
     ], ids=["k mismatch", "unknown kind", "no cross-dimension metric", "n mismatch",
-            "n mismatch for the angles", "k mismatch for a geodesic", "n mismatch for a geodesic"])
+            "n mismatch for the angles", "k mismatch for a geodesic", "n mismatch for a geodesic",
+            "n mismatch for equal_flats"])
     def test_a_call_that_raises_stores_nothing(self, rng, call):
         a = random_flat(rng, 5, 2)
         with pytest.raises((DimensionError, UnsupportedKind)):

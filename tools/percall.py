@@ -10,7 +10,9 @@ its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  A flat keeps the
 overlap and principal angles of its last partner, so the metric rows alternate
 between two partners and every call computes its angles; ``distance (same
-pair again)`` repeats one pair and times the stored angles.  Three rows run at
+pair again)`` repeats one pair and times the stored angles, and ``equal_flats``
+repeats it and reads the stored overlap, which ``equal_flats (next partner)``
+forms anew on every call.  Three rows run at
 (k, n) = (32, 128), perfbench metric_sweep's widest class: ``distance``
 alternating between two partners (every call computes the principal-angle
 kernel), then ``principal_decomposition`` and ``geodesic`` of one pair, which
@@ -115,6 +117,7 @@ def operations(graff, workdir: Path):
         ("distance", lambda: graff.distance(flat, next(others)), 1),
         ("distance (same pair again)", lambda: graff.distance(flat, other), 1),
         ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
+        ("equal_flats (next partner)", lambda: graff.equal_flats(flat, next(others)), 1),
         ("distance (kind as a string)", lambda: graff.distance(flat, next(others), "grassmann"), 1),
         ("affine_principal_angles (2-flat, 1-flat)",
          lambda: graff.affine_principal_angles(flat, next(lines)), 1),
