@@ -11,11 +11,12 @@ per line) and CSV point clouds:
     graff fit --method {flat|regression|svm} [--k K] CLOUD.csv
         (errors-in-variables regression is the total-least-squares line: flat --k 1)
 
-Exit codes: 0 on success; 2 on a usage error and on GraffError, ValueError, TypeError,
-KeyError, IndexError, OSError, ArithmeticError, MemoryError (a size too large to allocate)
-and RecursionError (too deeply nested JSON); 3 on the domain errors NotSeparable,
-SingularPair and NotAFlat.  Stdout holds finite numbers only, but for the bare ``inf``
-of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
+Exit codes, which ``main`` alone sets: 0 on success; 2 on a usage error and on GraffError,
+ValueError, TypeError, KeyError, IndexError, OSError, ArithmeticError, MemoryError (a size
+too large to allocate) and RecursionError (too deeply nested JSON); 3 on the domain errors
+NotSeparable, SingularPair and NotAFlat.  Flats are written as they are made, and those
+made before an error are written.  Stdout holds finite numbers only, but for the bare
+``inf`` of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
 Input checks use one fixed relative rank tolerance, 1e-10; a document that needs a
 looser orthogonality check drops ``"orthogonal": true`` to go through ``make_flat``.
 """
@@ -63,9 +64,17 @@ def __getattr__(name):
 
 
 def _write_flats(flats) -> None:
-    """The flats' documents on stdout, one write per 4096 flats to bound the text held."""
-    for start in range(0, len(flats), 4096):
-        sys.stdout.write(dumps_flats(flats[start:start + 4096]))
+    """The documents of an iterable of flats on stdout, one write per 4096 flats, holding at
+    most 4096; the flats made before one that raises are written, then the error goes on."""
+    chunk = []
+    try:
+        for flat in flats:
+            chunk.append(flat)
+            if len(chunk) == 4096:
+                chunk, full = [], chunk
+                sys.stdout.write(dumps_flats(full))
+    finally:
+        sys.stdout.write(dumps_flats(chunk))
 
 
 def _load_flat(path: str):
@@ -73,7 +82,7 @@ def _load_flat(path: str):
         return flat_from_document(json.load(handle))
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> None:
     flat = _load_flat(args.flat)
     if args.to == "stiefel":
         M = stiefel_coords(flat).Y
@@ -83,10 +92,9 @@ def _cmd_convert(args) -> int:
         pair = projection_affine_coords(flat)
         M = np.column_stack([pair.P, pair.b])
     print(dumps_document(matrix_document(M)))
-    return 0
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> None:
     flat1 = _load_flat(args.flat1)
     flat2 = _load_flat(args.flat2)
     if args.verbose:
@@ -98,18 +106,11 @@ def _cmd_distance(args) -> int:
     else:
         value = delta_distance(flat1, flat2, args.kind)
     print(fmt_float(value))
-    return 0
 
 
-def _cmd_geodesic(args) -> int:
+def _cmd_geodesic(args) -> None:
     curve = geodesic(_load_flat(args.flat1), _load_flat(args.flat2))
-    flats = []
-    try:
-        for t in args.t:
-            flats.append(evaluate_geodesic(curve, t))
-    finally:  # the points before a t that fails are printed
-        _write_flats(flats)
-    return 0
+    _write_flats(evaluate_geodesic(curve, t) for t in args.t)
 
 
 def _parse_n(token: str):
@@ -138,12 +139,11 @@ _INVARIANTS = {
 }
 
 
-def _cmd_invariant(args) -> int:
+def _cmd_invariant(args) -> None:
     names, call = _INVARIANTS[args.what]
     if "..." not in names and len(args.args) != len(names.split()):
         raise ValueError(f"--what {args.what} takes the arguments {names}; got {len(args.args)}")
     print(call(*args.args))
-    return 0
 
 
 def _load_params(args):
@@ -160,7 +160,7 @@ def _load_params(args):
     return params(**{name: doc[name] for name in fields})
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     count = invariants._check_int(args.count, "count", 1)
     rng = random_stream(invariants._check_int(args.seed, "seed", 0))
     config = MHConfig(**{key: value for key, value in vars(args).items()  # flags given
@@ -176,10 +176,9 @@ def _cmd_sample(args) -> int:
     else:
         flats = langevin_gaussian_run(_load_params(args), count, config, rng)
     _write_flats(flats)
-    return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     data = load_cloud_csv(args.cloud)
     coefficients = None
     if args.method == "flat":
@@ -197,7 +196,6 @@ def _cmd_fit(args) -> int:
     _write_flats([flat])
     if coefficients is not None:
         print(dumps_document(coefficients))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,7 +258,7 @@ def main(argv=None) -> int:
         _load_numerics()
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        return args.func(args)
+        args.func(args)
     except (NotSeparable, SingularPair, NotAFlat) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -270,6 +268,7 @@ def main(argv=None) -> int:
         return 2
     finally:
         warnings.formatwarning = format_warning
+    return 0
 
 
 def _format_warning(message, category, *_) -> str:

@@ -98,8 +98,8 @@ def flat_from_document(doc) -> AffineFlat:
     if not isinstance(doc, dict):
         raise ValueError("flat document must be a JSON object")
     try:
-        n = _check_int(doc["n"], "n")
-        k = _check_int(doc["k"], "k")
+        n = _check_int(doc["n"], "n", 1)
+        k = _check_int(doc["k"], "k", 0)
         rows = doc["A"]
         b = np.asarray(doc["b"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -140,32 +140,31 @@ def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
 
 
-def _uniform_flats(k: int, n: int, count: int, rng: Generator) -> list[AffineFlat]:
+def _uniform_flats(k: int, n: int, count: int, rng: Generator) -> Iterator[AffineFlat]:
     """``count`` calls of :func:`sample_uniform`, one Gaussian draw and one QR per block.
 
     A block holds at most 2**17 Gaussian entries (1 MiB), as in
-    :func:`grassmann_normalizer`.  Its (m, n+1, k+1) draw reads the stream as m
-    scalar draws do, and the stacked QR and reflection give their flats bit for
-    bit.  A frame that spans no flat (probability zero) is redrawn by
-    ``sample_uniform`` after its block; only this event moves the stream
+    :func:`grassmann_normalizer`, and is drawn once every flat before it has been
+    taken, so one block is held at a time.  Its (m, n+1, k+1) draw reads the
+    stream as m scalar draws do, and the stacked QR and reflection give their
+    flats bit for bit.  A frame that spans no flat (probability zero) is redrawn
+    by ``sample_uniform`` after its block; only this event moves the stream
     position against the scalar draws.
     """
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k + 1)
     block = max(1, 2**17 // ((n + 1) * (k + 1)))
-    flats = []
     for start in range(0, count, block):
         Q, diag = _lapack.qr(rng.standard_normal((min(block, count - start), n + 1, k + 1)))
         frames = np.multiply(Q, np.sign(diag)[:, None, :], out=Q)
         try:
-            flats += _flats_from_frames(frames)
+            yield from _flats_from_frames(frames)
         except NotAFlat:
             for frame in frames:
                 try:
-                    flats.append(_flat_from_frame(frame))
+                    yield _flat_from_frame(frame)
                 except NotAFlat:
-                    flats.append(sample_uniform(k, n, rng))
-    return flats
+                    yield sample_uniform(k, n, rng)
 
 
 def _trace_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -33,6 +33,21 @@ def orthonormal_drift(flat: AffineFlat) -> float:
     return max(gram, np.abs(A.T @ b0).max(initial=0.0) / max(1.0, float(np.linalg.norm(b0))))
 
 
+class CountingStream:
+    """A seeded stream that counts its ``standard_normal`` calls; the first ``planted`` of
+    them get a zero last row, so that a scalar draw's frame lies in the hyperplane."""
+
+    def __init__(self, seed: int, planted: float = 0):
+        self.rng, self.planted, self.calls = np.random.default_rng(seed), planted, 0
+
+    def standard_normal(self, shape):
+        G = self.rng.standard_normal(shape)
+        self.calls += 1
+        if self.calls <= self.planted:
+            G[-1] = 0.0
+        return G
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)

@@ -18,7 +18,7 @@ from graff import cli
 from graff.cli import main
 from graff.io import flat_from_document, fmt_float
 
-from conftest import horizontal_line, x_axis
+from conftest import CountingStream, horizontal_line, x_axis
 
 X_AXIS_DOC = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 0.0]}
 LINE_Y1_DOC = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}
@@ -37,6 +37,16 @@ def write_doc(tmp_path):
         return str(path)
 
     return _write
+
+
+class _WriteLog:
+    """A stdout that keeps each write as ``(when(), text)``, ``when`` read at the write."""
+
+    def __init__(self, when=lambda: None):
+        self.when, self.writes = when, []
+
+    def write(self, text):
+        self.writes.append((self.when(), text))
 
 
 def run_cli(capsys, *args) -> tuple[int, str, str]:
@@ -87,7 +97,7 @@ class TestConvert:
             flat_from_document(doc)
         code, out, err = run_cli(capsys, "convert", write_doc(doc), "--to", "stiefel")
         assert (code, out) == (2, "")
-        assert err == "DimensionError: n must be an integer, got 2.9\n"
+        assert err == "DimensionError: n must be an integer >= 1, got 2.9\n"
 
     def test_infinite_dimension_exits_2(self, capsys, write_doc):
         doc = {"n": math.inf, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}
@@ -97,7 +107,7 @@ class TestConvert:
             flat_from_document(doc)
         code, out, err = run_cli(capsys, "convert", path, "--to", "stiefel")
         assert (code, out) == (2, "")
-        assert err == "DimensionError: n must be an integer, got inf\n"
+        assert err == "DimensionError: n must be an integer >= 1, got inf\n"
 
     def test_huge_displacement_projection_affine_is_quiet(self, capsys, write_doc):
         doc = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1e200], "orthogonal": True}
@@ -132,6 +142,10 @@ class TestConvert:
          "ValueError: flat document is missing or malforms field: 'b'"),
         ('{"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0, 0, 0]}',
          "DimensionError: b must have length 2, got (3,)"),
+        ('{"n": 3, "k": -1, "A": [], "b": [0, 1, 0]}',
+         "DimensionError: k must be an integer >= 0, got -1"),
+        ('{"n": -2, "k": 0, "A": [], "b": []}',
+         "DimensionError: n must be an integer >= 1, got -2"),
     ])
     def test_malformed_document_exits_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "flat.json"
@@ -212,11 +226,15 @@ class TestGeodesic:
         flat = flat_from_document(out)
         assert flat.b0[1] == pytest.approx(math.tan(math.pi / 8), abs=1e-10)
 
-    def test_infinite_parameter_exits_2_with_one_line(self, capsys, write_doc):
+    @pytest.mark.parametrize("t", [["inf"], ["0", "inf"]])
+    def test_infinite_parameter_exits_2_with_one_line(self, capsys, write_doc, t):
+        """The points before the failing t are printed."""
         code, out, err = run_cli(
-            capsys, "geodesic", write_doc(X_AXIS_DOC), write_doc(LINE_Y1_DOC), "--t", "inf"
+            capsys, "geodesic", write_doc(X_AXIS_DOC), write_doc(LINE_Y1_DOC), "--t", *t
         )
-        assert (code, out) == (2, "")
+        assert (code, len(out.splitlines())) == (2, len(t) - 1)
+        assert all(graff.equal_flats(flat_from_document(line), x_axis(), 1e-8)
+                   for line in out.splitlines())
         assert err == "ValueError: geodesic parameter t=inf gives a non-finite angle\n"
 
     def test_singular_pair_exits_3(self, capsys, write_doc):
@@ -375,6 +393,18 @@ class TestSample:
         rng = random_stream(3)
         assert (code, out) == (0, "".join(dumps_document(flat_to_document(
             sample_uniform(0, 31, rng))) + "\n" for _ in range(5000)))
+
+    def test_uniform_writes_before_the_last_blocks_are_drawn(self, monkeypatch):
+        # At (8, 32) a block is 441 frames: the first 4096 flats are written once the
+        # tenth block is drawn, and the eleventh and twelfth are drawn after that write.
+        stream = CountingStream(4)
+        out = _WriteLog(lambda: stream.calls)
+        monkeypatch.setattr(cli, "random_stream", lambda seed: stream)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sample", "--dist", "uniform", "--k", "8", "--n", "32", "--seed", "4",
+                     "--count", "5000"]) == 0
+        assert [(calls, text.count("\n")) for calls, text in out.writes] == [(10, 4096),
+                                                                              (12, 904)]
 
     def test_uniform_requires_dimensions(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--dist", "uniform", "--seed", "1")
@@ -563,6 +593,7 @@ class TestFit:
         ("", "empty cloud file"),
         ("\n ,  \n", "empty cloud file"),
         ("x,y\n", "no data rows"),
+        ("x,y\n,\n , \n", "no data rows"),  # refused by np.loadtxt, then no row is data
         ("x,y\n1,2\n3,abc\n", "row 3: could not convert string to float: 'abc'"),
     ])
     def test_unreadable_cloud_exits_2(self, capsys, tmp_path, text, message):
@@ -687,6 +718,23 @@ def test_fmt_float_keeps_the_bare_inf():
         "inf", "-inf", "inf")
 
 
+def test_flats_before_one_that_raises_are_written_once(monkeypatch):
+    """4,097 flats and then an error: one write of 4,096, one of the last flat, the error."""
+    def flats():
+        yield from (horizontal_line(float(i)) for i in range(4097))
+        raise ValueError("planted")
+
+    cli._load_numerics()
+    out = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(ValueError, match="planted"):
+        cli._write_flats(flats())
+    texts = [text for _, text in out.writes]
+    assert [text.count("\n") for text in texts] == [4096, 1]
+    assert [flat_from_document(line).b0[1] for line in "".join(texts).splitlines()] == list(
+        range(4097))
+
+
 def test_a_non_finite_document_exits_2_with_nothing_printed(capsys, write_doc, monkeypatch):
     monkeypatch.setattr(cli, "matrix_document", lambda M: {"data": [[math.nan]]})
     code, out, err = run_cli(capsys, "convert", write_doc(X_AXIS_DOC), "--to", "stiefel")
@@ -809,9 +857,15 @@ def test_unknown_package_attribute_raises_attribute_error(name):
     assert not hasattr(cli, name)
 
 
-def test_a_name_set_on_cli_before_main_is_the_one_main_calls(write_doc):
-    """The numerics bind on ``main``'s first call and keep a name a caller set before."""
-    code = ("import sys, graff.cli as cli; cli.distance = lambda *args: 0.25; "
+@pytest.mark.parametrize("read", ["", "assert 'distance' not in vars(cli); "
+                                  "assert cli.distance is graff.metric.distance; "],
+                         ids=["set unread", "set after a read"])
+def test_a_name_set_on_cli_before_main_is_the_one_main_calls(write_doc, read):
+    """The numerics bind on ``main``'s first call, or on the first read of a name, which
+    ``cli.__getattr__`` answers (perfbench reads each name it wraps), and keep a name a
+    caller set before ``main``."""
+    code = ("import sys, graff.metric, graff.cli as cli; " + read +
+            "cli.distance = lambda *args: 0.25; "
             f"sys.exit(cli.main(['distance', {write_doc(X_AXIS_DOC)!r}, "
             f"{write_doc(LINE_Y1_DOC)!r}]))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from scipy import special, stats
 from graff import (
     DimensionError,
     GraffError,
+    InternalError,
     LangevinGaussianParams,
     LangevinParams,
     MHConfig,
@@ -35,7 +37,7 @@ from graff import _lapack, probability
 from graff.coords import _FLAT_TOL, _flat_from_frame, _flats_from_frames
 from graff.probability import _chain_length, _trace_form, _uniform_flats
 
-from conftest import random_flat, x_axis
+from conftest import CountingStream, random_flat, x_axis
 
 
 def _weighted_mean_and_se(values, weights):
@@ -132,6 +134,20 @@ class TestSampleUniform:
         with pytest.raises(DimensionError):
             sample_uniform(3, 3, rng)
 
+    @pytest.mark.parametrize("k, n", [(0, 2), (1, 3), (2, 5)])
+    def test_a_frame_in_the_hyperplane_is_redrawn(self, k, n):
+        stream, reference = CountingStream(11, planted=1), random_stream(11)
+        flat = sample_uniform(k, n, stream)
+        reference.standard_normal((n + 1, k + 1))  # the refused draw
+        _same_flats([flat], [sample_uniform(k, n, reference)])
+        assert stream.calls == 2
+
+    def test_a_hundred_refused_draws_raise_internal_error(self):
+        stream = CountingStream(11, planted=math.inf)
+        with pytest.raises(InternalError, match="100 consecutive uniform draws"):
+            sample_uniform(1, 3, stream)
+        assert stream.calls == 100
+
 
 class _PlantedStream:
     """A stream whose first Gaussian stack has a zero last row in frame ``frame``."""
@@ -160,7 +176,7 @@ class TestStackedUniform:
     @pytest.mark.parametrize("k, n", [(0, 1), (0, 3), (1, 2), (2, 5), (4, 5), (4, 12), (8, 32)])
     def test_equals_one_scalar_draw_at_a_time(self, k, n, seed):
         rng, reference = random_stream(seed), random_stream(seed)
-        flats = _uniform_flats(k, n, 60, rng)
+        flats = list(_uniform_flats(k, n, 60, rng))
         _same_flats(flats, [sample_uniform(k, n, reference) for _ in range(60)])
         assert rng.standard_normal() == reference.standard_normal()
 
@@ -168,10 +184,23 @@ class TestStackedUniform:
         shapes, qr = [], _lapack.qr
         monkeypatch.setattr(_lapack, "qr", lambda M: shapes.append(M.shape) or qr(M))
         rng, reference = random_stream(9), random_stream(9)
-        flats = _uniform_flats(8, 32, 1000, rng)
+        flats = list(_uniform_flats(8, 32, 1000, rng))
         assert shapes == [(441, 33, 9), (441, 33, 9), (118, 33, 9)]
         _same_flats(flats, [sample_uniform(8, 32, reference) for _ in range(1000)])
         assert rng.standard_normal() == reference.standard_normal()
+
+    def test_a_block_is_drawn_when_its_first_flat_is_taken(self):
+        # A block at (8, 32) is 441 frames: 1000 flats are three draws, made one at a time.
+        stream, reference = CountingStream(9), random_stream(9)
+        flats = _uniform_flats(8, 32, 1000, stream)
+        taken = []
+        for calls in (1, 2, 3):
+            taken.append(next(flats))
+            assert stream.calls == calls
+            taken += itertools.islice(flats, 440)
+            assert stream.calls == calls
+        taken += flats
+        _same_flats(taken, [sample_uniform(8, 32, reference) for _ in range(1000)])
 
     @pytest.mark.parametrize("k, n", [(0, 3), (1, 2), (2, 5), (4, 5), (8, 32)])
     def test_reflection_equals_the_scalar_one_frame_by_frame(self, k, n):
@@ -193,7 +222,7 @@ class TestStackedUniform:
     def test_a_refused_frame_is_redrawn_after_the_stack(self, k, n, frame):
         # Probability zero: the other flats keep their draws, and the refused
         # one is the scalar draw that follows its block.
-        flats = _uniform_flats(k, n, 5, _PlantedStream(7, frame))
+        flats = list(_uniform_flats(k, n, 5, _PlantedStream(7, frame)))
         reference = random_stream(7)
         expected = [sample_uniform(k, n, reference) for _ in range(5)]
         expected[frame] = sample_uniform(k, n, reference)
@@ -204,7 +233,7 @@ class TestStackedUniform:
             with pytest.raises(DimensionError) as scalar:
                 sample_uniform(k, n, random_stream(0))
             with pytest.raises(DimensionError) as stacked:
-                _uniform_flats(k, n, 4, random_stream(0))
+                list(_uniform_flats(k, n, 4, random_stream(0)))
             assert str(stacked.value) == str(scalar.value)
 
 
