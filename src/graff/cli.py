@@ -11,6 +11,9 @@ per line) and CSV point clouds:
     graff fit --method {flat|regression|svm} [--k K] CLOUD.csv
         (errors-in-variables regression is the total-least-squares line: flat --k 1)
 
+Each subcommand imports only the modules it runs, its parser's ``modules`` default:
+``invariant`` runs without numpy, and ``convert`` without metric, probability or fitting.
+
 Exit codes, which ``main`` alone sets: 0 on success; 2 on a usage error and on GraffError,
 ValueError, TypeError, KeyError, IndexError, OSError, ArithmeticError, MemoryError (a size
 too large to allocate) and RecursionError (too deeply nested JSON); 3 on the domain errors
@@ -29,35 +32,42 @@ import math
 import sys
 import warnings
 
-from . import invariants
 from ._plain import DistanceKind, fmt_float
-from .errors import GraffError, NotAFlat, NotSeparable, SingularPair
+from .errors import GraffError, NotAFlat, NotSeparable, SingularPair, _check_int
 
 __all__ = ["main", "entry_point"]
 
+# The names this module takes from each module of the package, bound by ``_import``.
+_IMPORTS = {
+    "coords": ("projection_affine_coords", "projection_coords", "stiefel_coords"),
+    "io": ("dumps_document", "dumps_flats", "flat_from_document", "load_cloud_csv",
+           "matrix_document"),
+    "metric": ("affine_principal_angles", "delta_distance", "distance", "evaluate_geodesic",
+               "geodesic", "infinite_metric"),
+    "probability": ("LangevinGaussianParams", "LangevinParams", "MHConfig", "_chain_length",
+                    "_uniform_flats", "langevin_gaussian_run", "langevin_mh_run",
+                    "random_stream", "sample_uniform"),  # perfbench traces sample_uniform here
+    "fitting": ("LabeledCloud", "PointCloud", "fit_flat", "linear_regression", "svm_hyperplane"),
+    "invariants": ("betti", "dim_graff", "dim_schubert_affine", "homotopy_group",
+                   "relative_volume", "volume_gr", "volume_graff"),
+}
 
-def _load_numerics() -> None:
-    """Bind the numpy-backed names below into this module (``main`` does for every command
-    but ``invariant``), keeping a name bound already, such as a caller's wrapper."""
-    import numpy as np
 
-    from .coords import projection_affine_coords, projection_coords, stiefel_coords
-    from .fitting import LabeledCloud, PointCloud, fit_flat, linear_regression, svm_hyperplane
-    from .io import dumps_document, dumps_flats, flat_from_document, load_cloud_csv, matrix_document
-    from .metric import (affine_principal_angles, delta_distance, distance, evaluate_geodesic,
-                         geodesic, infinite_metric)
-    from .probability import (LangevinGaussianParams, LangevinParams, MHConfig, _chain_length,
-                              _uniform_flats, langevin_gaussian_run, langevin_mh_run,
-                              random_stream,
-                              sample_uniform)  # noqa: F401 (perfbench traces it in cli)
-
-    for name, value in list(locals().items()):
-        globals().setdefault(name, value)
+def _import(modules=_IMPORTS) -> None:
+    """Bind the names taken from ``modules`` into this module: ``main`` passes its subcommand's,
+    a first read of a name not bound yet (``__getattr__``) all.  A name bound already, such as
+    a caller's wrapper, is kept.  ``__import__`` is what an import statement calls, so
+    ``-X importtime`` logs each module."""
+    for module in modules:
+        names = _IMPORTS[module]
+        source = __import__(module, globals(), None, names, 1)
+        for name in names:
+            globals().setdefault(name, getattr(source, name))
 
 
 def __getattr__(name):
     if not name.startswith("__"):  # a dunder probe such as ``__path__`` loads nothing
-        _load_numerics()
+        _import()
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -89,6 +99,8 @@ def _cmd_convert(args) -> None:
     elif args.to == "projection":
         M = projection_coords(flat).P
     else:
+        import numpy as np
+
         pair = projection_affine_coords(flat)
         M = np.column_stack([pair.P, pair.b])
     print(dumps_document(matrix_document(M)))
@@ -123,19 +135,18 @@ def _volume(space: str, k: str, n: str) -> str:
     k, n = int(k), int(n)
     if space not in ("gr", "graff"):
         raise ValueError(f"volume expects 'gr' or 'graff', got {space!r}")
-    return fmt_float((invariants.volume_gr if space == "gr" else invariants.volume_graff)(k, n))
+    return fmt_float((volume_gr if space == "gr" else volume_graff)(k, n))
 
 
 # --what: its argument names (``...`` repeats the last) and the call giving the printed value.
 _INVARIANTS = {
-    "dim": ("K N", lambda k, n: invariants.dim_graff(int(k), int(n))),
-    "schubert-dim": ("K [K ...]", lambda *d: invariants.dim_schubert_affine([int(v) for v in d])),
+    "dim": ("K N", lambda k, n: dim_graff(int(k), int(n))),
+    "schubert-dim": ("K [K ...]", lambda *d: dim_schubert_affine([int(v) for v in d])),
     "volume": ("gr|graff K N", _volume),
-    "relative-volume": ("K L N", lambda k, l, n: fmt_float(
-        invariants.relative_volume(int(k), int(l), int(n)))),
-    "betti": ("K I", lambda k, i: invariants.betti(int(k), int(i))),
-    "homotopy": ("K N|inf R", lambda k, n, r: invariants.homotopy_group(
-        int(k), _parse_n(n), int(r)).value),
+    "relative-volume": ("K L N",
+                        lambda k, l, n: fmt_float(relative_volume(int(k), int(l), int(n)))),
+    "betti": ("K I", lambda k, i: betti(int(k), int(i))),
+    "homotopy": ("K N|inf R", lambda k, n, r: homotopy_group(int(k), _parse_n(n), int(r)).value),
 }
 
 
@@ -161,8 +172,8 @@ def _load_params(args):
 
 
 def _cmd_sample(args) -> None:
-    count = invariants._check_int(args.count, "count", 1)
-    rng = random_stream(invariants._check_int(args.seed, "seed", 0))
+    count = _check_int(args.count, "count", 1)
+    rng = random_stream(_check_int(args.seed, "seed", 0))
     config = MHConfig(**{key: value for key, value in vars(args).items()  # flags given
                          if key in ("step_size", "burn_in", "thin")})
     if args.dist == "uniform":
@@ -207,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a flat document to other coordinates")
     p.add_argument("flat", help="flat document (JSON file)")
     p.add_argument("--to", required=True, choices=["stiefel", "projection", "projection-affine"])
-    p.set_defaults(func=_cmd_convert)
+    p.set_defaults(func=_cmd_convert, modules=("coords", "io"))
 
     p = sub.add_parser("distance", help="distance between two flats")
     p.add_argument("flat1")
@@ -215,19 +226,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="grassmann", choices=[kind.value for kind in DistanceKind])
     p.add_argument("--infinite", action="store_true", help="use the cross-dimension metric")
     p.add_argument("--verbose", action="store_true", help="also print the principal angles")
-    p.set_defaults(func=_cmd_distance)
+    p.set_defaults(func=_cmd_distance, modules=("io", "metric"))
 
     p = sub.add_parser("geodesic", help="evaluate the minimizing geodesic between two flats")
     p.add_argument("flat1")
     p.add_argument("flat2")
     p.add_argument("--t", type=float, nargs="+", required=True, help="parameter values")
-    p.set_defaults(func=_cmd_geodesic)
+    p.set_defaults(func=_cmd_geodesic, modules=("io", "metric"))
 
     p = sub.add_parser("invariant", help="closed-form invariants")
     p.add_argument("--what", required=True, choices=list(_INVARIANTS),
                    help="; ".join(f"{what} {names}" for what, (names, _) in _INVARIANTS.items()))
     p.add_argument("args", nargs="+", help="arguments of the chosen invariant")
-    p.set_defaults(func=_cmd_invariant)
+    p.set_defaults(func=_cmd_invariant, modules=("invariants",))
 
     p = sub.add_parser("sample", help="draw flats from a distribution")
     p.add_argument("--dist", required=True, choices=["uniform", "langevin", "langevin-gaussian"])
@@ -239,13 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", type=float, default=argparse.SUPPRESS, dest="step_size")
     p.add_argument("--burn-in", type=int, default=argparse.SUPPRESS, dest="burn_in")
     p.add_argument("--thin", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, modules=("io", "probability"))
 
     p = sub.add_parser("fit", help="fit a flat to a point cloud")
     p.add_argument("--method", required=True, choices=["flat", "regression", "svm"])
     p.add_argument("--k", type=int, help="flat dimension (method=flat)")
     p.add_argument("cloud", help="CSV cloud document")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, modules=("io", "fitting"))
     return parser
 
 
@@ -254,8 +265,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command != "invariant":
-        _load_numerics()
+    _import(args.modules)
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args.func(args)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .errors import DimensionError, NotAFlat, RankDeficient
-from .invariants import _check_int
+from .errors import DimensionError, NotAFlat, RankDeficient, _check_int
 
 __all__ = [
     "AffineFlat",

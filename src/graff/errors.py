@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the checks raising DimensionError."""
 
 __all__ = ["GraffError", "DimensionError", "RankDeficient", "NotAFlat", "SingularPair",
            "UnsupportedKind", "InvalidFlag", "NotSeparable", "InternalError", "DegenerateSpectrum"]
@@ -43,3 +43,24 @@ class InternalError(GraffError):
 
 class DegenerateSpectrum(UserWarning):
     """A spectral tie made a fitted subspace non-unique; ties are broken by index order."""
+
+
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; ``DimensionError`` unless it is an integer (no bool), >= ``least``."""
+    try:
+        if (least is None or value >= least) and value == int(value) and type(value) is not bool:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_positive(value, name: str) -> float:
+    """``value`` as a float; ``DimensionError`` unless a real number (no bool) in (0, 1e300]."""
+    try:
+        if not isinstance(value, bool) and value == float(value) and 0.0 < float(value) <= 1e300:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):  # a non-number or an int past floats
+        pass
+    raise DimensionError(f"{name} must be a number in (0, 1e+300], got {value!r}")

@@ -19,8 +19,7 @@ import numpy as np
 from . import _lapack
 from .coords import (AffineFlat, _as_matrix, _as_vector, _freeze, _orthogonal_part, _trusted,
                      _unit_scale, _unscale, make_flat)
-from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient
-from .invariants import _check_int
+from .errors import DegenerateSpectrum, DimensionError, NotSeparable, RankDeficient, _check_int
 
 __all__ = [
     "PointCloud",

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from typing import Sequence
 
-from .errors import DimensionError, InvalidFlag
+from .errors import DimensionError, InvalidFlag, _check_int
 
 __all__ = [
     "GroupDescriptor",
@@ -37,27 +37,6 @@ class GroupDescriptor(Enum):
     Z2 = "Z2"
     TRIVIAL = "trivial"
     UNKNOWN = "unknown"
-
-
-def _check_int(value, name: str, least: int | None = None) -> int:
-    """``value`` as an int; ``DimensionError`` unless it is an integer, at least ``least``."""
-    try:
-        if value == int(value) and (least is None or value >= least):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # a non-number, nan or infinity
-        pass
-    bound = "" if least is None else f" >= {least}"
-    raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_positive(value, name: str) -> float:
-    """``value`` as a float; ``DimensionError`` unless it is a real number in (0, 1e300]."""
-    try:
-        if value == float(value) and 0.0 < float(value) <= 1e300:
-            return float(value)
-    except (TypeError, ValueError, OverflowError):  # a non-number or an int past floats
-        pass
-    raise DimensionError(f"{name} must be a number in (0, 1e+300], got {value!r}")
 
 
 def dim_graff(k: int, n: int) -> int:

@@ -27,8 +27,7 @@ import numpy as np
 
 from ._plain import fmt_float
 from .coords import AffineFlat, make_flat
-from .errors import DimensionError
-from .invariants import _check_int
+from .errors import DimensionError, _check_int
 
 __all__ = [
     "fmt_float",

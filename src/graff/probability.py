@@ -25,8 +25,7 @@ from . import _lapack
 from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _flats_from_frames,
                      _freeze, _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
-from .errors import DimensionError, InternalError, NotAFlat
-from .invariants import _check_int, _check_positive
+from .errors import DimensionError, InternalError, NotAFlat, _check_int, _check_positive
 
 if TYPE_CHECKING:  # numpy.random loads on the first random_stream
     from numpy.random import Generator

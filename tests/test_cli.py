@@ -146,6 +146,10 @@ class TestConvert:
          "DimensionError: k must be an integer >= 0, got -1"),
         ('{"n": -2, "k": 0, "A": [], "b": []}',
          "DimensionError: n must be an integer >= 1, got -2"),
+        ('{"n": true, "k": false, "A": [], "b": [0]}',
+         "DimensionError: n must be an integer >= 1, got True"),
+        ('{"n": 2, "k": true, "A": [[1.0, 0.0]], "b": [0, 1]}',
+         "DimensionError: k must be an integer >= 0, got True"),
     ])
     def test_malformed_document_exits_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "flat.json"
@@ -446,6 +450,20 @@ class TestSample:
         assert err == (f"ValueError: params document {params} must be a JSON object with the"
                        f" fields {fields}; it lacks {lacks}\n")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", True, "k must be an integer >= 0, got True"),
+        ("n", False, "n must be an integer >= 2, got False"),
+        ("sigma2", True, "sigma2 must be a number in (0, 1e+300], got True"),
+    ])
+    def test_params_document_refuses_a_boolean_naming_the_field(self, capsys, tmp_path, field,
+                                                                value, message):
+        """JSON ``true`` and ``false`` are no numbers, though Python's ``True == 1``."""
+        doc = {"S": np.zeros((3, 3)).tolist(), "sigma2": 0.5, "k": 1, "n": 3, field: value}
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        assert run_cli(capsys, "sample", "--dist", "langevin-gaussian", "--params", str(params),
+                       "--seed", "1") == (2, "", f"DimensionError: {message}\n")
+
     def test_langevin_with_params(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"k": 1, "n": 3, "S": np.diag([2.0, 0, 0, 0]).tolist()}))
@@ -724,7 +742,7 @@ def test_flats_before_one_that_raises_are_written_once(monkeypatch):
         yield from (horizontal_line(float(i)) for i in range(4097))
         raise ValueError("planted")
 
-    cli._load_numerics()
+    cli._import(["io"])
     out = _WriteLog()
     monkeypatch.setattr(sys, "stdout", out)
     with pytest.raises(ValueError, match="planted"):
@@ -839,6 +857,36 @@ def test_distance_leaves_numpy_random_unloaded(write_doc):
     expected = fmt_float(graff.distance(x_axis(), horizontal_line(1.0)))
     assert (result.returncode, result.stdout) == (0, expected + "\n")
     assert "numpy" in modules and "numpy.random" not in modules
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (["convert", "X", "--to", "stiefel"], {"graff.coords", "graff.io"}),
+    (["distance", "X", "Y"], {"graff.io", "graff.metric"}),
+    (["geodesic", "X", "Y", "--t", "0.5"], {"graff.io", "graff.metric"}),
+    (["sample", "--dist", "uniform", "--k", "1", "--n", "3", "--seed", "1"],
+     {"graff.io", "graff.probability"}),
+    (["fit", "--method", "flat", "--k", "1", "CLOUD"], {"graff.io", "graff.fitting"}),
+], ids=["convert", "distance", "geodesic", "sample", "fit"])
+def test_a_subcommand_loads_only_the_modules_it_runs(write_doc, tmp_path, argv, runs):
+    files = {"X": write_doc(X_AXIS_DOC), "Y": write_doc(LINE_Y1_DOC),
+             "CLOUD": _write_cloud(tmp_path, [[float(i), 2.0 * i] for i in range(5)])}
+    result, modules = _imported("-m", "graff", *(files.get(arg, arg) for arg in argv))
+    assert (result.returncode, result.stderr.count("Error")) == (0, 0)
+    unloaded = {"graff.metric", "graff.probability", "graff.fitting", "graff.invariants"} - runs
+    assert runs <= modules and not modules & unloaded, sorted(modules & unloaded)
+
+
+def test_a_name_read_after_a_command_is_bound_from_its_module(write_doc):
+    """After ``main`` bound only what ``distance`` runs, reading ``cli.fit_flat`` (perfbench's
+    traced run reads each name it wraps) loads fitting and returns its function."""
+    code = ("import sys, graff.cli as cli; "
+            f"assert cli.main(['distance', {write_doc(X_AXIS_DOC)!r}, "
+            f"{write_doc(LINE_Y1_DOC)!r}]) == 0; "
+            "assert 'graff.fitting' not in sys.modules; fit_flat = cli.fit_flat; "
+            "import graff.fitting; assert fit_flat is graff.fitting.fit_flat")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=False, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_star_import_brings_every_public_name():

@@ -35,6 +35,8 @@ from graff import (
     (betti, (2, -1), "i must be an integer >= 0, got -1"),
     (homotopy_group, (1, 0, 2), "n must be an integer >= 1, got 0"),
     (homotopy_group, (1, 3, 0), "r must be an integer >= 1, got 0"),
+    (dim_graff, (True, 3), "k must be an integer >= 0, got True"),  # a bool is no count
+    (betti, (1, False), "i must be an integer >= 0, got False"),
 ])
 def test_ranges_are_chained_lower_bounds(function, args, message):
     with pytest.raises(DimensionError) as info:

@@ -14,7 +14,7 @@ OPERATIONS = ["make_flat", "distance", "distance (same pair again)", "equal_flat
               "MH step", "MH step (burn-in 100, thin 5)", "Langevin-Gaussian step (2, 5)",
               "normalizer per sample",
               "svm_hyperplane per point", "load_cloud_csv per row",
-              "cli sample --count 2000 per flat", "cold: import graff",
+              "cli sample --count 2000 per flat", "cold: python -m graff convert",
               "cold: python -m graff invariant --what dim 2 5", "cold: python -m graff distance"]
 
 

@@ -26,9 +26,10 @@ rows or flats (at least one call).  ``MH step`` keeps one state of its chain;
 at perfbench sampling's schedule (600 steps, and 40 kept flats, at step size
 0.35) on their own stream, so they also time each kept state's flat and
 displacement.  Three fixed cold-start rows time whole
-child processes of the tree, the best of ``--repeat`` runs each: ``import graff``,
-``python -m graff invariant --what dim 2 5`` and ``python -m graff distance``
-on two lines in R^2; they include the interpreter's own start.
+child processes of the tree, the best of ``--repeat`` runs each: ``python -m graff
+convert --to stiefel`` of a line in R^2, ``python -m graff invariant --what dim 2 5``
+and ``python -m graff distance`` on two lines in R^2; they include the
+interpreter's own start.  (``import graff`` alone loads none of graff's modules.)
 
 The table gives, per operation and tree, the best time over all rounds and
 the range of the per-process bests, in microseconds.
@@ -146,7 +147,7 @@ def operations(graff, workdir: Path):
 
 
 COLD_STARTS = [
-    ("cold: import graff", ["-c", "import graff"]),
+    ("cold: python -m graff convert", ["-m", "graff", "convert", "x.json", "--to", "stiefel"]),
     ("cold: python -m graff invariant --what dim 2 5",
      ["-m", "graff", "invariant", "--what", "dim", "2", "5"]),
     ("cold: python -m graff distance", ["-m", "graff", "distance", "x.json", "y1.json"]),

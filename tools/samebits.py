@@ -11,13 +11,13 @@ process per copy, with that copy's ``src`` first on ``sys.path``:
 - ``graff.cli.main`` for every subcommand, ``convert`` target, ``distance``
   kind (also with ``--verbose`` and ``--infinite``), ``fit`` method and
   ``sample`` law, over a few seeds, and over the edge documents (points,
-  hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input) and
-  the CSV edge files (byte-order mark, CRLF, blank, ``#`` and quoted rows,
-  ``1_0``, nan, inf, ragged rows, one column, no data rows, fields past the
-  ``csv`` module's limit).  The exit code, stdout and stderr of each call are
-  three outputs.  A warning the call leaks lands in its stderr as
-  ``Category: message``, without the code location that any edit of the
-  calling module moves.
+  hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input, JSON
+  ``true`` and ``false`` as dimensions) and the CSV edge files (byte-order
+  mark, CRLF, blank, ``#`` and quoted rows, ``1_0``, nan, inf, ragged rows,
+  one column, no data rows, fields past the ``csv`` module's limit).  The
+  exit code, stdout and stderr of each call are three outputs.  A warning
+  the call leaks lands in its stderr as ``Category: message``, without the
+  code location that any edit of the calling module moves.
 - seeded library calls: chains, normalizers, the builders, the metric and the
   estimators.  Each result, or the exception raised, is one output.
 
@@ -100,6 +100,7 @@ def _documents(rng) -> dict:
         "rank1": {"n": 3, "k": 2, "A": [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], "b": [0.0, 0.0, 0.0]},
         "short-b": {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0]},
         "not-object": [1, 2],
+        "bool-dims": {"n": True, "k": False, "A": [], "b": [0.0]},
     }
     for seed in (1, 2, 3):
         docs[f"a{seed}"] = _flat_doc(rng, 2, 5)
@@ -217,6 +218,7 @@ def _cli_calls(work: Path, docs: dict) -> list[list[str]]:
                           "--seed", seed, "--count", "4", "--burn-in", "10", "--thin", "2",
                           "--step-size", "0.3"])
     calls.append(["sample", "--dist", "langevin", "--seed", "1"])
+    calls.append(["sample", "--dist", "langevin", "--params", path("bool-k"), "--seed", "1"])
 
     def cloud(name: str) -> str:
         return str(work / f"{name}.csv")
@@ -248,6 +250,7 @@ def _write_inputs(work: Path, rng) -> dict:
                                                [0.0, 0.0, 0.0]]},
         "overflowing": {"k": 1, "n": 2, "S": [[1e308, 0.0, 0.0], [0.0, 1e308, 0.0],
                                               [0.0, 0.0, 1e308]]},
+        "bool-k": {"k": True, "n": 2, "S": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
         "gaussian": {"k": 1, "n": 2, "sigma2": 2.0, "S": [[1.0, 0.0], [0.0, 3.0]]},
         "gaussian-small": {"k": 0, "n": 3, "sigma2": 1e-3,
                            "S": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
