@@ -2,11 +2,11 @@
 
 On graff's 6 x 3 matrices numpy.linalg's Python wrapper outweighs LAPACK (2-core box, numpy
 2.4): ``np.linalg.qr`` takes 18-24 us against 5-7 us for its two gufuncs, ``solve`` 7.6 against
-1.9 us.  These helpers call ``numpy.linalg._umath_linalg`` under numpy.linalg's errstate (same
-bits, same ``LinAlgError``): ``qr``, ``svdvals``, ``svd`` and ``solve`` enter it on each call
-(about 3 us) and keep the caller's array; ``qr_in_place`` overwrites its argument and runs only
-inside ``with errstate(QR_FAILED):``.  Those names are private numpy API with the signatures of
-numpy 2 (numpy 1.x split them by shape), hence graff's floor of numpy 2.0.
+1.9 us.  These call ``numpy.linalg._umath_linalg`` (same bits, same ``LinAlgError``); ``svdvals``,
+``svd`` and ``solve`` under its errstate, as an SVD can fail to converge.  ``qr`` (which copies)
+and ``qr_in_place`` skip it, 1.7 us of qr's 5.0 on a 6 x 3: geqrf and orgqr fail on no data, and
+the gufuncs clear the floating-point status, so it never fired (nan, inf, 1e300, subnormal, 0).
+Private numpy API with numpy 2's signatures (1.x split them by shape): graff's floor is numpy 2.0.
 """
 
 import numpy as np
@@ -21,15 +21,13 @@ def errstate(message: str) -> np.errstate:  # as a decorator, entered afresh on 
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-@errstate(QR_FAILED)
 def qr(M):
-    """(Q, diagonal of R) of the reduced QR of a matrix or a stack of them."""
-    a = np.array(M, dtype=float)  # qr_in_place overwrites its argument
-    return qr_in_place(a), a.diagonal(0, -2, -1)
+    """(Q, diagonal of R) of the reduced QR of a matrix or a stack of them; M is kept."""
+    return qr_in_place(a := np.array(M, dtype=float)), a.diagonal(0, -2, -1)
 
 
 def qr_in_place(a):
-    """Q of the reduced QR of a fresh float64 array, in place; only inside the chain's errstate."""
+    """Q of the reduced QR of a fresh float64 array; a is overwritten (R and reflectors)."""
     return qr_reduced(a, qr_r_raw(a, signature="d->d"), signature="dd->d")
 
 

@@ -149,9 +149,9 @@ def _trusted(cls, **arrays):
     The arrays must not be shared with the caller.
     """
     obj = object.__new__(cls)
-    for name, array in arrays.items():
+    for array in arrays.values():
         array.setflags(write=False)
-        object.__setattr__(obj, name, array)
+    obj.__dict__.update(arrays)
     return obj
 
 
@@ -349,7 +349,7 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
         return cached
     n, k = flat.n, flat.k
     u, e = _split_scale(flat.b0)
-    scale = 1.0 / math.sqrt(math.ldexp(1.0, -2 * e) + float(u @ u))
+    scale = 1.0 / math.sqrt(math.ldexp(1.0, -2 * e) + float(u.dot(u)))
     Y = np.zeros((n + 1, k + 1))
     Y[:n, :k] = flat.A
     Y[:n, k] = u * scale
@@ -424,15 +424,17 @@ def _flat_from_frame(Q: np.ndarray) -> AffineFlat:
     """
     n, k = Q.shape[0] - 1, Q.shape[1] - 1
     u = Q[-1].copy()
-    r = math.sqrt(float(u @ u))
+    r = math.sqrt(float(u.dot(u)))
     if r < _FLAT_TOL:
         raise NotAFlat("span lies in the hyperplane x_{n+1} = 0 (a linear subspace, not a flat)")
     # Reflect within the column space so the last row becomes (0, ..., 0, -+r);
     # the reflector adds |v_last| + r to the pivot entry, so it never cancels.
     # The sign of r needs no fixing: b0 is a ratio within the last column.
     u[-1] += r if u[-1] >= 0.0 else -r
-    Q = Q - (Q @ u)[:, None] * u * (2.0 / float(u @ u))
-    return _trusted(AffineFlat, A=Q[:n, :k], b0=Q[:n, k] / Q[n, k])
+    Y = np.multiply.outer(Q.dot(u), u)  # not a gemm, which would turn a -0.0 into +0.0
+    Y *= 2.0 / float(u.dot(u))
+    np.subtract(Q, Y, out=Y)
+    return _trusted(AffineFlat, A=Y[:n, :k], b0=Y[:n, k] / Y[n, k])
 
 
 def _flats_from_frames(Q: np.ndarray) -> list[AffineFlat]:

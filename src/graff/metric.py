@@ -104,8 +104,8 @@ def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
             raise DimensionError(f"ambient dimensions differ ({flat1.n} vs {flat2.n});"
                                  " pad_ambient first")
         Y1 = stiefel_coords(flat1).Y
-        M = Y1.T @ key.Y
-        pair = [key, M, key.Y - Y1 @ M, None]
+        M = Y1.T.dot(key.Y)
+        pair = [key, M, key.Y - Y1.dot(M), None]
         object.__setattr__(flat1, "_pair", pair)
     if angles and pair[3] is None:
         pair[3] = _angles(pair[1], pair[2])
@@ -133,8 +133,8 @@ def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDe
         sigmas=np.array(sigmas),
         U=U,
         V=Vt.T,
-        P_vecs=Y1 @ U,
-        Q_vecs=Y2 @ Vt.T,
+        P_vecs=Y1.dot(U),
+        Q_vecs=Y2.dot(Vt.T),
     )
 
 
@@ -227,7 +227,7 @@ def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool
     M and W come from flat1's pair record, shared with the distances; a new partner replaces it.
     """
     key, M, W, _ = _pair(flat1, flat2, angles=False)
-    V = stiefel_coords(flat1).Y - key.Y @ M.T
+    V = stiefel_coords(flat1).Y - key.Y.dot(M.T)
     return math.sqrt(float(np.vdot(W, W)) + float(np.vdot(V, V))) <= tol
 
 
@@ -277,7 +277,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     # span(H) = span(W), Q is orthogonal to span(Y) to rounding however small the cosines.
     try:
         beyond = _lapack.qr(np.concatenate((Y.Y, W), axis=1))[0][:, k + 1:]
-        Q_beyond, tangents, Ut = _lapack.svd(_lapack.solve(M.T, W.T @ beyond).T)
+        Q_beyond, tangents, Ut = _lapack.svd(_lapack.solve(M.T, W.T.dot(beyond)).T)
     except np.linalg.LinAlgError:
         tangents = None
     if tangents is None or not tangents[0] <= 1e10:  # nan and inf included
@@ -286,17 +286,17 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     thetas = [math.atan(x) for x in reversed(tangents.tolist())]
     pad = k + 1 - len(thetas)
     Q = np.zeros((flat1.n + 1, k + 1))
-    Q[:, pad:] = beyond @ Q_beyond[:, : len(thetas)][:, ::-1]
+    Q[:, pad:] = beyond.dot(Q_beyond[:, : len(thetas)][:, ::-1])
     return GeodesicCurve(Y_start=Y, U=Ut[::-1].T, Theta=np.diag([0.0] * pad + thetas), Q=Q)
 
 
 def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     """Point of a geodesic at parameter t (values outside [0, 1] extrapolate).
 
-    The frame is orthonormal by construction and skips ``unembed``'s QR.  Raises
-    ``NotAFlat`` where the frame's last row has norm below 1e-10: where the curve
-    exits the image of Graff(k, n), and near an endpoint with |b0| above about 1e10
-    (see :func:`geodesic`).  Raises ``ValueError`` when some angle t * theta_i is not finite.
+    The frame is orthonormal by construction and skips ``unembed``'s QR (Y_start U stays an @: on
+    U's reversed view ``.dot`` rounds otherwise).  Raises ``NotAFlat`` where the frame's last row
+    has norm below 1e-10: where the curve exits the image of Graff(k, n), and near an endpoint with
+    |b0| above about 1e10 (see :func:`geodesic`); ``ValueError`` where t * theta_i is not finite.
     """
     t = float(t)
     if getattr(curve, "_base", None) is None:  # kept after the first call

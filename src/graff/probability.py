@@ -122,18 +122,17 @@ def _chain_length(config: MHConfig, count: int) -> int:
 def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
-    A Gaussian (n+1) x (k+1) matrix is unembedded, skipping input checks, the
-    power-of-two scaling and the rank test that standard-normal entries do not
-    need (rank deficiency has probability zero); the law of its span is
-    invariant under the orthogonal group of R^(n+1).  The measure-zero event
-    that the span is not a flat is retried, at most 100 times.
+    A Gaussian (n+1) x (k+1) matrix is factored in place and unembedded without input checks,
+    power-of-two scaling or rank test (standard-normal entries have full rank almost surely);
+    the law of its span is invariant under the orthogonal group of R^(n+1).  A span that is no
+    flat (probability zero) is redrawn, at most 100 times.
     """
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k + 1)
     for _ in range(100):
-        Q, diag = _lapack.qr(rng.standard_normal((n + 1, k + 1)))
+        Q = _lapack.qr_in_place(a := rng.standard_normal((n + 1, k + 1)))  # a holds R
         try:
-            return _flat_from_frame(np.multiply(Q, np.sign(diag), out=Q))
+            return _flat_from_frame(np.multiply(Q, np.sign(a.diagonal()), out=Q))
         except NotAFlat:
             continue
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
@@ -237,9 +236,10 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
     ``_FLAT_TOL``).  ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
     draws interleave with the chain's.  Returns the acceptance rate.  It runs on S - s I, s the
     midpoint of the diagonal's extremes: the log density moves by a constant only, and S = c I
-    gives s = c exactly, so its chain is the uniform one even at c = 1e300.  The loop and ``keep``
-    run in one QR errstate per chain; G * step_size + Y is factored in place, and ``random()``
-    is the draw of ``uniform()``, which returns 0.0 + 1.0 * random(): the same bits.
+    gives s = c exactly, so its chain is the uniform one even at c = 1e300.  G * step_size + Y is
+    factored in place; ``random()`` is the draw of ``uniform()``, 0.0 + 1.0 * random().  The loop
+    and ``keep`` share one errstate, not for the QR: G * step_size may overflow unwarned (to a nan
+    frame, refused), and an invalid operation raises numpy.linalg's QR ``LinAlgError``.
     """
     S = S - 0.5 * (S.diagonal().max() + S.diagonal().min()) * np.eye(len(S))
     Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
@@ -250,7 +250,7 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
             proposal *= step_size
             proposal += Y
             proposal = _lapack.qr_in_place(proposal)
-            if not (require_flat and math.sqrt(proposal[-1] @ proposal[-1]) < _FLAT_TOL):
+            if not (require_flat and math.sqrt(proposal[-1].dot(proposal[-1])) < _FLAT_TOL):
                 new = float(_trace_form(S, proposal))
                 if math.log(max(random(), 1e-300)) <= new - current:
                     Y, current = proposal, new

@@ -1,5 +1,7 @@
 """graff._lapack against the public numpy.linalg functions it stands in for."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,36 @@ def test_qr_in_place_gives_the_q_of_qr_and_overwrites_its_argument(M):
         Q = _lapack.qr_in_place(a)
     assert_same_bits([Q], [np.linalg.qr(M)[0]])
     assert a.tobytes() != M.tobytes()
+
+
+def _awkward(shape):
+    """Matrices whose QR meets nan, inf, overflow-sized, subnormal and zero entries."""
+    G = RNG.standard_normal(shape)
+    signed_inf = G.copy()
+    signed_inf[..., 0, 0], signed_inf[..., -1, -1] = np.inf, -np.inf
+    return {"nan": np.full(shape, np.nan), "inf": signed_inf, "1e300": 1e300 * G,
+            "subnormal": 1e-310 * G, "zero": np.zeros(shape)}
+
+
+AWKWARD = [(name, M) for shape in [(6, 3), (4, 1), (5, 4, 3)]
+           for name, M in _awkward(shape).items()]
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["errstate-raise", "warnings-as-errors"])
+@pytest.mark.parametrize("name, M", AWKWARD,
+                         ids=[f"{name}-{'x'.join(map(str, M.shape))}" for name, M in AWKWARD])
+def test_qr_needs_no_errstate(name, M, strict):
+    # qr enters no errstate: numpy's QR gufuncs leave the floating-point status clear on any
+    # data, so neither a caller's errstate that raises nor one that warns (an error here) fires.
+    Q, R = np.linalg.qr(M)
+    expected = (Q, R.diagonal(0, -2, -1))
+    with warnings.catch_warnings(), np.errstate(all="raise" if strict else "warn"):
+        warnings.simplefilter("error")
+        ours = _lapack.qr(M)
+        a = M.copy()
+        bare = _lapack.qr_in_place(a), a.diagonal(0, -2, -1)
+    assert_same_bits(ours, expected)
+    assert_same_bits(bare, expected)
 
 
 def test_the_qr_errstate_turns_an_invalid_operation_into_linalgerror():

@@ -29,9 +29,12 @@ from graff import (
     pad_ambient,
     principal_decomposition,
     projection_coords,
+    random_stream,
+    sample_uniform,
     stiefel_coords,
     unembed,
 )
+from graff import _lapack, metric
 
 from conftest import horizontal_line, orthonormal_drift, point_flat, random_flat, x_axis
 
@@ -623,6 +626,73 @@ class TestGeodesic:
             warnings.simplefilter("error")
             with pytest.raises(SingularPair, match="numerically singular"):
                 geodesic(x_axis(), tilted)
+
+
+def _turned(n: int, k: int, angle: float, b0_axis: int, b0_length: float) -> AffineFlat:
+    """The first k axes of R^n, the last turned by ``angle`` toward axis k, displaced along
+    another axis: exact zeros everywhere else."""
+    A = np.eye(n)[:, :k]
+    if k:
+        A[k - 1, k - 1], A[k, k - 1] = math.cos(angle), math.sin(angle)
+    return AffineFlat(A, b0_length * np.eye(n)[b0_axis])
+
+
+def _dot_site_pairs() -> dict:
+    """Pairs of fresh flats with exact zeros in their Stiefel coordinates, and sampled ones."""
+    rng = random_stream(20261020)
+    return {
+        "axis-aligned": (_turned(5, 2, 0.0, 3, 3.0), _turned(5, 2, 0.3, 4, -2.0)),
+        "same axes, shifted": (_turned(4, 2, 0.0, 2, 0.0), _turned(4, 2, 0.0, 2, 2.0)),
+        "identical": (_turned(4, 2, 0.0, 3, 1.5), _turned(4, 2, 0.0, 3, 1.5)),
+        "points (k = 0)": (_turned(3, 0, 0.0, 0, 1.0), _turned(3, 0, 0.0, 1, 2.0)),
+        "planes (k = n - 1)": (_turned(3, 2, 0.0, 2, 1.0), _turned(3, 2, 0.4, 0, 0.0)),
+        "sampled k = 0": tuple(sample_uniform(0, 4, rng) for _ in range(2)),
+        "sampled k = n - 1": tuple(sample_uniform(3, 4, rng) for _ in range(2)),
+        "sampled (32, 128)": tuple(sample_uniform(32, 128, rng) for _ in range(2)),
+    }
+
+
+def _reflected(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b0) of coords._flat_from_frame, written with @ and one expression."""
+    n, k = frame.shape[0] - 1, frame.shape[1] - 1
+    u = frame[-1].copy()
+    r = math.sqrt(float(u @ u))
+    u[-1] += r if u[-1] >= 0.0 else -r
+    Y = frame - (frame @ u)[:, None] * u * (2.0 / float(u @ u))
+    return Y[:n, :k], Y[:n, k] / Y[n, k]
+
+
+class TestDotSites:
+    """The products graff forms with ndarray.dot keep the bits of the same products with @."""
+
+    @pytest.mark.parametrize("name", list(_dot_site_pairs()))
+    def test_the_pair_record_and_the_principal_vectors(self, name):
+        flat1, flat2 = _dot_site_pairs()[name]
+        Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
+        _, M, W, _ = metric._pair(flat1, flat2, angles=False)
+        assert _bits(M) == _bits(Y1.T @ Y2)
+        assert _bits(W) == _bits(Y2 - Y1 @ (Y1.T @ Y2))
+        decomposition = principal_decomposition(flat1, flat2)
+        assert _bits(decomposition.P_vecs) == _bits(Y1 @ decomposition.U)
+        assert _bits(decomposition.Q_vecs) == _bits(Y2 @ decomposition.V)
+
+    @pytest.mark.parametrize("name", list(_dot_site_pairs()))
+    def test_the_geodesic_and_its_points(self, name):
+        flat1, flat2 = _dot_site_pairs()[name]
+        Y, k = stiefel_coords(flat1).Y, flat1.k
+        M = Y.T @ stiefel_coords(flat2).Y
+        W = stiefel_coords(flat2).Y - Y @ M
+        beyond = _lapack.qr(np.concatenate((Y, W), axis=1))[0][:, k + 1:]
+        Q_beyond, tangents, _ = _lapack.svd(_lapack.solve(M.T, W.T @ beyond).T)
+        Q = np.zeros((flat1.n + 1, k + 1))
+        Q[:, k + 1 - len(tangents):] = beyond @ Q_beyond[:, : len(tangents)][:, ::-1]
+        curve = geodesic(flat1, flat2)
+        assert _bits(curve.Q) == _bits(Q)
+        for t in (0.0, 0.5, 1.0):
+            angles = t * curve.Theta.diagonal()
+            A, b0 = _reflected((Y @ curve.U) * np.cos(angles) + Q * np.sin(angles))
+            point = evaluate_geodesic(curve, t)
+            assert _bits(point.A) == _bits(A) and _bits(point.b0) == _bits(b0), t
 
 
 def _nearest_flat(symmetric: np.ndarray, k: int) -> AffineFlat:

@@ -5,8 +5,8 @@ import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OPERATIONS = ["make_flat", "distance", "distance (same pair again)", "equal_flats",
-              "equal_flats (next partner)",
+OPERATIONS = ["make_flat", "unembed", "AffineFlat", "distance", "distance (same pair again)",
+              "equal_flats", "equal_flats (next partner)",
               "distance (kind as a string)", "affine_principal_angles (2-flat, 1-flat)",
               "infinite_metric (2-flat, 1-flat)",
               "sample_uniform", "geodesic", "evaluate_geodesic",

@@ -7,7 +7,10 @@ directory, made by ``tools/bench_pairs.py``'s helpers: the parent commit from
 ``git archive``, the change from the working tree.  Each round runs one
 process per tree, alternating which goes first; a process imports graff from
 its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
-the best of ``--repeat`` repeats of ``--number`` calls.  A flat keeps the
+the best of ``--repeat`` repeats of ``--number`` calls.  ``unembed`` of one
+fixed 6 x 3 matrix times the QR and the frame step; ``AffineFlat`` validates
+that flat's orthonormal A and b0.  Both come from their own seeded generator,
+so every other row keeps its inputs.  A flat keeps the
 overlap and principal angles of its last partner, so the metric rows alternate
 between two partners and every call computes its angles; ``distance (same
 pair again)`` repeats one pair and times the stored angles, and ``equal_flats``
@@ -88,6 +91,9 @@ def operations(graff, workdir: Path):
     from graff import cli
     from graff.io import load_cloud_csv
 
+    Y_raw = numpy.random.default_rng(2026).standard_normal((6, 3))
+    fixed = graff.unembed(Y_raw)
+    A_fixed, b0_fixed = numpy.array(fixed.A), numpy.array(fixed.b0)
     rng = graff.random_stream(20260811)
     k, n = 2, 5
     A_raw, b_raw = rng.standard_normal((n, k)), rng.standard_normal(n)
@@ -115,6 +121,8 @@ def operations(graff, workdir: Path):
               "--count", str(SAMPLE_COUNT)]
     return [
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
+        ("unembed", lambda: graff.unembed(Y_raw), 1),
+        ("AffineFlat", lambda: graff.AffineFlat(A_fixed, b0_fixed), 1),
         ("distance", lambda: graff.distance(flat, next(others)), 1),
         ("distance (same pair again)", lambda: graff.distance(flat, other), 1),
         ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
