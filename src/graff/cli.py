@@ -27,6 +27,7 @@ looser orthogonality check drops ``"orthogonal": true`` to go through ``make_fla
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,16 +38,17 @@ from .errors import GraffError, NotAFlat, NotSeparable, SingularPair, _check_int
 
 __all__ = ["main", "entry_point"]
 
-# The names this module takes from each module of the package, bound by ``_import``.
+# The names this module takes from each module of the package, bound by ``_import``; it runs
+# no sample_uniform, langevin_mh_run or langevin_gaussian_run: perfbench traces them here.
 _IMPORTS = {
     "coords": ("projection_affine_coords", "projection_coords", "stiefel_coords"),
     "io": ("dumps_document", "dumps_flats", "flat_from_document", "load_cloud_csv",
            "matrix_document"),
     "metric": ("affine_principal_angles", "delta_distance", "distance", "evaluate_geodesic",
                "geodesic", "infinite_metric"),
-    "probability": ("LangevinGaussianParams", "LangevinParams", "MHConfig", "_chain_length",
+    "probability": ("LangevinGaussianParams", "LangevinParams", "MHConfig", "_kept_chain",
                     "_uniform_flats", "langevin_gaussian_run", "langevin_mh_run",
-                    "random_stream", "sample_uniform"),  # perfbench traces sample_uniform here
+                    "random_stream", "sample_uniform"),
     "fitting": ("LabeledCloud", "PointCloud", "fit_flat", "linear_regression", "svm_hyperplane"),
     "invariants": ("betti", "dim_graff", "dim_schubert_affine", "homotopy_group",
                    "relative_volume", "volume_gr", "volume_graff"),
@@ -73,16 +75,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _write_flats(flats) -> None:
-    """The documents of an iterable of flats on stdout, one write per 4096 flats, holding at
-    most 4096; the flats made before one that raises are written, then the error goes on."""
+@contextlib.contextmanager
+def _write_flats():
+    """An ``emit(flat)`` that writes the documents on stdout, one write per 4096 flats, holding
+    at most 4096; on leaving, by an error too, the flats emitted before it are written."""
     chunk = []
+
+    def emit(flat):
+        chunk.append(flat)
+        if len(chunk) == 4096:
+            full, chunk[:] = chunk[:], []
+            sys.stdout.write(dumps_flats(full))
     try:
-        for flat in flats:
-            chunk.append(flat)
-            if len(chunk) == 4096:
-                chunk, full = [], chunk
-                sys.stdout.write(dumps_flats(full))
+        yield emit
     finally:
         sys.stdout.write(dumps_flats(chunk))
 
@@ -122,7 +127,9 @@ def _cmd_distance(args) -> None:
 
 def _cmd_geodesic(args) -> None:
     curve = geodesic(_load_flat(args.flat1), _load_flat(args.flat2))
-    _write_flats(evaluate_geodesic(curve, t) for t in args.t)
+    with _write_flats() as emit:
+        for t in args.t:
+            emit(evaluate_geodesic(curve, t))
 
 
 def _parse_n(token: str):
@@ -176,17 +183,15 @@ def _cmd_sample(args) -> None:
     rng = random_stream(_check_int(args.seed, "seed", 0))
     config = MHConfig(**{key: value for key, value in vars(args).items()  # flags given
                          if key in ("step_size", "burn_in", "thin")})
-    if args.dist == "uniform":
-        if args.k is None or args.n is None:
-            raise ValueError("--dist uniform requires --k and --n")
-        flats = _uniform_flats(args.k, args.n, count, rng)
-    elif args.dist == "langevin":
-        params = _load_params(args)
-        flats, _ = langevin_mh_run(params, _chain_length(config, count), config.step_size,
-                                   rng, burn_in=config.burn_in, thin=config.thin)
-    else:
-        flats = langevin_gaussian_run(_load_params(args), count, config, rng)
-    _write_flats(flats)
+    if args.dist == "uniform" and (args.k is None or args.n is None):
+        raise ValueError("--dist uniform requires --k and --n")
+    params = None if args.dist == "uniform" else _load_params(args)
+    with _write_flats() as emit:
+        if params is None:
+            for flat in _uniform_flats(args.k, args.n, count, rng):
+                emit(flat)
+        else:
+            _kept_chain(params, count, config, rng, emit)
 
 
 def _cmd_fit(args) -> None:
@@ -204,7 +209,8 @@ def _cmd_fit(args) -> None:
     else:
         flat, w, beta = svm_hyperplane(LabeledCloud(data[:, :-1], data[:, -1]))
         coefficients = {"w": w, "beta": beta}
-    _write_flats([flat])
+    with _write_flats() as emit:
+        emit(flat)
     if coefficients is not None:
         print(dumps_document(coefficients))
 

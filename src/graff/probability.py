@@ -114,11 +114,6 @@ class MHConfig:
         object.__setattr__(self, "thin", _check_int(self.thin, "thin", 1))
 
 
-def _chain_length(config: MHConfig, count: int) -> int:
-    """Steps of a chain that keeps ``count`` states after burn-in and thinning."""
-    return config.burn_in + 1 + (count - 1) * config.thin
-
-
 def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
     """Draw a flat from the uniform distribution on k-flats in R^n.
 
@@ -260,6 +255,34 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
     return accepted / n_steps
 
 
+def _chain(params, n_steps: int, config: MHConfig, rng: Generator, emit, init=None) -> float:
+    """``n_steps`` steps of the chain of ``params``' law, each kept flat passed to ``emit``; returns
+    the acceptance rate.  A Langevin chain starts at ``init`` (default: a uniform flat), a
+    Langevin-Gaussian one at a uniform k-plane; at k = 0 that law's one plane, {0}, would accept
+    every step, so no chain runs and the rate is 1.0."""
+    if isinstance(params, LangevinParams):
+        init = sample_uniform(params.k, params.n, rng) if init is None else init
+        _check_params(init, params)
+        return _mh_chain(params.S, stiefel_coords(init).Y, n_steps, config, rng,
+                         lambda Y: emit(_flat_from_frame(Y)), require_flat=True)
+    n, k, scale = params.n, params.k, math.sqrt(params.sigma2)
+
+    def keep(Y):
+        emit(_trusted(AffineFlat, A=Y, b0=_orthogonal_part(Y, scale * rng.standard_normal(n))))
+
+    if k == 0:
+        for _ in range(config.burn_in, n_steps, config.thin):
+            keep(np.zeros((n, 0)))
+        return 1.0
+    Y0, _ = _lapack.qr(rng.standard_normal((n, k)))  # a uniform k-plane
+    return _mh_chain(params.S, Y0, n_steps, config, rng, keep, require_flat=False)
+
+
+def _kept_chain(params, count: int, config: MHConfig, rng: Generator, emit) -> float:
+    """:func:`_chain` keeping ``count`` states: burn_in + 1 + (count - 1) * thin steps."""
+    return _chain(params, config.burn_in + 1 + (count - 1) * config.thin, config, rng, emit)
+
+
 def langevin_mh_run(
     params: LangevinParams,
     n_steps: int,
@@ -276,14 +299,9 @@ def langevin_mh_run(
     The chain lives on spans of Stiefel coordinates; tr(S P) is basis-free,
     so the density needs no canonicalization per step.
     """
-    n_steps = _check_int(n_steps, "n_steps", 1)
-    config = MHConfig(step_size, burn_in, thin)
-    if init is None:
-        init = sample_uniform(params.k, params.n, rng)
-    _check_params(init, params)
     samples: list[AffineFlat] = []
-    rate = _mh_chain(params.S, stiefel_coords(init).Y, n_steps, config, rng,
-                     lambda Y: samples.append(_flat_from_frame(Y)), require_flat=True)
+    rate = _chain(params, _check_int(n_steps, "n_steps", 1), MHConfig(step_size, burn_in, thin),
+                  rng, samples.append, init)
     return samples, rate
 
 
@@ -316,18 +334,6 @@ def langevin_gaussian_run(
     R^n (burn-in then thinning per ``config``); each retained plane gets an
     independent Gaussian displacement in its orthogonal complement.
     """
-    count = _check_int(count, "count", 1)
-    n, k, scale = params.n, params.k, math.sqrt(params.sigma2)
     flats: list[AffineFlat] = []
-
-    def keep(Y):
-        b0 = _orthogonal_part(Y, scale * rng.standard_normal(n))
-        flats.append(_trusted(AffineFlat, A=Y, b0=b0))
-
-    if k == 0:
-        for _ in range(count):
-            keep(np.zeros((n, 0)))
-        return flats
-    Y0, _ = _lapack.qr(rng.standard_normal((n, k)))  # a uniform k-plane
-    _mh_chain(params.S, Y0, _chain_length(config, count), config, rng, keep, require_flat=False)
+    _kept_chain(params, _check_int(count, "count", 1), config, rng, flats.append)
     return flats

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graff
-from graff import cli
+from graff import _lapack, cli
 from graff.cli import main
 from graff.io import flat_from_document, fmt_float
 
@@ -410,6 +410,51 @@ class TestSample:
         assert [(calls, text.count("\n")) for calls, text in out.writes] == [(10, 4096),
                                                                               (12, 904)]
 
+    @staticmethod
+    def _chain_run(monkeypatch, tmp_path, dist, count, planted_at=None):
+        """``sample --dist dist --count count --burn-in 0 --thin 1`` at (1, 3), seed 1: (exit
+        code, writes to stdout and stderr as (QR calls so far, text)).  The first QR call
+        factors the chain's start, each step makes one more, and call ``planted_at`` raises."""
+        params = tmp_path / "params.json"
+        S = np.diag([1.0, 0.5, 0.0, -0.5] if dist == "langevin" else [1.0, 0.5, 0.0])
+        params.write_text(json.dumps({"k": 1, "n": 3, "sigma2": 0.5, "S": S.tolist()}))
+        calls, qr_in_place = [], _lapack.qr_in_place
+
+        def counted(a):
+            calls.append(None)
+            if len(calls) == planted_at:
+                raise ValueError("planted")
+            return qr_in_place(a)
+
+        out = _WriteLog(lambda: len(calls))
+        monkeypatch.setattr(_lapack, "qr_in_place", counted)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", out)
+        code = main(["sample", "--dist", dist, "--params", str(params), "--seed", "1",
+                     "--count", str(count), "--burn-in", "0", "--thin", "1"])
+        monkeypatch.undo()
+        return code, out.writes
+
+    @pytest.mark.parametrize("dist", ["langevin", "langevin-gaussian"])
+    def test_a_chain_writes_before_its_last_step(self, monkeypatch, tmp_path, dist):
+        # 4097 steps after the start: the first 4096 flats are written at the 4097th QR,
+        # the last step's QR is the 4098th.
+        code, writes = self._chain_run(monkeypatch, tmp_path, dist, 4097)
+        assert code == 0
+        assert [(calls, text.count("\n")) for calls, text in writes] == [(4097, 4096), (4098, 1)]
+
+    @pytest.mark.parametrize("dist", ["langevin", "langevin-gaussian"])
+    def test_a_chain_that_raises_writes_its_flats_first(self, monkeypatch, tmp_path, dist):
+        # The QR of the step after the 4097th kept flat raises: the 4097 flats are written,
+        # in one write of 4096 and one of 1, before the error line.
+        _, full = self._chain_run(monkeypatch, tmp_path, dist, 4097)
+        code, writes = self._chain_run(monkeypatch, tmp_path, dist, 4098, planted_at=4099)
+        texts = [text for _, text in writes]
+        assert code == 2
+        assert [text.count("\n") for text in texts[:2]] == [4096, 1]
+        assert texts[:2] == [text for _, text in full]
+        assert "".join(texts[2:]) == "ValueError: planted\n"
+
     def test_uniform_requires_dimensions(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--dist", "uniform", "--seed", "1")
         assert code == 2
@@ -495,7 +540,7 @@ class TestSample:
         params.write_text(json.dumps({"k": 1, "n": 3, "sigma2": 0.5,
                                       "S": np.zeros((4, 4) if dist == "langevin" else (3, 3))
                                       .tolist()}))
-        for name in ("_uniform_flats", "sample_uniform", "langevin_mh_run",
+        for name in ("_uniform_flats", "_kept_chain", "sample_uniform", "langevin_mh_run",
                      "langevin_gaussian_run"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("sampled"))
         code, out, err = run_cli(capsys, "sample", "--dist", dist, "--k", "1", "--n", "3",
@@ -738,15 +783,13 @@ def test_fmt_float_keeps_the_bare_inf():
 
 def test_flats_before_one_that_raises_are_written_once(monkeypatch):
     """4,097 flats and then an error: one write of 4,096, one of the last flat, the error."""
-    def flats():
-        yield from (horizontal_line(float(i)) for i in range(4097))
-        raise ValueError("planted")
-
     cli._import(["io"])
     out = _WriteLog()
     monkeypatch.setattr(sys, "stdout", out)
-    with pytest.raises(ValueError, match="planted"):
-        cli._write_flats(flats())
+    with pytest.raises(ValueError, match="planted"), cli._write_flats() as emit:
+        for i in range(4097):
+            emit(horizontal_line(float(i)))
+        raise ValueError("planted")
     texts = [text for _, text in out.writes]
     assert [text.count("\n") for text in texts] == [4096, 1]
     assert [flat_from_document(line).b0[1] for line in "".join(texts).splitlines()] == list(

@@ -35,7 +35,7 @@ from graff import (
 
 from graff import _lapack, probability
 from graff.coords import _FLAT_TOL, _flat_from_frame, _flats_from_frames
-from graff.probability import _chain_length, _trace_form, _uniform_flats
+from graff.probability import _trace_form, _uniform_flats
 
 from conftest import CountingStream, random_flat, x_axis
 
@@ -703,7 +703,7 @@ class TestSharedChain:
         config = MHConfig(step_size=0.3, burn_in=burn_in, thin=thin)
         count = max(1, n_steps // thin)
         flats = langevin_gaussian_run(gaussian, count, config, random_stream(5))
-        assert len(flats) == count == len(range(burn_in, _chain_length(config, count), thin))
+        assert len(flats) == count == len(range(burn_in, burn_in + 1 + (count - 1) * thin, thin))
 
     @pytest.mark.parametrize("settings_", [{"thin": 0}, {"thin": -2}, {"burn_in": -5},
                                            {"burn_in": 1.5}, {"thin": 2.5}, {"thin": math.inf},

@@ -10,16 +10,19 @@ process per copy, with that copy's ``src`` first on ``sys.path``:
 
 - ``graff.cli.main`` for every subcommand, ``convert`` target, ``distance``
   kind (also with ``--verbose`` and ``--infinite``), ``fit`` method and
-  ``sample`` law, over a few seeds, and over the edge documents (points,
-  hyperplanes, |b| up to 1e300, 1e300-scale clouds, malformed input, JSON
-  ``true`` and ``false`` as dimensions) and the CSV edge files (byte-order
-  mark, CRLF, blank, ``#`` and quoted rows, ``1_0``, nan, inf, ragged rows,
-  one column, no data rows, fields past the ``csv`` module's limit).  The
-  exit code, stdout and stderr of each call are three outputs.  A warning
-  the call leaks lands in its stderr as ``Category: message``, without the
-  code location that any edit of the calling module moves.
-- seeded library calls: chains, normalizers, the builders, the metric and the
-  estimators.  Each result, or the exception raised, is one output.
+  ``sample`` law (each chain law also at 5000 flats, past the first
+  4096-flat write, and the Langevin-Gaussian law at k = 0), over a few
+  seeds, and over the edge documents (points, hyperplanes, |b| up to 1e300,
+  1e300-scale clouds, malformed input, JSON ``true`` and ``false`` as
+  dimensions) and the CSV edge files (byte-order mark, CRLF, blank, ``#``
+  and quoted rows, ``1_0``, nan, inf, ragged rows, one column, no data
+  rows, fields past the ``csv`` module's limit).  The exit code, stdout and
+  stderr of each call are three outputs.  A warning the call leaks lands in
+  its stderr as ``Category: message``, without the code location that any
+  edit of the calling module moves.
+- seeded library calls: chains, normalizers, the builders, the metric (also
+  on pairs at (16, 64) and (32, 128), whose products take other BLAS paths)
+  and the estimators.  Each result, or the exception raised, is one output.
 
 The inputs are written with numpy and ``json`` only, so both copies read the
 same bytes.  Each output is hashed with sha256.  The tool prints every output
@@ -212,11 +215,16 @@ def _cli_calls(work: Path, docs: dict) -> list[list[str]]:
         for seed in ("1", "2"):
             calls.append(["sample", "--dist", "langevin", "--params", path(params), "--seed", seed,
                           "--count", "5", "--burn-in", "20", "--thin", "3"])
-    for params in ("gaussian", "gaussian-small"):
+    for params in ("gaussian", "gaussian-small", "gaussian-point"):
         for seed in ("1", "2"):
             calls.append(["sample", "--dist", "langevin-gaussian", "--params", path(params),
                           "--seed", seed, "--count", "4", "--burn-in", "10", "--thin", "2",
                           "--step-size", "0.3"])
+    # Chains of 5000 kept flats: past the writer's first 4096-flat write.
+    for dist, params in [("langevin", "langevin"), ("langevin-gaussian", "gaussian"),
+                         ("langevin-gaussian", "gaussian-point")]:
+        calls.append(["sample", "--dist", dist, "--params", path(params), "--seed", "3",
+                      "--count", "5000", "--burn-in", "0", "--thin", "1"])
     calls.append(["sample", "--dist", "langevin", "--seed", "1"])
     calls.append(["sample", "--dist", "langevin", "--params", path("bool-k"), "--seed", "1"])
 
@@ -254,6 +262,7 @@ def _write_inputs(work: Path, rng) -> dict:
         "gaussian": {"k": 1, "n": 2, "sigma2": 2.0, "S": [[1.0, 0.0], [0.0, 3.0]]},
         "gaussian-small": {"k": 0, "n": 3, "sigma2": 1e-3,
                            "S": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]},
+        "gaussian-point": {"k": 0, "n": 2, "sigma2": 2.0, "S": [[1.0, 0.0], [0.0, 3.0]]},
     }
     for name, doc in params.items():
         (work / f"{name}.json").write_text(json.dumps(doc))
@@ -291,6 +300,10 @@ def _library_calls(graff, np):
             (f"langevin_gaussian_run seed={seed}", lambda seed=seed: prob.langevin_gaussian_run(
                 prob.LangevinGaussianParams(S=np.diag([1.0, 3.0]), sigma2=2.0, k=1, n=2), 6,
                 prob.MHConfig(step_size=0.3, burn_in=10, thin=2), prob.random_stream(seed))),
+            (f"langevin_gaussian_run k=0 seed={seed}",
+             lambda seed=seed: prob.langevin_gaussian_run(
+                 prob.LangevinGaussianParams(S=np.diag([1.0, 3.0]), sigma2=2.0, k=0, n=2), 6,
+                 prob.MHConfig(step_size=0.3, burn_in=10, thin=2), prob.random_stream(seed))),
             (f"langevin_normalizer seed={seed}", lambda seed=seed: prob.langevin_normalizer(
                 prob.LangevinParams(S=S3, k=1, n=2), 300, prob.random_stream(seed))),
             (f"grassmann_normalizer seed={seed}", lambda seed=seed: prob.grassmann_normalizer(
@@ -298,6 +311,16 @@ def _library_calls(graff, np):
             (f"grassmann_normalizer known defect seed={seed}",
              lambda seed=seed: prob.grassmann_normalizer(defect, 2, 4, 100,
                                                          prob.random_stream(seed))),
+        ]
+    # Wide pairs, whose products take other BLAS paths than the small ones below.
+    for k, n in [(16, 64), (32, 128)]:
+        first, second = flats(k, n, n, 2)
+        calls += [
+            (f"principal_decomposition k={k} n={n}",
+             lambda first=first, second=second: graff.principal_decomposition(first, second)),
+            (f"geodesic k={k} n={n}", lambda first=first, second=second: [
+                graff.evaluate_geodesic(graff.geodesic(first, second), t)
+                for t in (0.0, 0.3, 0.5, 1.0)]),
         ]
     a, b = flats(2, 5, 7, 2)
     c, h = flats(1, 5, 8, 1)[0], flats(4, 5, 9, 1)[0]
