@@ -1,9 +1,11 @@
-"""The numpy-free names that the command line needs before any numerics:
-the distance kinds for ``--kind`` and the float format.  ``metric`` and ``io``
-re-export them, so ``graff invariant`` and the argument parser run without numpy.
+"""The numpy-free names that the command line needs before any numerics: the
+distance kinds for ``--kind``, the float format and ``FLAT_BLOCK``.  ``metric`` and
+``io`` re-export the first two, so ``graff invariant`` and the parser run without numpy.
 """
 
 from enum import Enum
+
+FLAT_BLOCK = 4096  # flats per write of the command line, frames per reflected stack of a chain
 
 
 class DistanceKind(str, Enum):

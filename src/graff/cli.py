@@ -33,7 +33,7 @@ import math
 import sys
 import warnings
 
-from ._plain import DistanceKind, fmt_float
+from ._plain import FLAT_BLOCK, DistanceKind, fmt_float
 from .errors import GraffError, NotAFlat, NotSeparable, SingularPair, _check_int
 
 __all__ = ["main", "entry_point"]
@@ -77,13 +77,13 @@ def __getattr__(name):
 
 @contextlib.contextmanager
 def _write_flats():
-    """An ``emit(flat)`` that writes the documents on stdout, one write per 4096 flats, holding
-    at most 4096; on leaving, by an error too, the flats emitted before it are written."""
+    """An ``emit(flat)`` that writes the documents on stdout, one write per ``FLAT_BLOCK``
+    flats, holding at most that many; on leaving, by an error too, the rest are written."""
     chunk = []
 
     def emit(flat):
         chunk.append(flat)
-        if len(chunk) == 4096:
+        if len(chunk) == FLAT_BLOCK:
             full, chunk[:] = chunk[:], []
             sys.stdout.write(dumps_flats(full))
     try:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from . import _lapack
+from ._plain import FLAT_BLOCK
 from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _flats_from_frames,
                      _freeze, _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
@@ -161,8 +162,8 @@ def _uniform_flats(k: int, n: int, count: int, rng: Generator) -> Iterator[Affin
 
 
 def _trace_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """tr(S Y Y^T) for a frame Y or each frame of a stack: the Langevin log density."""
-    return ((S @ Y) * Y).sum(axis=(-2, -1))
+    """tr(S Y Y^T) for a frame Y (by ``ndarray.dot``, the same bits) or each frame of a stack."""
+    return (S.dot(Y) * Y).sum() if Y.ndim == 2 else ((S @ Y) * Y).sum(axis=(-2, -1))
 
 
 def _check_params(flat: AffineFlat, params) -> None:
@@ -221,7 +222,7 @@ def langevin_normalizer(
 
 
 def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
-              rng: Generator, keep, require_flat: bool) -> float:
+              rng: Generator, keep, require_flat: bool, flush=lambda: None) -> float:
     """Metropolis-Hastings chain on spans of orthonormal frames, target exp(tr(S Y Y^T)).
 
     Proposals are span(Y + step_size * G), G iid Gaussian, one QR each.  Their law depends only
@@ -229,42 +230,59 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
     homogeneity it is a symmetric function of the principal angles between the spans.
     ``require_flat`` rejects spans that ``_flat_from_frame`` refuses (last row of norm below
     ``_FLAT_TOL``).  ``keep(Y)`` gets the state after steps burn_in, burn_in + thin, ..., so its
-    draws interleave with the chain's.  Returns the acceptance rate.  It runs on S - s I, s the
-    midpoint of the diagonal's extremes: the log density moves by a constant only, and S = c I
-    gives s = c exactly, so its chain is the uniform one even at c = 1e300.  G * step_size + Y is
-    factored in place; ``random()`` is the draw of ``uniform()``, 0.0 + 1.0 * random().  The loop
-    and ``keep`` share one errstate, not for the QR: G * step_size may overflow unwarned (to a nan
-    frame, refused), and an invalid operation raises numpy.linalg's QR ``LinAlgError``.
+    draws interleave with the chain's; ``flush()`` runs last, also on an error.  Returns the
+    acceptance rate.  It runs on S - s I, s the midpoint of the diagonal's extremes: the log
+    density moves by a constant only, and S = c I gives s = c exactly, so its chain is the uniform
+    one even at c = 1e300.  ``normal(-0.0, step_size)`` is -0.0 + step_size * z, z from
+    ``standard_normal``'s stream, so step_size * z bit for bit (loc 0.0 would make -0.0 +0.0);
+    ``random()`` is ``uniform()``'s draw.  The loop, ``keep`` and ``flush`` share one errstate, not
+    for the QR: step_size * z may overflow unwarned (a nan frame, refused); an invalid operation
+    raises QR's ``LinAlgError``.
     """
     S = S - 0.5 * (S.diagonal().max() + S.diagonal().min()) * np.eye(len(S))
     Y, current, accepted = Y0, float(_trace_form(S, Y0)), 0
-    step_size, burn_in, thin, normal, random = *astuple(config), rng.standard_normal, rng.random
+    step_size, burn_in, thin, normal, random = *astuple(config), rng.normal, rng.random
     with _lapack.errstate(_lapack.QR_FAILED):
-        for step in range(n_steps):
-            proposal = normal(Y0.shape)
-            proposal *= step_size
-            proposal += Y
-            proposal = _lapack.qr_in_place(proposal)
-            if not (require_flat and math.sqrt(proposal[-1].dot(proposal[-1])) < _FLAT_TOL):
-                new = float(_trace_form(S, proposal))
-                if math.log(max(random(), 1e-300)) <= new - current:
-                    Y, current = proposal, new
-                    accepted += 1
-            if step >= burn_in and (step - burn_in) % thin == 0:
-                keep(Y)
+        try:
+            for step in range(n_steps):
+                proposal = normal(-0.0, step_size, Y0.shape)
+                proposal += Y
+                proposal = _lapack.qr_in_place(proposal)
+                if not (require_flat and math.sqrt(proposal[-1].dot(proposal[-1])) < _FLAT_TOL):
+                    new = float(_trace_form(S, proposal))
+                    if math.log(max(random(), 1e-300)) <= new - current:
+                        Y, current = proposal, new
+                        accepted += 1
+                if step >= burn_in and (step - burn_in) % thin == 0:
+                    keep(Y)
+        finally:
+            flush()
     return accepted / n_steps
 
 
 def _chain(params, n_steps: int, config: MHConfig, rng: Generator, emit, init=None) -> float:
     """``n_steps`` steps of the chain of ``params``' law, each kept flat passed to ``emit``; returns
-    the acceptance rate.  A Langevin chain starts at ``init`` (default: a uniform flat), a
-    Langevin-Gaussian one at a uniform k-plane; at k = 0 that law's one plane, {0}, would accept
-    every step, so no chain runs and the rate is 1.0."""
+    the acceptance rate.  A Langevin chain starts at ``init`` (default: a uniform flat) and reflects
+    its kept frames in stacks of ``FLAT_BLOCK``.  A Langevin-Gaussian one starts at a uniform
+    k-plane; at k = 0 its one plane, {0}, would accept every step: no chain runs, the rate is 1."""
     if isinstance(params, LangevinParams):
         init = sample_uniform(params.k, params.n, rng) if init is None else init
         _check_params(init, params)
-        return _mh_chain(params.S, stiefel_coords(init).Y, n_steps, config, rng,
-                         lambda Y: emit(_flat_from_frame(Y)), require_flat=True)
+        Y0, block = stiefel_coords(init).Y, []
+
+        def keep(Y):
+            if Y is Y0:  # only init can span no flat (proposals passed the test): raise now
+                _flat_from_frame(Y)
+            block.append(Y)
+            if len(block) == FLAT_BLOCK:
+                flush()
+
+        def flush():
+            flats, block[:] = _flats_from_frames(np.stack(block)) if block else [], []
+            for flat in flats:
+                emit(flat)
+
+        return _mh_chain(params.S, Y0, n_steps, config, rng, keep, True, flush)
     n, k, scale = params.n, params.k, math.sqrt(params.sigma2)
 
     def keep(Y):
@@ -299,6 +317,8 @@ def langevin_mh_run(
     The chain lives on spans of Stiefel coordinates; tr(S P) is basis-free,
     so the density needs no canonicalization per step.
     """
+    if not isinstance(params, LangevinParams):
+        raise TypeError("langevin_mh_run expects LangevinParams")
     samples: list[AffineFlat] = []
     rate = _chain(params, _check_int(n_steps, "n_steps", 1), MHConfig(step_size, burn_in, thin),
                   rng, samples.append, init)
@@ -334,6 +354,8 @@ def langevin_gaussian_run(
     R^n (burn-in then thinning per ``config``); each retained plane gets an
     independent Gaussian displacement in its orthogonal complement.
     """
+    if not isinstance(params, LangevinGaussianParams):
+        raise TypeError("langevin_gaussian_run expects LangevinGaussianParams")
     flats: list[AffineFlat] = []
     _kept_chain(params, _check_int(count, "count", 1), config, rng, flats.append)
     return flats

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -811,6 +811,83 @@ class TestSharedChain:
         config = MHConfig(burn_in=4.0, thin=2.0)
         assert (config.burn_in, config.thin) == (4, 2)
         assert type(config.burn_in) is int and type(config.thin) is int
+
+    def test_each_runner_refuses_the_other_law(self):
+        mh = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=1, n=3)
+        gaussian = LangevinGaussianParams(S=np.diag([1.0, 0.5, 0.0]), sigma2=1.0, k=1, n=3)
+        with pytest.raises(TypeError, match="^langevin_mh_run expects LangevinParams$"):
+            langevin_mh_run(gaussian, 10, 0.3, random_stream(1))
+        with pytest.raises(TypeError,
+                           match="^langevin_gaussian_run expects LangevinGaussianParams$"):
+            langevin_gaussian_run(mh, 3, MHConfig(0.3, 2, 1), random_stream(1))
+
+
+def _step_by_step_flats(params, n_steps, config, seed, init=None):
+    """``probability._chain`` of a Langevin law as ``_step_by_step_chain`` and one
+    ``_flat_from_frame`` per kept state: (flats, rate, or the error raised, stream state)."""
+    rng, flats = random_stream(seed), []
+    init = sample_uniform(params.k, params.n, rng) if init is None else init
+    try:
+        rate = _step_by_step_chain(params.S, stiefel_coords(init).Y, n_steps, config, rng,
+                                   lambda Y: flats.append(_flat_from_frame(Y)), True)
+    except NotAFlat as exc:
+        rate = f"NotAFlat: {exc}"
+    return flats, rate, rng.bit_generator.state
+
+
+def _chain_flats(params, n_steps, config, seed, init=None):
+    rng, flats = random_stream(seed), []
+    try:
+        rate = probability._chain(params, n_steps, config, rng, flats.append, init)
+    except NotAFlat as exc:
+        rate = f"NotAFlat: {exc}"
+    return flats, rate, rng.bit_generator.state
+
+
+def _assert_same_flats_and_state(run, expected):
+    (flats, rate, state), (expected_flats, expected_rate, expected_state) = run, expected
+    assert len(flats) == len(expected_flats)
+    for flat, other in zip(flats, expected_flats):
+        assert flat.A.tobytes() == other.A.tobytes() and flat.b0.tobytes() == other.b0.tobytes()
+    assert rate == expected_rate
+    assert state == expected_state
+
+
+class TestStackedKeep:
+    """A Langevin chain reflects its kept frames in stacks of ``FLAT_BLOCK``: the flats,
+    their order, the rate and the stream are those of one reflection per kept state."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(k=st.integers(0, 2), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(1, 80), burn_in=st.integers(0, 40), thin=st.integers(1, 9),
+           step_size=st.floats(1e-300, 1e300), S=st.sampled_from(["random", 0.0, 1e300]))
+    @example(k=1, extra=0, seed=5, n_steps=4100, burn_in=0, thin=1, step_size=0.3,
+             S="random")  # 4,100 kept at (1, 2): more than one block of FLAT_BLOCK = 4096
+    def test_the_kept_flats_are_those_of_the_step_by_step_chain(
+            self, k, extra, seed, n_steps, burn_in, thin, step_size, S):
+        n = k + 1 + extra
+        G = random_stream(seed).standard_normal((n + 1, n + 1))
+        params = LangevinParams(S=(G + G.T) / 2.0 if S == "random" else S * np.eye(n + 1), k=k,
+                                n=n)
+        config = MHConfig(step_size, burn_in, thin)
+        _assert_same_flats_and_state(_chain_flats(params, n_steps, config, seed + 1),
+                                     _step_by_step_flats(params, n_steps, config, seed + 1))
+
+    @pytest.mark.parametrize("burn_in, thin", [(0, 1), (3, 2)])
+    def test_a_far_initial_flat_raises_at_its_step(self, burn_in, thin):
+        # The initial frame's last row has norm about 1e-11: it spans no flat, and every
+        # proposal 1e-12 away is refused, so the chain keeps it at step burn_in and raises there.
+        params = LangevinParams(S=np.zeros((4, 4)), k=1, n=3)
+        init = make_flat([[1.0], [0.0], [0.0]], [0.0, 1e11, 0.0])
+        config = MHConfig(1e-12, burn_in, thin)
+        run = _chain_flats(params, 50, config, 3, init)
+        assert run[1] == ("NotAFlat: span lies in the hyperplane x_{n+1} = 0"
+                          " (a linear subspace, not a flat)")
+        _assert_same_flats_and_state(run, _step_by_step_flats(params, 50, config, 3, init))
+        rng = random_stream(3)
+        with pytest.raises(NotAFlat):
+            langevin_mh_run(params, 50, 1e-12, rng, burn_in, thin, init)
+        assert rng.bit_generator.state == run[2]
 
 
 _PARAMS = LangevinParams(S=np.diag([1.0, 0.5, 0.0, 0.0]), k=1, n=3)

@@ -20,7 +20,8 @@ process per copy, with that copy's ``src`` first on ``sys.path``:
   stderr of each call are three outputs.  A warning the call leaks lands in
   its stderr as ``Category: message``, without the code location that any
   edit of the calling module moves.
-- seeded library calls: chains, normalizers, the builders, the metric (also
+- seeded library calls: chains (also one from a far initial flat, which raises
+  ``NotAFlat``, and one of 4100 kept states), normalizers, the builders, the metric (also
   on pairs at (16, 64) and (32, 128), whose products take other BLAS paths)
   and the estimators.  Each result, or the exception raised, is one output.
 
@@ -312,6 +313,16 @@ def _library_calls(graff, np):
              lambda seed=seed: prob.grassmann_normalizer(defect, 2, 4, 100,
                                                          prob.random_stream(seed))),
         ]
+    # A far initial flat, which the chain keeps and refuses at its first step, and a chain
+    # that reflects its kept states in more than one 4096-frame block.
+    far_init = graff.make_flat([[1.0], [0.0], [0.0]], [0.0, 1e11, 0.0])
+    calls += [
+        ("langevin_mh_run far init", lambda: prob.langevin_mh_run(
+            prob.LangevinParams(S=np.zeros((4, 4)), k=1, n=3), 50, 1e-12, prob.random_stream(1),
+            init=far_init)),
+        ("langevin_mh_run 4100 kept", lambda: prob.langevin_mh_run(
+            prob.LangevinParams(S=S3, k=1, n=2), 4100, 0.3, prob.random_stream(1))),
+    ]
     # Wide pairs, whose products take other BLAS paths than the small ones below.
     for k, n in [(16, 64), (32, 128)]:
         first, second = flats(k, n, n, 2)
