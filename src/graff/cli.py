@@ -33,7 +33,7 @@ import math
 import sys
 import warnings
 
-from ._plain import FLAT_BLOCK, DistanceKind, fmt_float
+from ._plain import DistanceKind, flat_block, fmt_float
 from .errors import GraffError, NotAFlat, NotSeparable, SingularPair, _check_int
 
 __all__ = ["main", "entry_point"]
@@ -77,13 +77,16 @@ def __getattr__(name):
 
 @contextlib.contextmanager
 def _write_flats():
-    """An ``emit(flat)`` that writes the documents on stdout, one write per ``FLAT_BLOCK``
-    flats, holding at most that many; on leaving, by an error too, the rest are written."""
-    chunk = []
+    """An ``emit(flat)`` that writes the documents on stdout, one write per ``flat_block`` flats
+    of the first flat's size, holding at most that many; on leaving, by an error too, the rest
+    are written."""
+    chunk, block = [], 0
 
     def emit(flat):
+        nonlocal block
+        block = block or flat_block(flat.k, flat.n)
         chunk.append(flat)
-        if len(chunk) == FLAT_BLOCK:
+        if len(chunk) == block:
             full, chunk[:] = chunk[:], []
             sys.stdout.write(dumps_flats(full))
     try:

@@ -7,9 +7,10 @@ Equidimensional flats get the full family of classical subspace distances;
 flats of different dimensions get the same formulas on the min(k,l)+1
 angles (the distance from one flat to the nearest flat of the other's
 dimension containing/contained in it), and three of the distances extend to
-genuine metrics across dimensions with an extra |k - l| penalty term.  A flat keeps a record
-of its last partner, M = Y_F^T Y_G, W = Y_G - Y_F M and the angles (two unpadded SVDs): the
-distances, principal decomposition, geodesic and ``equal_flats`` of one ordered pair share it.
+genuine metrics across dimensions with an extra |k - l| penalty term.  Both flats of a pair keep
+one record of it, M = Y_F^T Y_G, W = Y_G - Y_F M and the angles (two unpadded SVDs) in an order
+fixed by content: its distances, principal decomposition, geodesic and ``equal_flats`` share it in
+either order, and every angle-derived value is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -94,22 +95,37 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
 
 
 def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
-    """[key, M, W, _angles(M, W)], kept on flat1 as ``_pair``: key is flat2's Stiefel coordinates
-    (held, so not reused; flat2 can be freed), M = Y1^T Y2, W = Y2 - Y1 M; the angles are None
-    until a call wants them; directional: M^T's bits may differ."""
-    key = stiefel_coords(flat2)
-    pair = getattr(flat1, "_pair", None)
-    if pair is None or pair[0] is not key:
+    """[S_a, S_b, M, W, _angles(M, W), swapped]: the unordered pair's record, kept on both flats
+    as ``_pair``, in the order fixed by content, larger k first, then the bytes of the Stiefel
+    coordinates S_a, S_b (held, so not reused; no flat is held).  M = Y_a^T Y_b, W = Y_b - Y_a M;
+    the angles (None until wanted) serve both orders; ``swapped`` is (b, a)'s, for ``_ordered``."""
+    S1, S2 = stiefel_coords(flat1), stiefel_coords(flat2)
+    pair = getattr(flat1, "_pair", None)  # a record on flat1 holds S1
+    if pair is None or (pair[1] if pair[0] is S1 else pair[0]) is not S2:
         if flat1.n != flat2.n:
             raise DimensionError(f"ambient dimensions differ ({flat1.n} vs {flat2.n});"
                                  " pad_ambient first")
-        Y1 = stiefel_coords(flat1).Y
-        M = Y1.T.dot(key.Y)
-        pair = [key, M, key.Y - Y1.dot(M), None]
+        if (flat2.k, S1.Y.tobytes()) > (flat1.k, S2.Y.tobytes()):  # a: larger k, smaller bytes
+            S1, S2 = S2, S1
+        M = S1.Y.T.dot(S2.Y)
+        pair = [S1, S2, M, S2.Y - S1.Y.dot(M), None, None]
         object.__setattr__(flat1, "_pair", pair)
-    if angles and pair[3] is None:
-        pair[3] = _angles(pair[1], pair[2])
+        object.__setattr__(flat2, "_pair", pair)
+    if angles and pair[4] is None:
+        pair[4] = _angles(pair[2], pair[3])
     return pair
+
+
+def _ordered(flat1: AffineFlat, flat2: AffineFlat, angles: bool = False) -> tuple:
+    """(M, W, angles) with M = Y1^T Y2 and W = Y2 - Y1 M in the order given: the record's own when
+    that order is its canonical one, else formed once and kept as its ``swapped``."""
+    pair = _pair(flat1, flat2, angles)
+    if pair[0] is stiefel_coords(flat1):
+        return pair[2], pair[3], pair[4]
+    if pair[5] is None:
+        Y1, Y2 = pair[1].Y, pair[0].Y
+        pair[5] = (M := Y1.T.dot(Y2), Y2 - Y1.dot(M))
+    return (*pair[5], pair[4])
 
 
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
@@ -120,12 +136,12 @@ def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
     are computed through their sines so that nearly identical flats yield
     angles at rounding level rather than at sqrt(rounding) level.
     """
-    return np.array(_pair(flat1, flat2)[3][0])
+    return np.array(_pair(flat1, flat2)[4][0])
 
 
 def principal_decomposition(flat1: AffineFlat, flat2: AffineFlat) -> PrincipalDecomposition:
     """Full SVD of Y_F^T Y_G (the pair's stored M) with angles, rotations, and principal vectors."""
-    _, M, _, (thetas, sigmas) = _pair(flat1, flat2)
+    M, _, (thetas, sigmas) = _ordered(flat1, flat2, angles=True)
     Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
     U, _, Vt = _lapack.svd(M)
     return PrincipalDecomposition(
@@ -175,7 +191,7 @@ def delta_distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASS
     arguments, and identical to :func:`distance` when k = l.
     """
     kind = _as_kind(kind)
-    return _formula(*_pair(flat1, flat2)[3], kind)
+    return _formula(*_pair(flat1, flat2)[4], kind)
 
 
 def distance(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRASSMANN) -> float:
@@ -215,7 +231,7 @@ def infinite_metric(flat1: AffineFlat, flat2: AffineFlat, kind=DistanceKind.GRAS
             f"no cross-dimension metric for kind {kind.value!r};"
             " choose grassmann, chordal, or procrustes"
         )
-    return _formula(*_pair(flat1, flat2)[3], kind, abs(flat1.k - flat2.k))
+    return _formula(*_pair(flat1, flat2)[4], kind, abs(flat1.k - flat2.k))
 
 
 def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool:
@@ -224,10 +240,10 @@ def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool
     Invariant to basis rotation A -> AQ and to the coset freedom in the raw displacement;
     flats of different dimensions compare unequal.  No projection is formed: |P1 - P2|_F^2
     = |W|_F^2 + |V|_F^2 with M = Y1^T Y2, W = Y2 - Y1 M, V = Y1 - Y2 M^T, in either order.
-    M and W come from flat1's pair record, shared with the distances; a new partner replaces it.
+    M and W come from the pair's record, in its canonical order, shared with the distances.
     """
-    key, M, W, _ = _pair(flat1, flat2, angles=False)
-    V = stiefel_coords(flat1).Y - key.Y.dot(M.T)
+    S1, S2, M, W = _pair(flat1, flat2, angles=False)[:4]
+    V = S1.Y - S2.Y.dot(M.T)
     return math.sqrt(float(np.vdot(W, W)) + float(np.vdot(V, V))) <= tol
 
 
@@ -271,7 +287,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     """
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
-    _, M, W, _ = _pair(flat1, flat2, angles=False)
+    M, W, _ = _ordered(flat1, flat2)
     Y, k = stiefel_coords(flat1), flat1.k
     # H = W M^{-1} keeps, unlike M's SVD, the directions when every cosine rounds to 1; as
     # span(H) = span(W), Q is orthogonal to span(Y) to rounding however small the cosines.

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from . import _lapack
-from ._plain import FLAT_BLOCK
+from ._plain import flat_block
 from .coords import (_FLAT_TOL, AffineFlat, _as_matrix, _flat_from_frame, _flats_from_frames,
                      _freeze, _orthogonal_part, _trusted, projection_coords, stiefel_coords,
                      unembed)  # noqa: F401 (projection_coords, unembed: perfbench traces them)
@@ -263,18 +263,18 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
 def _chain(params, n_steps: int, config: MHConfig, rng: Generator, emit, init=None) -> float:
     """``n_steps`` steps of the chain of ``params``' law, each kept flat passed to ``emit``; returns
     the acceptance rate.  A Langevin chain starts at ``init`` (default: a uniform flat) and reflects
-    its kept frames in stacks of ``FLAT_BLOCK``.  A Langevin-Gaussian one starts at a uniform
+    its kept frames in stacks of ``flat_block(k, n)``.  A Langevin-Gaussian one starts at a uniform
     k-plane; at k = 0 its one plane, {0}, would accept every step: no chain runs, the rate is 1."""
     if isinstance(params, LangevinParams):
         init = sample_uniform(params.k, params.n, rng) if init is None else init
         _check_params(init, params)
-        Y0, block = stiefel_coords(init).Y, []
+        Y0, block, size = stiefel_coords(init).Y, [], flat_block(params.k, params.n)
 
         def keep(Y):
             if Y is Y0:  # only init can span no flat (proposals passed the test): raise now
                 _flat_from_frame(Y)
             block.append(Y)
-            if len(block) == FLAT_BLOCK:
+            if len(block) == size:
                 flush()
 
         def flush():

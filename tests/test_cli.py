@@ -399,16 +399,16 @@ class TestSample:
             sample_uniform(0, 31, rng))) + "\n" for _ in range(5000)))
 
     def test_uniform_writes_before_the_last_blocks_are_drawn(self, monkeypatch):
-        # At (8, 32) a block is 441 frames: the first 4096 flats are written once the
-        # tenth block is drawn, and the eleventh and twelfth are drawn after that write.
+        # At (8, 32) a block of draws is 441 frames, and so is a write (4096 flats would hold
+        # more than 2**17 Stiefel entries): each block is written before the next is drawn.
         stream = CountingStream(4)
         out = _WriteLog(lambda: stream.calls)
         monkeypatch.setattr(cli, "random_stream", lambda seed: stream)
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["sample", "--dist", "uniform", "--k", "8", "--n", "32", "--seed", "4",
                      "--count", "5000"]) == 0
-        assert [(calls, text.count("\n")) for calls, text in out.writes] == [(10, 4096),
-                                                                              (12, 904)]
+        assert [(calls, text.count("\n")) for calls, text in out.writes] == [
+            *((calls, 441) for calls in range(1, 12)), (12, 149)]
 
     @staticmethod
     def _chain_run(monkeypatch, tmp_path, dist, count, planted_at=None):
@@ -454,6 +454,26 @@ class TestSample:
         assert [text.count("\n") for text in texts[:2]] == [4096, 1]
         assert texts[:2] == [text for _, text in full]
         assert "".join(texts[2:]) == "ValueError: planted\n"
+
+    def test_a_wide_chain_writes_and_reflects_at_most_2_17_entries_at_once(self, monkeypatch,
+                                                                            tmp_path):
+        # At (10, 40) a flat has 41 x 11 Stiefel entries: 290 flats a write and a stack, where
+        # the command line's sizes, (1, 3) and (2, 5), keep 4096.
+        from graff import _plain, probability
+
+        assert [_plain.flat_block(k, n) for k, n in [(1, 3), (2, 5), (10, 40)]] == [4096, 4096, 290]
+        S = np.random.default_rng(5).standard_normal((41, 41))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"k": 10, "n": 40, "S": (S + S.T).tolist()}))
+        stacks, reflect = [], probability._flats_from_frames
+        monkeypatch.setattr(probability, "_flats_from_frames",
+                            lambda frames: stacks.append(len(frames)) or reflect(frames))
+        out = _WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sample", "--dist", "langevin", "--params", str(params), "--seed", "1",
+                     "--count", "600", "--burn-in", "0", "--thin", "1"]) == 0
+        assert stacks == [290, 290, 20]
+        assert [text.count("\n") for _, text in out.writes] == [290, 290, 20]
 
     def test_uniform_requires_dimensions(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--dist", "uniform", "--seed", "1")

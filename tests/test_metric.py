@@ -355,6 +355,18 @@ def _bits(value) -> bytes:
     return b"|".join(_bits(getattr(value, name)) for name in names)
 
 
+def _symmetric_bits(f: AffineFlat, g: AffineFlat) -> list[bytes]:
+    """Every angle-derived value of the pair (f, g): the angles, the decomposition's thetas and
+    sigmas, each kind of delta_distance, infinite_metric and (k = l) distance, equal_flats."""
+    decomposition = principal_decomposition(f, g)
+    values = [affine_principal_angles(f, g), decomposition.thetas, decomposition.sigmas,
+              *(delta_distance(f, g, kind) for kind in ALL_KINDS),
+              *(infinite_metric(f, g, kind) for kind in METRIC_KINDS),
+              *(distance(f, g, kind) for kind in ALL_KINDS if f.k == g.k),
+              float(equal_flats(f, g))]
+    return [_bits(value) for value in values]
+
+
 # Every call that reads the record of a pair, as (name, call, accepts (flat1, flat2)).
 PAIR_CALLS = [
     ("affine_principal_angles", affine_principal_angles, lambda f, g: True),
@@ -389,13 +401,30 @@ class TestPairCache:
             if accepts(f, g):
                 assert _bits(call(f, g)) == _bits(call(_fresh(f), _fresh(g))), name
 
-    def test_swapped_pair_is_not_served_from_the_first_order(self, rng):
-        a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
-        while distance(_fresh(a), _fresh(b)) == distance(_fresh(b), _fresh(a)):
-            a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
-        forward = distance(a, b)
-        assert _bits(distance(b, a)) == _bits(distance(_fresh(b), _fresh(a)))
-        assert _bits(distance(a, b)) == _bits(forward)
+    @pytest.mark.parametrize("shape", ["k = l", "k != l", "1e-8 twins"])
+    def test_both_orders_are_bit_equal(self, rng, shape):
+        # One record per unordered pair: fresh flats in either order, and measured flats
+        # whose last partners differ, in either position, give the same bits.
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(0, n))
+            a = random_flat(rng, n, k)
+            if shape == "k = l":
+                b = random_flat(rng, n, k)
+            elif shape == "k != l":
+                b = random_flat(rng, n, (k + int(rng.integers(1, n))) % n)
+            else:
+                b = make_flat(a.A + 1e-8 * rng.standard_normal(a.A.shape), a.b0)
+            c = random_flat(rng, n, int(rng.integers(0, n)))
+            expected = _symmetric_bits(_fresh(a), _fresh(b))
+            assert _symmetric_bits(_fresh(b), _fresh(a)) == expected
+            delta_distance(a, c)
+            delta_distance(c, b)
+            assert _symmetric_bits(a, b) == expected
+            delta_distance(b, c)
+            delta_distance(c, a)
+            assert _symmetric_bits(b, a) == expected
+            assert _symmetric_bits(a, b) == expected
 
     def test_a_measured_flat_pickles_and_copies(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 2)
@@ -432,12 +461,17 @@ class TestPairCache:
         (equal_flats, geodesic, distance, principal_decomposition),
     ], ids=["angles first", "equal_flats first"])
     def test_one_overlap_per_ordered_pair(self, rng, calls):
+        # Both flats hold the one record; its M and W, and the swapped order's once formed,
+        # stay the objects first made, whichever order each call takes.
         a, b = random_flat(rng, 6, 2), random_flat(rng, 6, 2)
         calls[0](a, b)
-        pair, M, W = a._pair, a._pair[1], a._pair[2]
-        for call in calls[1:]:  # the record and its M and W stay the objects the first call made
-            call(a, b)
-            assert a._pair is pair and pair[1] is M and pair[2] is W, call.__name__
+        pair, M, W, swapped = a._pair, a._pair[2], a._pair[3], a._pair[5]
+        for index, call in enumerate(calls[1:] * 2):
+            call(*((a, b) if index % 2 else (b, a)))
+            assert a._pair is pair is b._pair and pair[2] is M and pair[3] is W, call.__name__
+            assert swapped is None or pair[5] is swapped, call.__name__
+            swapped = pair[5]
+        assert swapped is not None  # principal_decomposition and geodesic ran in both orders
 
     def test_a_partner_can_be_collected(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 1)
@@ -669,9 +703,12 @@ class TestDotSites:
     def test_the_pair_record_and_the_principal_vectors(self, name):
         flat1, flat2 = _dot_site_pairs()[name]
         Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
-        _, M, W, _ = metric._pair(flat1, flat2, angles=False)
-        assert _bits(M) == _bits(Y1.T @ Y2)
-        assert _bits(W) == _bits(Y2 - Y1 @ (Y1.T @ Y2))
+        for (Ya, Yb), (M, W, _) in (((Y1, Y2), metric._ordered(flat1, flat2)),
+                                    ((Y2, Y1), metric._ordered(flat2, flat1))):
+            assert _bits(M) == _bits(Ya.T @ Yb)
+            assert _bits(W) == _bits(Yb - Ya @ (Ya.T @ Yb))
+        Sa, Sb, M, W = metric._pair(flat1, flat2, angles=False)[:4]
+        assert _bits(M) == _bits(Sa.Y.T @ Sb.Y) and _bits(W) == _bits(Sb.Y - Sa.Y @ M)
         decomposition = principal_decomposition(flat1, flat2)
         assert _bits(decomposition.P_vecs) == _bits(Y1 @ decomposition.U)
         assert _bits(decomposition.Q_vecs) == _bits(Y2 @ decomposition.V)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OPERATIONS = ["make_flat", "unembed", "AffineFlat", "distance", "distance (same pair again)",
-              "equal_flats", "equal_flats (next partner)",
+              "distance (swapped pair)", "equal_flats", "equal_flats (next partner)",
               "distance (kind as a string)", "affine_principal_angles (2-flat, 1-flat)",
               "infinite_metric (2-flat, 1-flat)",
               "sample_uniform", "geodesic", "evaluate_geodesic",

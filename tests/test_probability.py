@@ -854,7 +854,7 @@ def _assert_same_flats_and_state(run, expected):
 
 
 class TestStackedKeep:
-    """A Langevin chain reflects its kept frames in stacks of ``FLAT_BLOCK``: the flats,
+    """A Langevin chain reflects its kept frames in stacks of ``flat_block(k, n)``: the flats,
     their order, the rate and the stream are those of one reflection per kept state."""
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -862,7 +862,7 @@ class TestStackedKeep:
            n_steps=st.integers(1, 80), burn_in=st.integers(0, 40), thin=st.integers(1, 9),
            step_size=st.floats(1e-300, 1e300), S=st.sampled_from(["random", 0.0, 1e300]))
     @example(k=1, extra=0, seed=5, n_steps=4100, burn_in=0, thin=1, step_size=0.3,
-             S="random")  # 4,100 kept at (1, 2): more than one block of FLAT_BLOCK = 4096
+             S="random")  # 4,100 kept at (1, 2): more than one block of 4096
     def test_the_kept_flats_are_those_of_the_step_by_step_chain(
             self, k, extra, seed, n_steps, burn_in, thin, step_size, S):
         n = k + 1 + extra

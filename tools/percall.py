@@ -10,11 +10,16 @@ its tree and times every operation at k = 2, n = 5 with ``timeit``, keeping
 the best of ``--repeat`` repeats of ``--number`` calls.  ``unembed`` of one
 fixed 6 x 3 matrix times the QR and the frame step; ``AffineFlat`` validates
 that flat's orthonormal A and b0.  Both come from their own seeded generator,
-so every other row keeps its inputs.  A flat keeps the
-overlap and principal angles of its last partner, so the metric rows alternate
-between two partners and every call computes its angles; ``distance (same
-pair again)`` repeats one pair and times the stored angles, and ``equal_flats``
-repeats it and reads the stored overlap, which ``equal_flats (next partner)``
+so every other row keeps its inputs.  Both flats of a pair keep
+its record, the overlap and principal angles, and a call reads the record its
+first flat keeps, so the metric rows alternate one flat between two partners and every
+call computes its angles; ``distance (same pair again)`` repeats one pair and
+times the stored angles, and ``distance (swapped pair)`` times both orders of
+one pair, distance(a, b) and then distance(b, a), per pair, around a cycle of
+three flats in which each first call meets a pair anew: where the record is kept
+per unordered pair the second call reads it, where per ordered pair it computes
+its own angles.  ``equal_flats``
+repeats one pair and reads the stored overlap, which ``equal_flats (next partner)``
 forms anew on every call.  Three rows run at
 (k, n) = (32, 128), perfbench metric_sweep's widest class: ``distance``
 alternating between two partners (every call computes the principal-angle
@@ -106,6 +111,13 @@ def operations(graff, workdir: Path):
     for partner in (other, other2, line, line2):  # caches every flat's Stiefel coordinates
         graff.delta_distance(flat, partner)
     others, lines = itertools.cycle((other, other2)), itertools.cycle((line, line2))
+    swaps = itertools.cycle(((flat, other), (other, other2), (other2, flat)))
+
+    def both_orders():
+        a, b = next(swaps)
+        graff.distance(a, b)
+        return graff.distance(b, a)
+
     wide_rng = graff.random_stream(20260812)  # leaves the other rows' draws as they were
     wide, *wide_others = (graff.sample_uniform(32, 128, wide_rng) for _ in range(3))
     for partner in wide_others:
@@ -125,6 +137,7 @@ def operations(graff, workdir: Path):
         ("AffineFlat", lambda: graff.AffineFlat(A_fixed, b0_fixed), 1),
         ("distance", lambda: graff.distance(flat, next(others)), 1),
         ("distance (same pair again)", lambda: graff.distance(flat, other), 1),
+        ("distance (swapped pair)", both_orders, 1),
         ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
         ("equal_flats (next partner)", lambda: graff.equal_flats(flat, next(others)), 1),
         ("distance (kind as a string)", lambda: graff.distance(flat, next(others), "grassmann"), 1),
