@@ -22,6 +22,7 @@ made before an error are written.  Stdout holds finite numbers only, but for the
 ``inf`` of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
 Input checks use one fixed relative rank tolerance, 1e-10; a document that needs a
 looser orthogonality check drops ``"orthogonal": true`` to go through ``make_flat``.
+The process entries run BLAS on one thread unless the environment sets its own count.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -296,4 +298,8 @@ def _format_warning(message, category, *_) -> str:
 
 
 def entry_point() -> None:
+    """The ``graff`` script and ``python -m graff``: one BLAS thread unless the environment sets
+    another, before numpy loads, so the printed digits do not follow the machine's core count."""
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(main())

@@ -96,21 +96,23 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
 
 def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
     """[S_a, S_b, M, W, _angles(M, W), swapped]: the unordered pair's record, kept on both flats
-    as ``_pair``, in the order fixed by content, larger k first, then the bytes of the Stiefel
-    coordinates S_a, S_b (held, so not reused; no flat is held).  M = Y_a^T Y_b, W = Y_b - Y_a M;
-    the angles (None until wanted) serve both orders; ``swapped`` is (b, a)'s, for ``_ordered``."""
+    as ``_pair`` and read from flat1, else flat2, in the order fixed by content, larger k first,
+    then the bytes of the Stiefel coordinates S_a, S_b (held, so not reused; no flat is held).
+    M = Y_a^T Y_b, W = Y_b - Y_a M; the angles (None until wanted) serve both orders;
+    ``swapped`` is (b, a)'s, for ``_ordered``."""
     S1, S2 = stiefel_coords(flat1), stiefel_coords(flat2)
     pair = getattr(flat1, "_pair", None)  # a record on flat1 holds S1
     if pair is None or (pair[1] if pair[0] is S1 else pair[0]) is not S2:
-        if flat1.n != flat2.n:
-            raise DimensionError(f"ambient dimensions differ ({flat1.n} vs {flat2.n});"
-                                 " pad_ambient first")
-        if (flat2.k, S1.Y.tobytes()) > (flat1.k, S2.Y.tobytes()):  # a: larger k, smaller bytes
-            S1, S2 = S2, S1
+        pair = getattr(flat2, "_pair", None)  # else flat2's, which holds S2
+    if pair is None or (pair[1] if pair[0] is S2 else pair[0]) is not S1:
+        (n1, k1), (n2, k2) = flat1.A.shape, flat2.A.shape
+        if n1 != n2:
+            raise DimensionError(f"ambient dimensions differ ({n1} vs {n2}); pad_ambient first")
+        if k1 < k2 or k1 == k2 and S1.Y.tobytes() > S2.Y.tobytes():
+            S1, S2 = S2, S1  # a: larger k, then smaller bytes
         M = S1.Y.T.dot(S2.Y)
         pair = [S1, S2, M, S2.Y - S1.Y.dot(M), None, None]
-        object.__setattr__(flat1, "_pair", pair)
-        object.__setattr__(flat2, "_pair", pair)
+        flat1.__dict__["_pair"] = flat2.__dict__["_pair"] = pair  # past the frozen __setattr__
     if angles and pair[4] is None:
         pair[4] = _angles(pair[2], pair[3])
     return pair
@@ -247,6 +249,24 @@ def equal_flats(flat1: AffineFlat, flat2: AffineFlat, tol: float = 1e-8) -> bool
     return math.sqrt(float(np.vdot(W, W)) + float(np.vdot(V, V))) <= tol
 
 
+_ROOM_TOL = 0.1
+
+
+def _beyond(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(W) beyond span(Y): the QR of W' = W - Y (Y^T W), W projected
+    twice, which leaves Q's column j off span(Y) by about eps |w_j| / |R_jj|.  Where some
+    |R_jj| <= 0.1 |w_j| (|w_j| <= 1, so only then are the norms formed), or where there is no
+    room for k + 1 directions beyond span(Y), the last k + 1 columns of the QR of [Y, W]."""
+    k1 = Y.shape[1]
+    if Y.shape[0] >= 2 * k1:
+        a = W - Y.dot(Y.T.dot(W))
+        Q, size = _lapack.qr_in_place(a), [abs(r) for r in a.diagonal().tolist()]
+        if min(size) > _ROOM_TOL or all(r * r > _ROOM_TOL**2 * w for r, w in zip(
+                size, np.einsum("ij,ij->j", W, W).tolist())):
+            return Q
+    return _lapack.qr(np.concatenate((Y, W), axis=1))[0][:, k1:]
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicCurve:
     """Data defining the minimizing geodesic between two equidimensional flats.
@@ -256,11 +276,12 @@ class GeodesicCurve:
 
         H = W M^{-1} = Q tan(Theta) U^T,   M = Y^T Y',  W = Y' - Y M,
 
-    with Theta nondecreasing, in a basis of span(Y, W) beyond span(Y).  Where n - k < k + 1
-    the k + 1 - (n - k) directions with no room beyond span(Y_start) get angle 0 and a zero
-    column of Q; the other columns are orthonormal and orthogonal to span(Y_start) to
-    rounding, so every frame is orthonormal.  ``evaluate_geodesic`` keeps Y_start U and the
-    angles on the curve, which pickle and copy leave behind.
+    with Theta nondecreasing, in a basis of span(Y, W) beyond span(Y): the QR of W projected
+    twice, W - Y (Y^T W), or the QR of [Y, W] where that one is rank-deficient or n - k < k + 1.
+    In the latter case the k + 1 - (n - k) directions with no room beyond span(Y_start) get
+    angle 0 and a zero column of Q; the other columns are orthonormal and orthogonal to
+    span(Y_start) to rounding, so every frame is orthonormal.  ``evaluate_geodesic`` keeps
+    Y_start U and the angles on the curve, which pickle and copy leave behind.
     """
 
     Y_start: StiefelMatrix
@@ -283,7 +304,9 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     included for such a flat1).  Every angle is kept, so the point at t = 1 is flat2 to
     rounding; angles of rounding size, as between a flat and itself in another basis,
     move a point at t by about |t| eps.  M and W come from the pair's record; Q from a basis
-    of span(Y_F, W) beyond span(Y_F), with M inverted on the (k+1)-square block only.
+    of span(Y_F, W) beyond span(Y_F), with M inverted on the (k+1)-square block only: the QR
+    of W' = W - Y_F (Y_F^T W), W projected twice, or, where some column of W' nearly depends
+    on the others or n - k < k + 1, the QR of [Y_F, W].
     """
     if flat1.k != flat2.k:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
@@ -292,7 +315,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
     # H = W M^{-1} keeps, unlike M's SVD, the directions when every cosine rounds to 1; as
     # span(H) = span(W), Q is orthogonal to span(Y) to rounding however small the cosines.
     try:
-        beyond = _lapack.qr(np.concatenate((Y.Y, W), axis=1))[0][:, k + 1:]
+        beyond = _beyond(Y.Y, W)
         Q_beyond, tangents, Ut = _lapack.svd(_lapack.solve(M.T, W.T.dot(beyond)).T)
     except np.linalg.LinAlgError:
         tangents = None

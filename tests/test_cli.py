@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,8 @@ LINE_Y1_DOC = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 1.0]}
 LINE_Y2_DOC = {"n": 2, "k": 1, "A": [[1.0, 0.0]], "b": [0.0, 2.0]}
 POINT_DOC = {"n": 2, "k": 0, "A": [], "b": [0.0, 1.0]}
 Y_AXIS_DOC = {"n": 2, "k": 1, "A": [[0.0, 1.0]], "b": [0.0, 0.0]}
+# The thread counts the process entries pin where unset, as perfbench/run.py does.
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 @pytest.fixture
@@ -881,10 +884,40 @@ def test_module_entry_point_runs():
 
 def test_console_script_target_exits_with_mains_code(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["graff", "invariant", "--what", "dim", "1", "3"])
+    for name in BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     with pytest.raises(SystemExit) as exit_:
         cli.entry_point()
     assert exit_.value.code == 0
     assert capsys.readouterr().out == "4\n"
+    # One BLAS thread unless the environment sets a count: a user's own setting wins.
+    assert [os.environ[name] for name in BLAS_THREADS] == ["1", "3", "1", "1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_distance_prints_the_same_bytes_on_any_core_count(tmp_path):
+    """A (100, 400) pair's distance follows the BLAS thread count, which OpenBLAS takes from
+    the CPUs it may use; the process entries pin one thread, so the bytes are those of
+    OPENBLAS_NUM_THREADS=1 on every CPU of the machine and on one."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"n": 400, "k": 100, "A": rng.standard_normal(
+            (100, 400)).tolist(), "b": rng.standard_normal(400).tolist()}))
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def stdout(threads=None, cpus=None):
+        result = subprocess.run(
+            [sys.executable, "-m", "graff", "distance", *map(str, paths), "--verbose"],
+            env={**env, "OPENBLAS_NUM_THREADS": threads} if threads else env,
+            preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)),
+            capture_output=True, check=True, timeout=120)
+        return result.stdout
+
+    assert stdout() == stdout(cpus=one_cpu) == stdout(threads="1")
 
 
 def _imported(*args) -> tuple[subprocess.CompletedProcess, set]:

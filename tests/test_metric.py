@@ -473,6 +473,19 @@ class TestPairCache:
             swapped = pair[5]
         assert swapped is not None  # principal_decomposition and geodesic ran in both orders
 
+    def test_a_miss_on_the_first_flat_reads_the_second(self, rng):
+        # After distance(a, b) and distance(a, c), a holds {a, c} and b still holds {a, b}:
+        # distance(a, b) and principal_decomposition(a, b) read b's record and store nothing.
+        a, b, c = (random_flat(rng, 5, 2) for _ in range(3))
+        expected = _bits(distance(a, b))
+        pair = b._pair
+        distance(a, c)
+        other = a._pair
+        assert other is not pair and c._pair is other
+        assert _bits(distance(a, b)) == expected
+        principal_decomposition(a, b)
+        assert a._pair is other and b._pair is pair and c._pair is other
+
     def test_a_partner_can_be_collected(self, rng):
         a, b = random_flat(rng, 5, 2), random_flat(rng, 5, 1)
         delta_distance(a, b)
@@ -715,11 +728,21 @@ class TestDotSites:
 
     @pytest.mark.parametrize("name", list(_dot_site_pairs()))
     def test_the_geodesic_and_its_points(self, name):
+        # Q's basis beyond span(Y) is the QR of W' = W - Y (Y^T W) on the pairs with room for
+        # k + 1 directions there, and the QR of [Y, W] on the others: no room, or a W' column
+        # nearly dependent on the others (axis-aligned flats share a direction).
         flat1, flat2 = _dot_site_pairs()[name]
         Y, k = stiefel_coords(flat1).Y, flat1.k
         M = Y.T @ stiefel_coords(flat2).Y
         W = stiefel_coords(flat2).Y - Y @ M
-        beyond = _lapack.qr(np.concatenate((Y, W), axis=1))[0][:, k + 1:]
+        beyond, diag = _lapack.qr(W - Y @ (Y.T @ W))
+        room = flat1.n - k > k
+        fallback = room and any(np.abs(diag) <= metric._ROOM_TOL * np.linalg.norm(W, axis=0))
+        assert room == (name in ("axis-aligned", "points (k = 0)", "sampled k = 0",
+                                 "sampled (32, 128)"))
+        assert fallback == (name == "axis-aligned")
+        if not room or fallback:
+            beyond = _lapack.qr(np.concatenate((Y, W), axis=1))[0][:, k + 1:]
         Q_beyond, tangents, _ = _lapack.svd(_lapack.solve(M.T, W.T @ beyond).T)
         Q = np.zeros((flat1.n + 1, k + 1))
         Q[:, k + 1 - len(tangents):] = beyond @ Q_beyond[:, : len(tangents)][:, ::-1]

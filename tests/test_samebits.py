@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import samebits  # noqa: E402  (tools/ is not a package)
@@ -46,3 +48,13 @@ def test_the_expect_file_skips_comments_and_blank_lines(tmp_path):
     expect.write_text("# far flats\n\nlib projection_coords far\n  cli x | stderr  \n")
     assert samebits.read_expect(expect) == {"lib projection_coords far", "cli x | stderr"}
     assert samebits.read_expect(None) == set()
+
+
+def test_the_committed_expect_file_names_outputs_of_the_corpus():
+    """CI passes tools/samebits.expect, where it exists, as ``--expect``; a name in it that no
+    output carries would excuse nothing."""
+    expect = ROOT / "tools" / "samebits.expect"
+    if not expect.exists():
+        pytest.skip("this change moves no output")
+    parent, _ = samebits.run_corpora(ROOT, ROOT)
+    assert samebits.read_expect(expect) <= parent.keys()

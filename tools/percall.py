@@ -12,17 +12,20 @@ fixed 6 x 3 matrix times the QR and the frame step; ``AffineFlat`` validates
 that flat's orthonormal A and b0.  Both come from their own seeded generator,
 so every other row keeps its inputs.  Both flats of a pair keep
 its record, the overlap and principal angles, and a call reads the record its
-first flat keeps, so the metric rows alternate one flat between two partners and every
-call computes its angles; ``distance (same pair again)`` repeats one pair and
+first flat keeps, else its second's, so each metric row that times the kernel
+goes around its own ring of fresh flats, the pairs (a, b), (b, c), (c, a) of 2-flats
+(or a, l, b, m of 2-flats and lines, the 2-flat first): a flat holds the pair it
+last met, never the next one, and every call computes its angles.
+``distance (same pair again)`` repeats one pair and
 times the stored angles, and ``distance (swapped pair)`` times both orders of
-one pair, distance(a, b) and then distance(b, a), per pair, around a cycle of
-three flats in which each first call meets a pair anew: where the record is kept
+one pair, distance(a, b) and then distance(b, a), per pair, around a
+ring, in which each first call meets a pair anew: where the record is kept
 per unordered pair the second call reads it, where per ordered pair it computes
 its own angles.  ``equal_flats``
 repeats one pair and reads the stored overlap, which ``equal_flats (next partner)``
 forms anew on every call.  Three rows run at
 (k, n) = (32, 128), perfbench metric_sweep's widest class: ``distance``
-alternating between two partners (every call computes the principal-angle
+around a ring of three (every call computes the principal-angle
 kernel), then ``principal_decomposition`` and ``geodesic`` of one pair, which
 read the pair's stored overlap as metric_sweep's calls do.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
@@ -106,23 +109,34 @@ def operations(graff, workdir: Path):
     curve = graff.geodesic(flat, other)
     S = rng.standard_normal((n + 1, n + 1))
     params = graff.LangevinParams(S + S.T, k, n)
-    line = graff.sample_uniform(1, n, rng)
-    other2, line2 = graff.sample_uniform(k, n, rng), graff.sample_uniform(1, n, rng)
-    for partner in (other, other2, line, line2):  # caches every flat's Stiefel coordinates
-        graff.delta_distance(flat, partner)
-    others, lines = itertools.cycle((other, other2)), itertools.cycle((line, line2))
-    swaps = itertools.cycle(((flat, other), (other, other2), (other2, flat)))
+    for j in (1, k, 1):  # once the partners of the miss rows; the later rows keep their inputs
+        graff.sample_uniform(j, n, rng)
+    graff.distance(flat, other)  # caches both flats' Stiefel coordinates
+    ring_rng = graff.random_stream(20260814)  # leaves the other rows' draws as they were
+
+    def ring(dims, n=n, stream=ring_rng):
+        """Pairs around a ring of fresh flats of dimensions ``dims``, larger k first: each flat
+        holds the pair it last met, never the next one, so every call computes its record."""
+        flats = [graff.sample_uniform(j, n, stream) for j in dims]
+        for f in flats:
+            graff.stiefel_coords(f)
+        return itertools.cycle([sorted(pair, key=lambda f: -f.k)
+                                for pair in zip(flats, flats[1:] + flats[:1])])
+
+    swaps = ring((k, k, k))
 
     def both_orders():
         a, b = next(swaps)
         graff.distance(a, b)
         return graff.distance(b, a)
 
+    triangles = [ring((k, k, k)) for _ in range(3)]
+    squares = [ring((k, 1, k, 1)) for _ in range(2)]
     wide_rng = graff.random_stream(20260812)  # leaves the other rows' draws as they were
     wide, *wide_others = (graff.sample_uniform(32, 128, wide_rng) for _ in range(3))
     for partner in wide_others:
         graff.distance(wide, partner)
-    wide_partners = itertools.cycle(wide_others)
+    wide_triangle = ring((32, 32, 32), 128, wide_rng)
     chain_rng = graff.random_stream(20260813)
     S = chain_rng.standard_normal((n, n))
     gaussian = graff.LangevinGaussianParams(S + S.T, 0.5, k, n)
@@ -135,19 +149,20 @@ def operations(graff, workdir: Path):
         ("make_flat", lambda: graff.make_flat(A_raw, b_raw), 1),
         ("unembed", lambda: graff.unembed(Y_raw), 1),
         ("AffineFlat", lambda: graff.AffineFlat(A_fixed, b0_fixed), 1),
-        ("distance", lambda: graff.distance(flat, next(others)), 1),
+        ("distance", lambda: graff.distance(*next(triangles[0])), 1),
         ("distance (same pair again)", lambda: graff.distance(flat, other), 1),
         ("distance (swapped pair)", both_orders, 1),
         ("equal_flats", lambda: graff.equal_flats(flat, other), 1),
-        ("equal_flats (next partner)", lambda: graff.equal_flats(flat, next(others)), 1),
-        ("distance (kind as a string)", lambda: graff.distance(flat, next(others), "grassmann"), 1),
+        ("equal_flats (next partner)", lambda: graff.equal_flats(*next(triangles[1])), 1),
+        ("distance (kind as a string)", lambda: graff.distance(*next(triangles[2]), "grassmann"),
+         1),
         ("affine_principal_angles (2-flat, 1-flat)",
-         lambda: graff.affine_principal_angles(flat, next(lines)), 1),
-        ("infinite_metric (2-flat, 1-flat)", lambda: graff.infinite_metric(flat, next(lines)), 1),
+         lambda: graff.affine_principal_angles(*next(squares[0])), 1),
+        ("infinite_metric (2-flat, 1-flat)", lambda: graff.infinite_metric(*next(squares[1])), 1),
         ("sample_uniform", lambda: graff.sample_uniform(k, n, rng), 1),
         ("geodesic", lambda: graff.geodesic(flat, other), 1),
         ("evaluate_geodesic", lambda: graff.evaluate_geodesic(curve, 0.3), 1),
-        ("distance (32, 128)", lambda: graff.distance(wide, next(wide_partners)), 1),
+        ("distance (32, 128)", lambda: graff.distance(*next(wide_triangle)), 1),
         ("principal_decomposition (32, 128)",
          lambda: graff.principal_decomposition(wide, wide_others[0]), 1),
         ("geodesic (32, 128)", lambda: graff.geodesic(wide, wide_others[0]), 1),

@@ -31,6 +31,12 @@ whose hash differs, with the first differing bytes of each side, and exits 1
 unless each of them is named in the ``--expect`` file: one output name per
 line, as printed, with blank lines and ``#`` comments skipped.  An expected
 output that came out identical is reported but does not fail the run.
+
+A change that moves outputs on purpose commits ``tools/samebits.expect``, naming
+them and saying why; CI's same-bits step passes it as ``--expect`` against the
+change's base commit.  Each change replaces that file with its own list, or
+deletes it when it moves no output, since the outputs an earlier change moved
+are the next one's base.
 """
 
 from __future__ import annotations
