@@ -26,6 +26,7 @@ def fmt_float(x: float) -> str:
 
 
 def flat_block(k: int, n: int) -> int:
-    """Flats per write of the command line, frames per reflected stack of a chain: 4096, fewer
-    where they would pass 2**17 Stiefel entries (1 MiB), as a block of uniform draws does."""
+    """Flats per block, from the draw to stdout: a stacked uniform draw, a chain's list of kept
+    flats and a write of the command line hold 4096, fewer where they would pass 2**17 Stiefel
+    entries (1 MiB); the normalizer draws its (k+1)-planes of R^(n+1) in the same blocks."""
     return max(1, min(4096, 2**17 // ((n + 1) * (k + 1))))

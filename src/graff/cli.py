@@ -17,9 +17,11 @@ Each subcommand imports only the modules it runs, its parser's ``modules`` defau
 Exit codes, which ``main`` alone sets: 0 on success; 2 on a usage error and on GraffError,
 ValueError, TypeError, KeyError, IndexError, OSError, ArithmeticError, MemoryError (a size
 too large to allocate) and RecursionError (too deeply nested JSON); 3 on the domain errors
-NotSeparable, SingularPair and NotAFlat.  Flats are written as they are made, and those
-made before an error are written.  Stdout holds finite numbers only, but for the bare
-``inf`` of ``distance --kind martin``, and is deterministic given the flags and ``--seed``.
+NotSeparable, SingularPair and NotAFlat.  Flats are written as they are made, one write per
+block of ``flat_block(k, n)`` flats (4096, fewer past 2**17 Stiefel entries) from a draw, a
+chain or ``geodesic``, and those made before an error are written.  Stdout holds finite
+numbers only, but for the bare ``inf`` of ``distance --kind martin``, and is deterministic
+given the flags and ``--seed``.
 Input checks use one fixed relative rank tolerance, 1e-10; a document that needs a
 looser orthogonality check drops ``"orthogonal": true`` to go through ``make_flat``.
 The process entries run BLAS on one thread unless the environment sets its own count.
@@ -28,7 +30,6 @@ The process entries run BLAS on one thread unless the environment sets its own c
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -77,24 +78,9 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@contextlib.contextmanager
-def _write_flats():
-    """An ``emit(flat)`` that writes the documents on stdout, one write per ``flat_block`` flats
-    of the first flat's size, holding at most that many; on leaving, by an error too, the rest
-    are written."""
-    chunk, block = [], 0
-
-    def emit(flat):
-        nonlocal block
-        block = block or flat_block(flat.k, flat.n)
-        chunk.append(flat)
-        if len(chunk) == block:
-            full, chunk[:] = chunk[:], []
-            sys.stdout.write(dumps_flats(full))
-    try:
-        yield emit
-    finally:
-        sys.stdout.write(dumps_flats(chunk))
+def _emit(flats) -> None:
+    """Write a list of flats' documents on stdout, in one write."""
+    sys.stdout.write(dumps_flats(flats))
 
 
 def _load_flat(path: str):
@@ -131,10 +117,16 @@ def _cmd_distance(args) -> None:
 
 
 def _cmd_geodesic(args) -> None:
-    curve = geodesic(_load_flat(args.flat1), _load_flat(args.flat2))
-    with _write_flats() as emit:
-        for t in args.t:
-            emit(evaluate_geodesic(curve, t))
+    flat1, flat2 = _load_flat(args.flat1), _load_flat(args.flat2)
+    curve, size = geodesic(flat1, flat2), flat_block(flat1.k, flat1.n)
+    for start in range(0, len(args.t), size):
+        points = []
+        try:
+            for t in args.t[start:start + size]:
+                points.append(evaluate_geodesic(curve, t))
+        finally:  # by an error too, the points made before it
+            if points:
+                _emit(points)
 
 
 def _parse_n(token: str):
@@ -191,12 +183,10 @@ def _cmd_sample(args) -> None:
     if args.dist == "uniform" and (args.k is None or args.n is None):
         raise ValueError("--dist uniform requires --k and --n")
     params = None if args.dist == "uniform" else _load_params(args)
-    with _write_flats() as emit:
-        if params is None:
-            for flat in _uniform_flats(args.k, args.n, count, rng):
-                emit(flat)
-        else:
-            _kept_chain(params, count, config, rng, emit)
+    if params is None:
+        _uniform_flats(args.k, args.n, count, rng, _emit)
+    else:
+        _kept_chain(params, count, config, rng, _emit)
 
 
 def _cmd_fit(args) -> None:
@@ -214,8 +204,7 @@ def _cmd_fit(args) -> None:
     else:
         flat, w, beta = svm_hyperplane(LabeledCloud(data[:, :-1], data[:, -1]))
         coefficients = {"w": w, "beta": beta}
-    with _write_flats() as emit:
-        emit(flat)
+    _emit([flat])
     if coefficients is not None:
         print(dumps_document(coefficients))
 

@@ -189,8 +189,7 @@ class AffineFlat:
                 raise ValueError(
                     f"b0 is not orthogonal to span(A) (relative error {disp_err:.3e}); use make_flat"
                 )
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "b0", _freeze(b0))
+        self.__dict__.update(A=_freeze(A), b0=_freeze(b0))  # past the frozen __setattr__
 
     @property
     def n(self) -> int:
@@ -354,8 +353,7 @@ def stiefel_coords(flat: AffineFlat) -> StiefelMatrix:
     Y[:n, :k] = flat.A
     Y[:n, k] = u * scale
     Y[n, k] = math.ldexp(scale, -e)  # at least 2^-1024 / sqrt(n), so positive
-    result = _trusted(StiefelMatrix, Y=Y)
-    object.__setattr__(flat, "_stiefel", result)
+    flat.__dict__["_stiefel"] = result = _trusted(StiefelMatrix, Y=Y)
     return result
 
 

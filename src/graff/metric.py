@@ -95,11 +95,10 @@ def _angles(M: np.ndarray, W: np.ndarray) -> tuple[list[float], list[float]]:
 
 
 def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
-    """[S_a, S_b, M, W, _angles(M, W), swapped]: the unordered pair's record, kept on both flats
+    """[S_a, S_b, M, W, _angles(M, W)]: the unordered pair's record, kept on both flats
     as ``_pair`` and read from flat1, else flat2, in the order fixed by content, larger k first,
     then the bytes of the Stiefel coordinates S_a, S_b (held, so not reused; no flat is held).
-    M = Y_a^T Y_b, W = Y_b - Y_a M; the angles (None until wanted) serve both orders;
-    ``swapped`` is (b, a)'s, for ``_ordered``."""
+    M = Y_a^T Y_b, W = Y_b - Y_a M; the angles (None until wanted) serve both orders."""
     S1, S2 = stiefel_coords(flat1), stiefel_coords(flat2)
     pair = getattr(flat1, "_pair", None)  # a record on flat1 holds S1
     if pair is None or (pair[1] if pair[0] is S1 else pair[0]) is not S2:
@@ -111,7 +110,7 @@ def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
         if k1 < k2 or k1 == k2 and S1.Y.tobytes() > S2.Y.tobytes():
             S1, S2 = S2, S1  # a: larger k, then smaller bytes
         M = S1.Y.T.dot(S2.Y)
-        pair = [S1, S2, M, S2.Y - S1.Y.dot(M), None, None]
+        pair = [S1, S2, M, S2.Y - S1.Y.dot(M), None]
         flat1.__dict__["_pair"] = flat2.__dict__["_pair"] = pair  # past the frozen __setattr__
     if angles and pair[4] is None:
         pair[4] = _angles(pair[2], pair[3])
@@ -120,14 +119,12 @@ def _pair(flat1: AffineFlat, flat2: AffineFlat, angles: bool = True) -> list:
 
 def _ordered(flat1: AffineFlat, flat2: AffineFlat, angles: bool = False) -> tuple:
     """(M, W, angles) with M = Y1^T Y2 and W = Y2 - Y1 M in the order given: the record's own when
-    that order is its canonical one, else formed once and kept as its ``swapped``."""
+    that order is its canonical one, else a contiguous copy of the record's M^T (the bits of
+    Y1^T Y2) and W None, which the caller forms if it needs it."""
     pair = _pair(flat1, flat2, angles)
     if pair[0] is stiefel_coords(flat1):
         return pair[2], pair[3], pair[4]
-    if pair[5] is None:
-        Y1, Y2 = pair[1].Y, pair[0].Y
-        pair[5] = (M := Y1.T.dot(Y2), Y2 - Y1.dot(M))
-    return (*pair[5], pair[4])
+    return pair[2].T.copy(), None, pair[4]
 
 
 def affine_principal_angles(flat1: AffineFlat, flat2: AffineFlat) -> np.ndarray:
@@ -312,6 +309,7 @@ def geodesic(flat1: AffineFlat, flat2: AffineFlat) -> GeodesicCurve:
         raise DimensionError(f"geodesics need equal flat dimensions, got {flat1.k} and {flat2.k}")
     M, W, _ = _ordered(flat1, flat2)
     Y, k = stiefel_coords(flat1), flat1.k
+    W = stiefel_coords(flat2).Y - Y.Y.dot(M) if W is None else W  # the other order's W
     # H = W M^{-1} keeps, unlike M's SVD, the directions when every cosine rounds to 1; as
     # span(H) = span(W), Q is orthogonal to span(Y) to rounding however small the cosines.
     try:
@@ -339,8 +337,8 @@ def evaluate_geodesic(curve: GeodesicCurve, t: float) -> AffineFlat:
     """
     t = float(t)
     if getattr(curve, "_base", None) is None:  # kept after the first call
-        base = (curve.Y_start.Y @ curve.U, curve.Theta.diagonal(), float(curve.Theta.max()))
-        object.__setattr__(curve, "_base", base)
+        curve.__dict__["_base"] = (curve.Y_start.Y @ curve.U, curve.Theta.diagonal(),
+                                   float(curve.Theta.max()))  # past the frozen __setattr__
     start, thetas, largest = curve._base
     if not math.isfinite(t * largest):
         raise ValueError(f"geodesic parameter t={t} gives a non-finite angle")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -134,31 +134,34 @@ def sample_uniform(k: int, n: int, rng: Generator) -> AffineFlat:
     raise InternalError("100 consecutive uniform draws landed outside the flat locus")
 
 
-def _uniform_flats(k: int, n: int, count: int, rng: Generator) -> Iterator[AffineFlat]:
-    """``count`` calls of :func:`sample_uniform`, one Gaussian draw and one QR per block.
+def _uniform_flats(k: int, n: int, count: int, rng: Generator, emit) -> None:
+    """``count`` calls of :func:`sample_uniform`, handed to ``emit`` in lists of
+    ``flat_block(k, n)`` flats, the last shorter: one Gaussian draw, one QR and one ``emit`` each.
 
-    A block holds at most 2**17 Gaussian entries (1 MiB), as in
-    :func:`grassmann_normalizer`, and is drawn once every flat before it has been
-    taken, so one block is held at a time.  Its (m, n+1, k+1) draw reads the
-    stream as m scalar draws do, and the stacked QR and reflection give their
-    flats bit for bit.  A frame that spans no flat (probability zero) is redrawn
-    by ``sample_uniform`` after its block; only this event moves the stream
-    position against the scalar draws.
+    A list's (m, n+1, k+1) draw, made once the list before it is emitted, reads the stream as m
+    scalar draws do, and the stacked QR and reflection give their flats bit for bit.  A frame
+    that spans no flat (probability zero) is redrawn by ``sample_uniform`` after its stack, frame
+    by frame: only this event moves the stream position against the scalar draws, and an error
+    in it emits the flats made before it first.
     """
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k + 1)
-    block = max(1, 2**17 // ((n + 1) * (k + 1)))
+    block = flat_block(k, n)
     for start in range(0, count, block):
         Q, diag = _lapack.qr(rng.standard_normal((min(block, count - start), n + 1, k + 1)))
         frames = np.multiply(Q, np.sign(diag)[:, None, :], out=Q)
+        flats = []
         try:
-            yield from _flats_from_frames(frames)
+            flats = _flats_from_frames(frames)
         except NotAFlat:
             for frame in frames:
                 try:
-                    yield _flat_from_frame(frame)
+                    flats.append(_flat_from_frame(frame))
                 except NotAFlat:
-                    yield sample_uniform(k, n, rng)
+                    flats.append(sample_uniform(k, n, rng))
+        finally:  # by an error too, the flats made before it
+            if flats:
+                emit(flats)
 
 
 def _trace_form(S: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -186,9 +189,10 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: Generator) -> t
     Monte Carlo estimate of the uniform expectation of exp(tr(S A A^T));
     returns the sample mean over ``n_samples`` draws and its standard error.
     Used for the linear factor of the Langevin-Gaussian density.  The frames
-    come from one (m, n, k) Gaussian draw and one stacked QR per block of at
-    most 2**17 entries (1 MiB), in the stream order of n_samples (n, k)
-    draws; ``math.exp`` raises ``OverflowError`` for a concentrated S.
+    come from one (m, n, k) Gaussian draw and one stacked QR per block of
+    ``flat_block(k - 1, n - 1)`` (a k-plane of R^n is the frame of a
+    (k-1)-flat of R^(n-1)), in the stream order of n_samples (n, k) draws;
+    ``math.exp`` raises ``OverflowError`` for a concentrated S.
     """
     k = _check_int(k, "k", 0)
     n = _check_int(n, "n", k)
@@ -196,8 +200,7 @@ def grassmann_normalizer(S, k: int, n: int, n_samples: int, rng: Generator) -> t
     n_samples = _check_int(n_samples, "n_samples", 100)
     if k == 0:
         return 1.0, 0.0
-    block = max(1, 2**17 // (n * k))
-    values = []
+    block, values = flat_block(k - 1, n - 1), []
     for start in range(0, n_samples, block):
         Q, _ = _lapack.qr(rng.standard_normal((min(block, n_samples - start), n, k)))
         values += [math.exp(x) for x in _trace_form(S, Q).tolist()]
@@ -261,39 +264,49 @@ def _mh_chain(S: np.ndarray, Y0: np.ndarray, n_steps: int, config: MHConfig,
 
 
 def _chain(params, n_steps: int, config: MHConfig, rng: Generator, emit, init=None) -> float:
-    """``n_steps`` steps of the chain of ``params``' law, each kept flat passed to ``emit``; returns
-    the acceptance rate.  A Langevin chain starts at ``init`` (default: a uniform flat) and reflects
-    its kept frames in stacks of ``flat_block(k, n)``.  A Langevin-Gaussian one starts at a uniform
-    k-plane; at k = 0 its one plane, {0}, would accept every step: no chain runs, the rate is 1."""
-    if isinstance(params, LangevinParams):
-        init = sample_uniform(params.k, params.n, rng) if init is None else init
-        _check_params(init, params)
-        Y0, block, size = stiefel_coords(init).Y, [], flat_block(params.k, params.n)
+    """``n_steps`` steps of the chain of ``params``' law; returns the acceptance rate.  Its kept
+    flats go to ``emit`` in lists of ``flat_block(k, n)``, each at the step that fills it, the
+    last (by an error too, the flats kept before it) as the chain ends.  A Langevin chain starts
+    at ``init`` (default: a uniform flat) and reflects each list's frames as one stack.  A
+    Langevin-Gaussian one starts at a uniform k-plane and draws each displacement as it keeps
+    the state; at k = 0 its one plane, {0}, would accept every step: no chain runs, rate 1."""
+    n, k, block, size = params.n, params.k, [], flat_block(params.k, params.n)
 
-        def keep(Y):
+    def keep(Y):  # state(Y) and flats() are the law's, below
+        block.append(state(Y))
+        if len(block) == size:
+            flush()
+
+    def flush():
+        if block:
+            kept, block[:] = flats(), []
+            emit(kept)
+
+    if isinstance(params, LangevinParams):
+        init = sample_uniform(k, n, rng) if init is None else init
+        _check_params(init, params)
+        Y0 = stiefel_coords(init).Y
+
+        def state(Y):
             if Y is Y0:  # only init can span no flat (proposals passed the test): raise now
                 _flat_from_frame(Y)
-            block.append(Y)
-            if len(block) == size:
-                flush()
+            return Y
 
-        def flush():
-            flats, block[:] = _flats_from_frames(np.stack(block)) if block else [], []
-            for flat in flats:
-                emit(flat)
-
+        def flats():
+            return _flats_from_frames(np.stack(block))
         return _mh_chain(params.S, Y0, n_steps, config, rng, keep, True, flush)
-    n, k, scale = params.n, params.k, math.sqrt(params.sigma2)
+    scale, flats = math.sqrt(params.sigma2), block.copy
 
-    def keep(Y):
-        emit(_trusted(AffineFlat, A=Y, b0=_orthogonal_part(Y, scale * rng.standard_normal(n))))
+    def state(Y):
+        return _trusted(AffineFlat, A=Y, b0=_orthogonal_part(Y, scale * rng.standard_normal(n)))
 
     if k == 0:
         for _ in range(config.burn_in, n_steps, config.thin):
             keep(np.zeros((n, 0)))
+        flush()
         return 1.0
     Y0, _ = _lapack.qr(rng.standard_normal((n, k)))  # a uniform k-plane
-    return _mh_chain(params.S, Y0, n_steps, config, rng, keep, require_flat=False)
+    return _mh_chain(params.S, Y0, n_steps, config, rng, keep, False, flush)
 
 
 def _kept_chain(params, count: int, config: MHConfig, rng: Generator, emit) -> float:
@@ -321,7 +334,7 @@ def langevin_mh_run(
         raise TypeError("langevin_mh_run expects LangevinParams")
     samples: list[AffineFlat] = []
     rate = _chain(params, _check_int(n_steps, "n_steps", 1), MHConfig(step_size, burn_in, thin),
-                  rng, samples.append, init)
+                  rng, samples.extend, init)
     return samples, rate
 
 
@@ -357,5 +370,5 @@ def langevin_gaussian_run(
     if not isinstance(params, LangevinGaussianParams):
         raise TypeError("langevin_gaussian_run expects LangevinGaussianParams")
     flats: list[AffineFlat] = []
-    _kept_chain(params, _check_int(count, "count", 1), config, rng, flats.append)
+    _kept_chain(params, _check_int(count, "count", 1), config, rng, flats.extend)
     return flats

@@ -244,6 +244,30 @@ class TestGeodesic:
                    for line in out.splitlines())
         assert err == "ValueError: geodesic parameter t=inf gives a non-finite angle\n"
 
+    @pytest.mark.parametrize("bad", [None, 4500])
+    def test_points_are_written_in_blocks_of_4096(self, monkeypatch, write_doc, bad):
+        # 5000 points of a line pair: one write of 4096 and one of 904.  A non-finite t at
+        # index 4500 writes the 4500 points before it, 4096 and 404, then one stderr line.
+        t = [repr(i / 4999) for i in range(5000)]
+        argv = ["geodesic", write_doc(X_AXIS_DOC), write_doc(LINE_Y1_DOC), "--t"]
+        out = _WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv + t) == 0
+        full = [text for _, text in out.writes]
+        assert [text.count("\n") for text in full] == [4096, 904]
+        if bad is None:
+            return
+        t[bad], out.writes = "inf", []
+        monkeypatch.setattr(sys, "stderr", out)
+        code = main(argv + t)
+        monkeypatch.undo()
+        texts = [text for _, text in out.writes]
+        assert code == 2
+        assert [text.count("\n") for text in texts[:2]] == [4096, 404]
+        assert "".join(texts[:2]) == "".join("".join(full).splitlines(keepends=True)[:bad])
+        assert "".join(texts[2:]) == ("ValueError: geodesic parameter t=inf gives a non-finite"
+                                      " angle\n")
+
     def test_singular_pair_exits_3(self, capsys, write_doc):
         vertical = {"n": 2, "k": 1, "A": [[0.0, 1.0]], "b": [5.0, 0.0]}
         code, _, err = run_cli(
@@ -412,6 +436,50 @@ class TestSample:
                      "--count", "5000"]) == 0
         assert [(calls, text.count("\n")) for calls, text in out.writes] == [
             *((calls, 441) for calls in range(1, 12)), (12, 149)]
+
+    def test_uniform_makes_one_draw_per_write(self, monkeypatch):
+        # At (1, 3) a block of draws is a write's 4096 flats: 10,000 flats are three draws,
+        # each written before the next is drawn.
+        stream = CountingStream(4)
+        out = _WriteLog(lambda: stream.calls)
+        monkeypatch.setattr(cli, "random_stream", lambda seed: stream)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sample", "--dist", "uniform", "--k", "1", "--n", "3", "--seed", "4",
+                     "--count", "10000"]) == 0
+        assert [(calls, text.count("\n")) for calls, text in out.writes] == [
+            (1, 4096), (2, 4096), (3, 1808)]
+
+    def test_an_error_in_a_redraw_writes_the_flats_made_before_it(self, monkeypatch, capsys):
+        # Frame 100 of the second block spans no flat (a zero last row), and its redraw raises:
+        # the 4096 flats of the first block and the 100 before it are written, then the error.
+        class Stream:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(4), 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                if self.calls > 2:
+                    raise ValueError("planted")
+                G = self.rng.standard_normal(shape)
+                if self.calls == 2:
+                    G[100, -1] = 0.0
+                return G
+
+        argv = ["sample", "--dist", "uniform", "--k", "1", "--n", "3", "--seed", "4", "--count"]
+        assert main(argv + ["4196"]) == 0
+        expected = capsys.readouterr().out
+        stream = Stream()
+        out = _WriteLog(lambda: stream.calls)
+        monkeypatch.setattr(cli, "random_stream", lambda seed: stream)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", out)
+        code = main(argv + ["5000"])
+        monkeypatch.undo()
+        assert code == 2
+        assert [(calls, text.count("\n")) for calls, text in out.writes[:2]] == [(1, 4096),
+                                                                               (3, 100)]
+        assert "".join(text for _, text in out.writes[:2]) == expected
+        assert "".join(text for _, text in out.writes[2:]) == "ValueError: planted\n"
 
     @staticmethod
     def _chain_run(monkeypatch, tmp_path, dist, count, planted_at=None):
@@ -802,21 +870,6 @@ def test_dumps_document_writes_strings_as_json():
 def test_fmt_float_keeps_the_bare_inf():
     assert (fmt_float(math.inf), fmt_float(-math.inf), fmt_float(np.float64("inf"))) == (
         "inf", "-inf", "inf")
-
-
-def test_flats_before_one_that_raises_are_written_once(monkeypatch):
-    """4,097 flats and then an error: one write of 4,096, one of the last flat, the error."""
-    cli._import(["io"])
-    out = _WriteLog()
-    monkeypatch.setattr(sys, "stdout", out)
-    with pytest.raises(ValueError, match="planted"), cli._write_flats() as emit:
-        for i in range(4097):
-            emit(horizontal_line(float(i)))
-        raise ValueError("planted")
-    texts = [text for _, text in out.writes]
-    assert [text.count("\n") for text in texts] == [4096, 1]
-    assert [flat_from_document(line).b0[1] for line in "".join(texts).splitlines()] == list(
-        range(4097))
 
 
 def test_a_non_finite_document_exits_2_with_nothing_printed(capsys, write_doc, monkeypatch):

@@ -461,17 +461,15 @@ class TestPairCache:
         (equal_flats, geodesic, distance, principal_decomposition),
     ], ids=["angles first", "equal_flats first"])
     def test_one_overlap_per_ordered_pair(self, rng, calls):
-        # Both flats hold the one record; its M and W, and the swapped order's once formed,
-        # stay the objects first made, whichever order each call takes.
+        # Both flats hold the one record of five slots; its M and W stay the objects first
+        # made, whichever order each call takes, and the other order stores nothing.
         a, b = random_flat(rng, 6, 2), random_flat(rng, 6, 2)
         calls[0](a, b)
-        pair, M, W, swapped = a._pair, a._pair[2], a._pair[3], a._pair[5]
+        pair, M, W = a._pair, a._pair[2], a._pair[3]
         for index, call in enumerate(calls[1:] * 2):
             call(*((a, b) if index % 2 else (b, a)))
             assert a._pair is pair is b._pair and pair[2] is M and pair[3] is W, call.__name__
-            assert swapped is None or pair[5] is swapped, call.__name__
-            swapped = pair[5]
-        assert swapped is not None  # principal_decomposition and geodesic ran in both orders
+            assert len(pair) == 5, call.__name__
 
     def test_a_miss_on_the_first_flat_reads_the_second(self, rng):
         # After distance(a, b) and distance(a, c), a holds {a, c} and b still holds {a, b}:
@@ -716,12 +714,16 @@ class TestDotSites:
     def test_the_pair_record_and_the_principal_vectors(self, name):
         flat1, flat2 = _dot_site_pairs()[name]
         Y1, Y2 = stiefel_coords(flat1).Y, stiefel_coords(flat2).Y
-        for (Ya, Yb), (M, W, _) in (((Y1, Y2), metric._ordered(flat1, flat2)),
-                                    ((Y2, Y1), metric._ordered(flat2, flat1))):
-            assert _bits(M) == _bits(Ya.T @ Yb)
-            assert _bits(W) == _bits(Yb - Ya @ (Ya.T @ Yb))
+        # The other order's M is a contiguous copy of the record's M^T and its W is None;
+        # geodesic forms that W from the copy, with the bits of Y2 - Y1 (Y1^T Y2).
         Sa, Sb, M, W = metric._pair(flat1, flat2, angles=False)[:4]
         assert _bits(M) == _bits(Sa.Y.T @ Sb.Y) and _bits(W) == _bits(Sb.Y - Sa.Y @ M)
+        orders = [((Y1, Y2), metric._ordered(flat1, flat2)),
+                  ((Y2, Y1), metric._ordered(flat2, flat1))]
+        assert [W is None for _, (_, W, _) in orders] == [Sa.Y is Y2, Sa.Y is Y1]
+        for (Ya, Yb), (M, W, _) in orders:
+            assert _bits(M) == _bits(Ya.T @ Yb) and M.flags.c_contiguous
+            assert _bits(Yb - Ya.dot(M) if W is None else W) == _bits(Yb - Ya @ (Ya.T @ Yb))
         decomposition = principal_decomposition(flat1, flat2)
         assert _bits(decomposition.P_vecs) == _bits(Y1 @ decomposition.U)
         assert _bits(decomposition.Q_vecs) == _bits(Y2 @ decomposition.V)

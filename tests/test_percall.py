@@ -11,6 +11,7 @@ OPERATIONS = ["make_flat", "unembed", "AffineFlat", "distance", "distance (same 
               "infinite_metric (2-flat, 1-flat)",
               "sample_uniform", "geodesic", "evaluate_geodesic",
               "distance (32, 128)", "principal_decomposition (32, 128)", "geodesic (32, 128)",
+              "principal_decomposition (32, 128, swapped)", "geodesic (32, 128, swapped)",
               "MH step", "MH step (burn-in 100, thin 5)", "Langevin-Gaussian step (2, 5)",
               "normalizer per sample",
               "svm_hyperplane per point", "load_cloud_csv per row",

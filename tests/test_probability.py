@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -34,6 +33,7 @@ from graff import (
 )
 
 from graff import _lapack, probability
+from graff._plain import flat_block
 from graff.coords import _FLAT_TOL, _flat_from_frame, _flats_from_frames
 from graff.probability import _trace_form, _uniform_flats
 
@@ -163,6 +163,15 @@ class _PlantedStream:
         return G
 
 
+class _RaisingRedraw(_PlantedStream):
+    """A ``_PlantedStream`` whose draws after the planted stack raise."""
+
+    def standard_normal(self, shape):
+        if self.frame is None:
+            raise ValueError("planted")
+        return super().standard_normal(shape)
+
+
 def _same_flats(flats, expected):
     assert len(flats) == len(expected)
     for flat, other in zip(flats, expected):
@@ -171,36 +180,48 @@ def _same_flats(flats, expected):
         assert flat.b0.tobytes() == other.b0.tobytes()
 
 
+def _uniform_lists(k, n, count, rng) -> list:
+    """The lists of flats ``_uniform_flats`` hands its ``emit``."""
+    lists = []
+    _uniform_flats(k, n, count, rng, lists.append)
+    return lists
+
+
 class TestStackedUniform:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("k, n", [(0, 1), (0, 3), (1, 2), (2, 5), (4, 5), (4, 12), (8, 32)])
     def test_equals_one_scalar_draw_at_a_time(self, k, n, seed):
+        # 60 flats are one block at every size: one list.
         rng, reference = random_stream(seed), random_stream(seed)
-        flats = list(_uniform_flats(k, n, 60, rng))
-        _same_flats(flats, [sample_uniform(k, n, reference) for _ in range(60)])
+        lists = _uniform_lists(k, n, 60, rng)
+        assert [len(flats) for flats in lists] == [60]
+        _same_flats(lists[0], [sample_uniform(k, n, reference) for _ in range(60)])
         assert rng.standard_normal() == reference.standard_normal()
 
-    def test_one_draw_and_one_qr_per_block_of_2_17_entries(self, monkeypatch):
+    @pytest.mark.parametrize("k, n, count, blocks", [
+        (8, 32, 1000, [441, 441, 118]),  # 441 frames hold 2**17 Stiefel entries
+        (1, 3, 10_000, [4096, 4096, 1808]),  # 4096 frames hold fewer
+    ])
+    def test_one_draw_and_one_qr_per_block_of_2_17_entries(self, monkeypatch, k, n, count,
+                                                           blocks):
         shapes, qr = [], _lapack.qr
         monkeypatch.setattr(_lapack, "qr", lambda M: shapes.append(M.shape) or qr(M))
         rng, reference = random_stream(9), random_stream(9)
-        flats = list(_uniform_flats(8, 32, 1000, rng))
-        assert shapes == [(441, 33, 9), (441, 33, 9), (118, 33, 9)]
-        _same_flats(flats, [sample_uniform(8, 32, reference) for _ in range(1000)])
+        lists = _uniform_lists(k, n, count, rng)
+        assert shapes == [(m, n + 1, k + 1) for m in blocks]
+        assert [len(flats) for flats in lists] == blocks and blocks[0] == flat_block(k, n)
+        _same_flats([flat for flats in lists for flat in flats],
+                    [sample_uniform(k, n, reference) for _ in range(count)])
         assert rng.standard_normal() == reference.standard_normal()
 
-    def test_a_block_is_drawn_when_its_first_flat_is_taken(self):
-        # A block at (8, 32) is 441 frames: 1000 flats are three draws, made one at a time.
-        stream, reference = CountingStream(9), random_stream(9)
-        flats = _uniform_flats(8, 32, 1000, stream)
-        taken = []
-        for calls in (1, 2, 3):
-            taken.append(next(flats))
-            assert stream.calls == calls
-            taken += itertools.islice(flats, 440)
-            assert stream.calls == calls
-        taken += flats
-        _same_flats(taken, [sample_uniform(8, 32, reference) for _ in range(1000)])
+    def test_a_block_is_drawn_after_the_one_before_is_emitted(self):
+        # A block at (8, 32) is 441 frames: 1000 flats are three draws, each emitted before
+        # the next is drawn.
+        stream, reference, emitted = CountingStream(9), random_stream(9), []
+        _uniform_flats(8, 32, 1000, stream, lambda flats: emitted.append((stream.calls, flats)))
+        assert [(calls, len(flats)) for calls, flats in emitted] == [(1, 441), (2, 441), (3, 118)]
+        _same_flats([flat for _, flats in emitted for flat in flats],
+                    [sample_uniform(8, 32, reference) for _ in range(1000)])
 
     @pytest.mark.parametrize("k, n", [(0, 3), (1, 2), (2, 5), (4, 5), (8, 32)])
     def test_reflection_equals_the_scalar_one_frame_by_frame(self, k, n):
@@ -222,18 +243,31 @@ class TestStackedUniform:
     def test_a_refused_frame_is_redrawn_after_the_stack(self, k, n, frame):
         # Probability zero: the other flats keep their draws, and the refused
         # one is the scalar draw that follows its block.
-        flats = list(_uniform_flats(k, n, 5, _PlantedStream(7, frame)))
+        lists = _uniform_lists(k, n, 5, _PlantedStream(7, frame))
         reference = random_stream(7)
         expected = [sample_uniform(k, n, reference) for _ in range(5)]
         expected[frame] = sample_uniform(k, n, reference)
-        _same_flats(flats, expected)
+        assert [len(flats) for flats in lists] == [5]
+        _same_flats(lists[0], expected)
+
+    @pytest.mark.parametrize("frame", [0, 3])
+    def test_an_error_in_the_redraw_emits_the_flats_made_before_it(self, frame):
+        # The refused frame's redraw raises: the frames before it are emitted, as one list,
+        # and no empty list is.
+        lists = []
+        with pytest.raises(ValueError, match="planted"):
+            _uniform_flats(1, 3, 5, _RaisingRedraw(7, frame), lists.append)
+        reference = random_stream(7)
+        assert [len(flats) for flats in lists] == ([frame] if frame else [])
+        _same_flats([flat for flats in lists for flat in flats],
+                    [sample_uniform(1, 3, reference) for _ in range(frame)])
 
     def test_rejects_bad_dimensions_as_the_scalar_draw_does(self):
         for k, n in [(3, 3), (-1, 2), (1.5, 3)]:
             with pytest.raises(DimensionError) as scalar:
                 sample_uniform(k, n, random_stream(0))
             with pytest.raises(DimensionError) as stacked:
-                list(_uniform_flats(k, n, 4, random_stream(0)))
+                _uniform_flats(k, n, 4, random_stream(0), pytest.fail)
             assert str(stacked.value) == str(scalar.value)
 
 
@@ -342,7 +376,7 @@ def _normalizer_one_by_one(S, k, n, n_samples, rng):
 class TestStackedNormalizer:
     @pytest.mark.parametrize("k, n, n_samples", [(2, 5, 300), (4, 4, 200), (2, 6, 11_000)])
     def test_matches_one_draw_at_a_time(self, k, n, n_samples):
-        # (2, 6, 11_000) spans two blocks of 2**17 Gaussian entries.
+        # (2, 6, 11_000) spans three blocks of flat_block(1, 5) = 4096 frames.
         G = random_stream(k + 10 * n).standard_normal((n, n))
         for S in ((G + G.T) / 2.0, 0.3 * G):
             rng, reference = random_stream(5), random_stream(5)
@@ -356,7 +390,7 @@ class TestStackedNormalizer:
         shapes, qr = [], _lapack.qr
         monkeypatch.setattr(_lapack, "qr", lambda M: shapes.append(M.shape) or qr(M))
         grassmann_normalizer(np.eye(6), 2, 6, 11_000, random_stream(5))
-        assert shapes == [(10_922, 6, 2), (78, 6, 2)]
+        assert shapes == [(4096, 6, 2), (4096, 6, 2), (2808, 6, 2)]
 
     def test_points_draw_nothing(self):
         rng = random_stream(5)
@@ -836,12 +870,17 @@ def _step_by_step_flats(params, n_steps, config, seed, init=None):
 
 
 def _chain_flats(params, n_steps, config, seed, init=None):
-    rng, flats = random_stream(seed), []
+    """``probability._chain``'s (flats, rate or the error raised, stream state); its lists hold
+    ``flat_block(k, n)`` flats each, but for a shorter last one, and none is empty."""
+    rng, lists = random_stream(seed), []
     try:
-        rate = probability._chain(params, n_steps, config, rng, flats.append, init)
+        rate = probability._chain(params, n_steps, config, rng, lists.append, init)
     except NotAFlat as exc:
         rate = f"NotAFlat: {exc}"
-    return flats, rate, rng.bit_generator.state
+    block = flat_block(params.k, params.n)
+    assert all(len(flats) == block for flats in lists[:-1])
+    assert all(0 < len(flats) <= block for flats in lists[-1:])
+    return [flat for flats in lists for flat in flats], rate, rng.bit_generator.state
 
 
 def _assert_same_flats_and_state(run, expected):
@@ -854,8 +893,9 @@ def _assert_same_flats_and_state(run, expected):
 
 
 class TestStackedKeep:
-    """A Langevin chain reflects its kept frames in stacks of ``flat_block(k, n)``: the flats,
-    their order, the rate and the stream are those of one reflection per kept state."""
+    """A Langevin chain emits its kept flats in lists of ``flat_block(k, n)``, each reflected as
+    one stack: the flats, their order, the rate and the stream are those of one reflection per
+    kept state."""
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(k=st.integers(0, 2), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),

@@ -23,11 +23,13 @@ ring, in which each first call meets a pair anew: where the record is kept
 per unordered pair the second call reads it, where per ordered pair it computes
 its own angles.  ``equal_flats``
 repeats one pair and reads the stored overlap, which ``equal_flats (next partner)``
-forms anew on every call.  Three rows run at
+forms anew on every call.  Five rows run at
 (k, n) = (32, 128), perfbench metric_sweep's widest class: ``distance``
 around a ring of three (every call computes the principal-angle
 kernel), then ``principal_decomposition`` and ``geodesic`` of one pair, which
-read the pair's stored overlap as metric_sweep's calls do.  The chain and the
+read the pair's stored overlap as metric_sweep's calls do, in the order given
+and, in the ``swapped`` rows, in the other: one of the two is the order the
+pair's record is stored in.  The chain and the
 normalizer report per step and per sample, the SVM per point of one 1000 x 5
 planted-margin cloud, ``load_cloud_csv`` per row of a 10^4 x 16 CSV with a
 header, and ``cli.main`` of ``sample --dist uniform --count 2000`` per flat,
@@ -166,6 +168,9 @@ def operations(graff, workdir: Path):
         ("principal_decomposition (32, 128)",
          lambda: graff.principal_decomposition(wide, wide_others[0]), 1),
         ("geodesic (32, 128)", lambda: graff.geodesic(wide, wide_others[0]), 1),
+        ("principal_decomposition (32, 128, swapped)",
+         lambda: graff.principal_decomposition(wide_others[0], wide), 1),
+        ("geodesic (32, 128, swapped)", lambda: graff.geodesic(wide_others[0], wide), 1),
         ("MH step", lambda: graff.langevin_mh_run(params, MH_STEPS, 0.1, rng, burn_in=MH_STEPS - 1,
                                                   init=flat), MH_STEPS),
         ("MH step (burn-in 100, thin 5)",
